@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-columnar-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke bench bench-columnar bench-replay bench-serving bench-campaign
+.PHONY: check test lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke bench bench-replay bench-serving bench-campaign
 
 ## check: tier-1 tests + static analysis + timeline/bench smoke runs (what CI gates on)
-check: test lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-columnar-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke
+check: test lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,7 +19,8 @@ lint:
 check-schedule:
 	$(PYTHON) -m repro check-schedule
 
-## check-faults-smoke: shard/columnar race check of the compiled plans
+## check-faults-smoke: race check of the sharded prefix plans and the
+## in-place ascend rounds
 check-faults-smoke:
 	$(PYTHON) -m repro check-faults --plan
 
@@ -28,23 +29,23 @@ check-faults-smoke:
 timeline-smoke:
 	$(PYTHON) -m repro timeline --smoke
 
+## bench-smoke: core suite at n<=3 (array backend + engine, traffic, fault
+## scenarios), cost counters regression-gated against the committed baseline
+## (wide wall factor — only the deterministic counters gate on CI machines)
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke --out BENCH_smoke.json
-
-bench-faults-smoke:
-	$(PYTHON) -m repro bench --faults --smoke --out BENCH_faults_smoke.json
-
-## bench-columnar-smoke: columnar backend at n=9 (131072 nodes), cost counters
-## regression-gated against the committed baseline (wide wall factor — only
-## the deterministic counters are meaningful gates on shared CI machines)
-bench-columnar-smoke:
-	$(PYTHON) -m repro bench --backend columnar --smoke \
-		--out BENCH_columnar_smoke.json --compare BENCH_columnar_smoke.json \
+	$(PYTHON) -m repro bench --smoke \
+		--out BENCH_smoke.json --compare BENCH_smoke.json \
 		--wall-factor 20
 
-## bench-replay-smoke: compiled-plan replay backend (n<=3 plus a sharded
-## row), cost counters regression-gated against the committed baseline
-## (wide wall factor — only the deterministic counters gate on CI machines)
+## bench-faults-smoke: the fault scenario family alone, gated likewise
+bench-faults-smoke:
+	$(PYTHON) -m repro bench --faults --smoke \
+		--out BENCH_faults_smoke.json --compare BENCH_faults_smoke.json \
+		--wall-factor 20
+
+## bench-replay-smoke: the array backend at n<=3, at n=9 (131072 nodes) and
+## one sharded row, cost counters regression-gated against the committed
+## baseline (wide wall factor — only the counters gate on CI machines)
 bench-replay-smoke:
 	$(PYTHON) -m repro bench --backend replay --smoke \
 		--out BENCH_replay_smoke.json --compare BENCH_replay_smoke.json \
@@ -74,11 +75,8 @@ campaign-smoke:
 bench:
 	$(PYTHON) -m repro bench
 
-## bench-columnar: columnar sweep to D_11, merged into BENCH_core.json
-bench-columnar:
-	$(PYTHON) -m repro bench --backend columnar
-
-## bench-replay: replay sweep (plus sharded D_9 row), merged into BENCH_core.json
+## bench-replay: array-backend sweep to D_11 (plus a sharded D_9 row),
+## merged into BENCH_core.json
 bench-replay:
 	$(PYTHON) -m repro bench --backend replay
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix_engine, dual_prefix
 from repro.core.ops import ADD, CONCAT
 from repro.simulator import CostCounters
 from repro.topology import DualCube
@@ -26,9 +26,9 @@ def ablation_rows():
         rng = np.random.default_rng(n)
         vals = rng.integers(0, 1000, dc.num_nodes)
         c_opt = CostCounters(dc.num_nodes)
-        out_opt = dual_prefix_vec(dc, vals, ADD, counters=c_opt)
+        out_opt = dual_prefix(dc, vals, ADD, counters=c_opt)
         c_lit = CostCounters(dc.num_nodes)
-        out_lit = dual_prefix_vec(dc, vals, ADD, paper_literal=True, counters=c_lit)
+        out_lit = dual_prefix(dc, vals, ADD, paper_literal=True, counters=c_lit)
         identical = list(out_opt) == list(out_lit)
         rows.append(
             (

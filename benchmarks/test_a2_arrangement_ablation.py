@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.core.arrangement import arranged_index_v
-from repro.core.dual_prefix import dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix
 from repro.core.ops import ADD
 from repro.core.verify import sequential_prefix
 from repro.topology import DualCube
@@ -35,7 +35,7 @@ def without_arrangement(dc: DualCube, vals: np.ndarray) -> np.ndarray:
     inv = np.empty(dc.num_nodes, dtype=np.int64)
     arr_idx = arranged_index_v(dc)
     inv[arr_idx] = np.arange(dc.num_nodes)
-    pre = dual_prefix_vec(dc, vals[inv], ADD)
+    pre = dual_prefix(dc, vals[inv], ADD)
     return pre[inv]  # value that ended up at node u, in node order
 
 
@@ -46,7 +46,7 @@ def ablation_rows():
         rng = np.random.default_rng(n)
         vals = rng.integers(1, 1000, dc.num_nodes)
         truth = sequential_prefix(list(vals), ADD)
-        with_arr = dual_prefix_vec(dc, vals, ADD)
+        with_arr = dual_prefix(dc, vals, ADD)
         miss_with = sum(1 for a, b in zip(with_arr, truth) if a != b)
         ablated = without_arrangement(dc, vals)
         miss_without = sum(1 for a, b in zip(ablated, truth) if a != b)
@@ -90,7 +90,7 @@ def test_ablated_result_is_still_a_prefix_of_the_permuted_input(benchmark):
     def run():
         inv = np.empty(32, dtype=np.int64)
         inv[arranged_index_v(dc)] = np.arange(32)
-        return dual_prefix_vec(dc, vals[inv], ADD)
+        return dual_prefix(dc, vals[inv], ADD)
 
     pre = benchmark(run)
     inv = np.empty(32, dtype=np.int64)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis.complexity import dual_prefix_comm_exact
 from repro.analysis.tables import format_table
-from repro.core.dual_prefix import dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix
 from repro.core.emulation import emulated_cube_prefix, emulated_cube_prefix_vec
 from repro.core.ops import ADD
 from repro.simulator import CostCounters
@@ -37,7 +37,7 @@ def comparison_rows():
         vals = rng.integers(0, 1000, dc.num_nodes)
 
         c_cluster = CostCounters(dc.num_nodes)
-        out_cluster = dual_prefix_vec(dc, vals, ADD, counters=c_cluster)
+        out_cluster = dual_prefix(dc, vals, ADD, counters=c_cluster)
         assert list(out_cluster) == list(np.cumsum(vals))
 
         c_emu = CostCounters(rdc.num_nodes)

@@ -2,19 +2,19 @@
 
 Wall-clock throughput of the two execution backends: the cycle-accurate
 SPMD engine (per-message Python generators, used to *validate* step
-counts) vs the vectorized whole-network backend (used to *scale*).
+counts) vs the whole-network array backend (used to *scale*).
 
-Expected shape: both produce identical results and counters; the
-vectorized backend is orders of magnitude faster and its advantage grows
-with network size — the profile-then-vectorize workflow of the HPC
-guides applied to our own simulator.
+Expected shape: both produce identical results and counters; the array
+backend is orders of magnitude faster and its advantage grows with
+network size — the profile-then-vectorize workflow of the HPC guides
+applied to our own simulator.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_vec
-from repro.core.dual_sort import dual_sort_engine, dual_sort_vec
+from repro.core.dual_prefix import dual_prefix_engine, dual_prefix
+from repro.core.dual_sort import dual_sort_engine, dual_sort
 from repro.core.ops import ADD
 from repro.topology import DualCube, RecursiveDualCube
 
@@ -28,11 +28,11 @@ class TestPrefixThroughput:
         out, _ = benchmark(lambda: dual_prefix_engine(dc, vals, ADD))
         assert out[-1] == dc.num_nodes * (dc.num_nodes - 1) // 2
 
-    def test_vectorized(self, benchmark, n):
+    def test_array(self, benchmark, n):
         benchmark.group = f"prefix D_{n}"
         dc = DualCube(n)
         vals = np.arange(dc.num_nodes)
-        out = benchmark(lambda: dual_prefix_vec(dc, vals, ADD))
+        out = benchmark(lambda: dual_prefix(dc, vals, ADD))
         assert out[-1] == dc.num_nodes * (dc.num_nodes - 1) // 2
 
 
@@ -45,29 +45,29 @@ class TestSortThroughput:
         out, _ = benchmark(lambda: dual_sort_engine(rdc, keys))
         assert out == sorted(keys)
 
-    def test_vectorized(self, benchmark, n):
+    def test_array(self, benchmark, n):
         benchmark.group = f"sort D_{n}"
         rdc = RecursiveDualCube(n)
         keys = np.random.default_rng(n).permutation(rdc.num_nodes)
-        out = benchmark(lambda: dual_sort_vec(rdc, keys))
+        out = benchmark(lambda: dual_sort(rdc, keys))
         assert list(out) == sorted(keys)
 
 
-class TestVectorizedScaling:
-    """Vectorized backend headroom at sizes the engine cannot reach."""
+class TestArrayScaling:
+    """Array backend headroom at sizes the engine cannot reach."""
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_prefix_large(self, benchmark, n):
-        benchmark.group = "vectorized prefix scaling"
+        benchmark.group = "array prefix scaling"
         dc = DualCube(n)
         vals = np.random.default_rng(n).integers(0, 1000, dc.num_nodes)
-        out = benchmark(lambda: dual_prefix_vec(dc, vals, ADD))
+        out = benchmark(lambda: dual_prefix(dc, vals, ADD))
         assert out[-1] == vals.sum()
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_sort_large(self, benchmark, n):
-        benchmark.group = "vectorized sort scaling"
+        benchmark.group = "array sort scaling"
         rdc = RecursiveDualCube(n)
         keys = np.random.default_rng(n).permutation(rdc.num_nodes)
-        out = benchmark(lambda: dual_sort_vec(rdc, keys))
+        out = benchmark(lambda: dual_sort(rdc, keys))
         assert list(out) == list(range(rdc.num_nodes))

@@ -21,7 +21,7 @@ from repro.analysis.complexity import (
     hypercube_bitonic_steps,
 )
 from repro.analysis.tables import format_table
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_sort import dual_sort
 from repro.core.ring_sort import ring_sort_engine, ring_sort_steps, ring_sort_vec
 from repro.simulator import CostCounters
 from repro.topology import RecursiveDualCube
@@ -85,7 +85,7 @@ def test_vectorized_agreement_at_scale(benchmark):
     def run():
         a = ring_sort_vec(rdc, keys)
         c = CostCounters(rdc.num_nodes)
-        b = dual_sort_vec(rdc, keys, counters=c)
+        b = dual_sort(rdc, keys, counters=c)
         return a, b, c
 
     a, b, c = benchmark.pedantic(run, rounds=1, iterations=1)

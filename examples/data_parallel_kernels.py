@@ -17,7 +17,7 @@ from repro.apps import (
     segmented_sum,
     stream_compact,
 )
-from repro.core.dual_prefix import dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix
 
 
 def main() -> None:
@@ -58,7 +58,7 @@ def main() -> None:
     words = np.empty(32, dtype=object)
     words[:] = [(chr(ord('a') + k % 26),) for k in range(32)]
     counters = CostCounters(32)
-    scan = dual_prefix_vec(dc, words, CONCAT, counters=counters)
+    scan = dual_prefix(dc, words, CONCAT, counters=counters)
     print(f"concat scan tail: {''.join(scan[-1])}")
     print(f"every kernel above used {counters.comm_steps} communication steps "
           f"(2n for n=3), regardless of the operation")

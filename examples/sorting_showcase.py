@@ -14,7 +14,7 @@ import numpy as np
 from repro import RecursiveDualCube, TraceRecorder
 from repro.apps import parallel_histogram, parallel_quantiles, parallel_top_k
 from repro.core.bitonic import is_bitonic
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_sort import dual_sort
 
 
 def show(state, note=""):
@@ -28,7 +28,7 @@ def main() -> None:
     keys = rng.permutation(32)
 
     trace = TraceRecorder()
-    out = dual_sort_vec(rdc, keys, trace=trace)
+    out = dual_sort(rdc, keys, trace=trace)
     labels = list(trace.labels())
 
     print("=== Figure 5: generate a bitonic sequence in D_3 ===")

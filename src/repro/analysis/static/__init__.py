@@ -19,10 +19,10 @@ dynamic run:
   drivers over D_2..D_5 plus schedule cases for every engine algorithm
   in :mod:`repro.core`;
 * :mod:`repro.analysis.static.compile` — turns the extracted schedules
-  around: compiles `D_prefix` and step-schedule algorithms into
-  straight-line plans of permutations and masks (validated against
-  :func:`extract_schedule`) that the ``"replay"`` backend executes, and
-  proves the sharded/columnar write sets race-free before forking
+  around: compiles `D_prefix` and step-schedule algorithms into the
+  descriptor plans the ``"replay"`` array backend executes (checkable
+  against :func:`extract_schedule` with :func:`check_plan`), and proves
+  the sharded and in-place write sets race-free before forking
   (:class:`WriteSpan` algebra, ``repro check-faults --plan``);
 * :mod:`repro.analysis.static.faults` — fault-impact analysis: blast
   radius by forward taint/blocking propagation through a schedule,
@@ -80,13 +80,14 @@ from repro.analysis.static.theorems import (
     verify_theorems,
 )
 from repro.analysis.static.compile import (
-    CompiledStep,
     PlanError,
-    PrefixPlan,
-    SchedulePlan,
+    PrefixDescriptor,
+    ScheduleDescriptor,
     ShardRaceError,
+    StepDescriptor,
     WriteSpan,
     check_columnar_round,
+    check_plan,
     check_shard_plan,
     columnar_round_spans,
     compile_prefix_plan,
@@ -140,14 +141,15 @@ __all__ = [
     "verify_prefix_schedule",
     "verify_sort_schedule",
     "verify_theorems",
-    "CompiledStep",
     "PlanError",
     "ShardRaceError",
-    "PrefixPlan",
-    "SchedulePlan",
+    "PrefixDescriptor",
+    "StepDescriptor",
+    "ScheduleDescriptor",
     "compile_prefix_plan",
     "compile_schedule_plan",
     "plan_comm_schedule",
+    "check_plan",
     "WriteSpan",
     "spans_overlap",
     "shard_task_spans",

@@ -1,45 +1,41 @@
-"""Schedule compilation: algorithms -> straight-line replay plans.
+"""Schedule compilation: algorithms -> cached step descriptors.
 
-PR 4 proved every core algorithm's communication schedule is *oblivious*
-(input-independent) by extracting it with :func:`extract_schedule`; PR 6
-proved the columnar backend matches it step for step.  This module takes
-the next step the ROADMAP calls schedule-JIT: since the schedule is a
-constant of ``(algorithm, topology)``, compile it **once** into a plan of
-precomputed gather permutations and masks, so the replay backend
-(:mod:`repro.core.replay`) executes with no matching fixed point, no
-request decoding, and no per-step index arithmetic at runtime.
+Every core algorithm's communication schedule is *oblivious*
+(input-independent; :func:`extract_schedule` proves it), so it is a
+constant of ``(algorithm, topology, variant)``.  This module compiles it
+**once** into a short tuple of descriptors that the array backend
+(:mod:`repro.core.replay`) runs on in-place reshape views — no matching
+fixed point, no request decoding, no per-step index arithmetic and no
+O(nodes) index arrays at runtime.
 
 Two plan shapes cover the core algorithms:
 
-* :class:`PrefixPlan` — Algorithm 2 (`D_prefix`).  The two `Cube_prefix`
-  phases use the *same* ``m`` ascend rounds, so the plan stores each
-  round's partner permutation and upper-half mask once and the executor
-  runs them twice, with the cross-edge permutation and the class-1 fold
-  indices precomputed alongside.
-* :class:`SchedulePlan` — any compare-exchange schedule (`D_sort`,
-  Batcher's bitonic network).  Each
-  :class:`~repro.core.dual_sort.ScheduleStep` compiles to a
-  :class:`CompiledStep` carrying the partner permutation and keep-min
-  mask that the vectorized executor would otherwise recompute per step.
+* :class:`PrefixDescriptor` — Algorithm 2 (`D_prefix`).  With state
+  indexed by input position ``u*`` (see :mod:`repro.core.arrangement`),
+  every cluster of both classes is one contiguous row of ``2**m`` values
+  and ascend round ``i`` pairs address bit ``i`` of that row, so the
+  plan is just the ``m`` round bits plus the paper-literal flag.
+* :class:`ScheduleDescriptor` — any compare-exchange schedule (`D_sort`,
+  Batcher's bitonic network) as one :class:`StepDescriptor` per
+  :class:`~repro.core.dual_sort.ScheduleStep`: the paired dimension, the
+  direction (an address bit above it, or a constant), and whether every
+  pair has a direct link (which decides the counter charge).
 
-Compilation is *structural* (no abstract interpretation), which keeps it
-O(steps x nodes) and viable at D_9+.  To keep the structural compiler
-honest, :func:`plan_comm_schedule` reconstructs the predicted
-:class:`CommSchedule` from a plan, and the ``compile_*`` functions verify
-it — event set and step count — against the record-only extractor on
-networks up to :data:`VALIDATE_MAX_NODES` nodes (above that the
-per-node-program extractor is the thing replay exists to avoid).  A
-divergence raises :class:`PlanError` instead of producing wrong answers.
+Compilation is structural and costs microseconds, so it never calls the
+record-only extractor.  :func:`plan_comm_schedule` reconstructs the
+:class:`CommSchedule` a plan predicts and :func:`check_plan` compares it
+with :func:`extract_schedule`; the test suite runs that check on every
+plan the algorithms produce up to 512 nodes.
 
 The module also hosts the **shard-disjointness race checker** for the
-parallel execution paths: the sharded replay fork-pool writes two shared
-memory buffers from concurrent workers, and the columnar backend's
-in-place rounds write three reshape views of the same arrays.  Both
-write sets are pure index arithmetic over the plan, so
-:func:`check_shard_plan` / :func:`check_columnar_round` prove them
-pairwise disjoint symbolically (:class:`WriteSpan` strided-block algebra
-— exact, no ``shares_memory`` at runtime) and raise
-:class:`ShardRaceError` *before* any worker is forked.
+parallel execution paths: the sharded prefix fork-pool writes shared
+memory from concurrent workers, and the in-place ascend rounds write
+three reshape views of the same arrays.  Both write sets are pure index
+arithmetic over the plan, so :func:`check_shard_plan` /
+:func:`check_columnar_round` prove them pairwise disjoint symbolically
+(:class:`WriteSpan` strided-block algebra — exact, no ``shares_memory``
+at runtime) and raise :class:`ShardRaceError` *before* any worker is
+forked.
 """
 
 from __future__ import annotations
@@ -53,16 +49,15 @@ from repro.analysis.static.extract import extract_schedule
 from repro.analysis.static.schedule import CommEvent, CommSchedule
 
 __all__ = [
-    "VALIDATE_MAX_NODES",
     "PlanError",
     "ShardRaceError",
-    "PrefixRound",
-    "PrefixPlan",
-    "CompiledStep",
-    "SchedulePlan",
+    "PrefixDescriptor",
+    "StepDescriptor",
+    "ScheduleDescriptor",
     "compile_prefix_plan",
     "compile_schedule_plan",
     "plan_comm_schedule",
+    "check_plan",
     "WriteSpan",
     "spans_overlap",
     "shard_task_spans",
@@ -70,11 +65,6 @@ __all__ = [
     "columnar_round_spans",
     "check_columnar_round",
 ]
-
-#: Largest network on which compilation auto-validates its plan against
-#: the record-only extractor (beyond this the extractor's per-node
-#: generator cost is exactly what replay exists to avoid).
-VALIDATE_MAX_NODES = 512
 
 
 class PlanError(ValueError):
@@ -86,217 +76,167 @@ class ShardRaceError(PlanError):
 
 
 @dataclass(frozen=True)
-class PrefixRound:
-    """One ascend round: partner permutation + upper-half mask."""
+class PrefixDescriptor:
+    """Algorithm 2 on one dual-cube, for state indexed by input position.
 
-    perm: np.ndarray
-    upper: np.ndarray
-
-
-@dataclass(frozen=True)
-class PrefixPlan:
-    """Straight-line plan for Algorithm 2 on one dual-cube.
-
-    ``rounds`` holds the ``m`` cluster ascend rounds **once**; both
-    `Cube_prefix` phases replay the same tuple.  ``input_perm`` is the
-    u*-arrangement permutation (also the inverse map for output),
-    ``cross`` the cross-edge permutation, ``cls1_mask``/``cls1_ranks``
-    the class-1 fold mask and rank list.  ``comm_steps`` is the
-    predicted communication step count (2n, or 2n+1 paper-literal).
+    ``rounds`` are the address bits the ``m`` cluster ascend rounds pair
+    (both `Cube_prefix` phases replay them); the cross-edge exchanges
+    and the class-1 fold follow from the layout.  ``comm_steps`` is 2n,
+    or 2n+1 paper-literal.
     """
 
     topology: str
     n: int
     num_nodes: int
     paper_literal: bool
-    input_perm: np.ndarray
-    cross: np.ndarray
     rounds: tuple
-    cls1_mask: np.ndarray
-    cls1_ranks: np.ndarray
-    comm_steps: int
-    comp_steps: int
-    validated: bool
+
+    @property
+    def comm_steps(self) -> int:
+        return 2 * len(self.rounds) + 2 + int(self.paper_literal)
+
+    @property
+    def comp_steps(self) -> int:
+        return 2 * len(self.rounds) + 2
 
 
 @dataclass(frozen=True)
-class CompiledStep:
-    """One compare-exchange round with its runtime arrays precomputed.
+class StepDescriptor:
+    """One compare-exchange round: pair dimension, direction, link mode.
 
-    ``step`` keeps the original :class:`~repro.core.dual_sort.ScheduleStep`
-    so the executor can charge counters through the same accounting
-    helpers as the vectorized backend.
+    The direction at node ``u`` is descending iff ``descending``
+    (``dir_bit is None``) or iff bit ``dir_bit`` of ``u`` is set;
+    ``dir_bit`` always lies above ``dim``.  ``direct`` is True when every
+    pair at ``dim`` has a link (else the supported half relays).
     """
 
     index: int
-    step: object
-    perm: np.ndarray
-    keep_min: np.ndarray
+    dim: int
+    dir_bit: int | None
+    descending: bool
+    direct: bool
+    phase: str
 
-    @property
-    def dim(self) -> int:
-        """The paired address dimension (from the source step)."""
-        return self.step.dim
+    def schedule_step(self):
+        """The :class:`~repro.core.dual_sort.ScheduleStep` it came from."""
+        from repro.core.dual_sort import ScheduleStep
 
-    @property
-    def phase(self) -> str:
-        """The recursion segment label (from the source step)."""
-        return self.step.phase
+        if self.dir_bit is None:
+            return ScheduleStep(self.dim, "const", int(self.descending),
+                                self.phase)
+        return ScheduleStep(self.dim, "bit", self.dir_bit, self.phase)
 
 
 @dataclass(frozen=True)
-class SchedulePlan:
-    """Straight-line plan for one compare-exchange schedule."""
+class ScheduleDescriptor:
+    """One compare-exchange schedule on one topology."""
 
     topology: str
     kind: str
     num_nodes: int
     descending: bool
     steps: tuple
-    validated: bool
 
 
-def compile_prefix_plan(dc, *, paper_literal: bool = False,
-                        validate: bool | None = None) -> PrefixPlan:
-    """Compile `D_prefix` on ``dc`` into a :class:`PrefixPlan`.
-
-    ``validate=None`` (default) verifies the plan against the extractor
-    iff ``dc.num_nodes <= VALIDATE_MAX_NODES``; pass True/False to force.
-    """
-    n = dc.num_nodes
-    m = dc.cluster_dim
-    idx = dc.all_nodes_array()
-    cls1 = dc.class_of_v(idx) == 1
-    nid = dc.node_id_v(idx)
-    cross = idx ^ (1 << dc.class_dimension)
-    step = np.where(cls1, 1 << m, 1).astype(np.int64)
-    rounds = tuple(
-        PrefixRound(perm=idx ^ (step << i), upper=(nid >> i) & 1 == 1)
-        for i in range(m)
-    )
-    from repro.core.arrangement import arranged_index_v
-
-    plan = PrefixPlan(
+def compile_prefix_plan(dc, *, paper_literal: bool = False
+                        ) -> PrefixDescriptor:
+    """Compile `D_prefix` on ``dc`` into a :class:`PrefixDescriptor`."""
+    return PrefixDescriptor(
         topology=dc.name,
         n=dc.n,
-        num_nodes=n,
+        num_nodes=dc.num_nodes,
         paper_literal=paper_literal,
-        input_perm=arranged_index_v(dc),
-        cross=cross,
-        rounds=rounds,
-        cls1_mask=cls1,
-        cls1_ranks=idx[cls1],
-        comm_steps=2 * m + 2 + (1 if paper_literal else 0),
-        comp_steps=2 * m + 2,
-        validated=False,
+        rounds=tuple(range(dc.cluster_dim)),
     )
-    if validate is None:
-        validate = n <= VALIDATE_MAX_NODES
-    if not validate:
-        return plan
-    from repro.core.dual_prefix import dual_prefix_program
-    from repro.core.ops import ADD
-
-    program = dual_prefix_program(
-        dc, np.arange(n, dtype=object), ADD, paper_literal=paper_literal
-    )
-    _check_against_extraction(plan, dc, program)
-    return _replace_validated(plan)
 
 
 def compile_schedule_plan(topo, schedule: Sequence, *, kind: str,
-                          descending: bool = False,
-                          validate: bool | None = None) -> SchedulePlan:
+                          descending: bool = False) -> ScheduleDescriptor:
     """Compile a compare-exchange ``schedule`` on ``topo``.
 
-    ``kind`` labels the plan family for caching/metrics (``"dual_sort"``,
-    ``"bitonic"``); validation semantics match
-    :func:`compile_prefix_plan` (the extraction runs under the default
-    ``"packed"`` payload policy — perms and masks are policy-independent).
+    ``kind`` labels the plan family for caching (``"dual_sort"``,
+    ``"bitonic"``).  A direction bit that does not lie above its pair
+    dimension (no generated schedule has one) or outside the address
+    raises ``ValueError`` here, before anything runs.
     """
+    from repro.core.dual_sort import _dim_mode
+
     n = topo.num_nodes
-    idx = np.arange(n, dtype=np.int64)
-    steps = tuple(
-        CompiledStep(
+    q = n.bit_length() - 1
+    direct = {}
+    steps = []
+    for k, s in enumerate(schedule):
+        if not 0 <= s.dim < q:
+            raise ValueError(
+                f"schedule step {k}: dimension {s.dim} out of range for "
+                f"{topo.name}"
+            )
+        dir_bit = s.dir_val if s.dir_kind == "bit" else None
+        if dir_bit is not None and not s.dim < dir_bit < q:
+            raise ValueError(
+                f"schedule step {k}: direction bit {dir_bit} must lie "
+                f"above the paired dimension {s.dim} and inside the "
+                f"{q}-bit address"
+            )
+        if s.dim not in direct:
+            direct[s.dim] = _dim_mode(topo, s.dim) == "direct"
+        steps.append(StepDescriptor(
             index=k,
-            step=s,
-            perm=idx ^ (1 << s.dim),
-            keep_min=((idx >> s.dim) & 1 == 0) != s.descending_mask(idx),
-        )
-        for k, s in enumerate(schedule)
-    )
-    plan = SchedulePlan(
+            dim=s.dim,
+            dir_bit=dir_bit,
+            descending=dir_bit is None and bool(s.dir_val),
+            direct=direct[s.dim],
+            phase=s.phase,
+        ))
+    return ScheduleDescriptor(
         topology=topo.name,
         kind=kind,
         num_nodes=n,
         descending=descending,
-        steps=steps,
-        validated=False,
+        steps=tuple(steps),
     )
-    if validate is None:
-        validate = n <= VALIDATE_MAX_NODES
-    if not validate:
-        return plan
-    from repro.core.dual_sort import schedule_program
-
-    program = schedule_program(topo, list(range(n)), list(schedule))
-    _check_against_extraction(plan, topo, program)
-    return _replace_validated(plan)
-
-
-def _replace_validated(plan):
-    from dataclasses import replace
-
-    return replace(plan, validated=True)
 
 
 def plan_comm_schedule(plan, topo, *, payload_policy: str = "packed"
                        ) -> CommSchedule:
     """Reconstruct the :class:`CommSchedule` a plan predicts.
 
-    The inverse direction of compilation: from the straight-line plan
-    back to per-step ``(src, dst, kind, size)`` events, comparable
-    one-for-one with :func:`extract_schedule` output and usable with
-    :func:`~repro.obs.cross_validate_timeline`.  Intended for validation
-    sizes (it loops per node); the replay executor never calls it.
+    The inverse direction of compilation: from the descriptors back to
+    per-step ``(src, dst, kind, size)`` events in node addresses,
+    comparable one-for-one with :func:`extract_schedule` output and
+    usable with :func:`~repro.obs.cross_validate_timeline`.  Intended
+    for validation sizes (it loops per node); the executor never calls
+    it.
     """
-    if isinstance(plan, PrefixPlan):
+    if isinstance(plan, PrefixDescriptor):
         return _prefix_comm_schedule(plan, topo)
-    if isinstance(plan, SchedulePlan):
+    if isinstance(plan, ScheduleDescriptor):
         return _schedule_comm_schedule(plan, topo, payload_policy)
-    raise TypeError(f"expected PrefixPlan or SchedulePlan, got {type(plan)!r}")
+    raise TypeError(
+        f"expected PrefixDescriptor or ScheduleDescriptor, got {type(plan)!r}"
+    )
 
 
-def _prefix_comm_schedule(plan: PrefixPlan, topo) -> CommSchedule:
+def _prefix_comm_schedule(plan: PrefixDescriptor, topo) -> CommSchedule:
     events = []
     step = 0
+    nodes = topo.all_nodes_array()
 
-    def ascend_phase(step0: int) -> int:
-        s = step0
-        for r in plan.rounds:
-            s += 1
-            events.extend(
-                CommEvent(step=s, src=int(u), dst=int(r.perm[u]),
-                          kind="sendrecv", size=1)
-                for u in range(plan.num_nodes)
-            )
-        return s
-
-    def cross_step(step0: int) -> int:
-        s = step0 + 1
+    def exchange(partners) -> None:
         events.extend(
-            CommEvent(step=s, src=int(u), dst=int(plan.cross[u]),
-                      kind="sendrecv", size=1)
-            for u in range(plan.num_nodes)
+            CommEvent(step=step, src=u, dst=int(v), kind="sendrecv", size=1)
+            for u, v in enumerate(partners)
         )
-        return s
 
-    step = ascend_phase(step)
-    step = cross_step(step)
-    step = ascend_phase(step)
-    step = cross_step(step)
+    for _phase in range(2):
+        for i in plan.rounds:
+            step += 1
+            exchange(topo.intra_partner_v(nodes, i))
+        step += 1
+        exchange(topo.cross_partner_v(nodes))
     if plan.paper_literal:
-        step = cross_step(step)
+        step += 1
+        exchange(topo.cross_partner_v(nodes))
     return CommSchedule(
         num_nodes=plan.num_nodes,
         topology=plan.topology,
@@ -307,27 +247,28 @@ def _prefix_comm_schedule(plan: PrefixPlan, topo) -> CommSchedule:
     )
 
 
-def _schedule_comm_schedule(plan: SchedulePlan, topo,
+def _schedule_comm_schedule(plan: ScheduleDescriptor, topo,
                             payload_policy: str) -> CommSchedule:
-    from repro.core.dual_sort import _check_policy, _dim_mode
+    from repro.core.dual_sort import _check_policy
 
     _check_policy(payload_policy)
     n = plan.num_nodes
     events = []
     step = 0
     for cs in plan.steps:
-        dim = cs.dim
-        if _dim_mode(topo, dim) == "direct":
+        bit = 1 << cs.dim
+        if cs.direct:
             step += 1
             events.extend(
-                CommEvent(step=step, src=u, dst=int(cs.perm[u]),
-                          kind="sendrecv", size=1)
+                CommEvent(step=step, src=u, dst=u ^ bit, kind="sendrecv",
+                          size=1)
                 for u in range(n)
             )
             continue
-        supported = [u for u in range(n) if topo.has_dimension_link(u, dim)]
+        supported = [u for u in range(n)
+                     if topo.has_dimension_link(u, cs.dim)]
         unsupported = [u for u in range(n)
-                       if not topo.has_dimension_link(u, dim)]
+                       if not topo.has_dimension_link(u, cs.dim)]
         # cycle 1: unsupported -> supported over cross-edges
         step += 1
         events.extend(
@@ -338,8 +279,8 @@ def _schedule_comm_schedule(plan: SchedulePlan, topo,
         step += 1
         size = 2 if payload_policy == "packed" else 1
         events.extend(
-            CommEvent(step=step, src=u, dst=int(cs.perm[u]),
-                      kind="sendrecv", size=size)
+            CommEvent(step=step, src=u, dst=u ^ bit, kind="sendrecv",
+                      size=size)
             for u in supported
         )
         # cycle 3: supported -> unsupported over cross-edges
@@ -352,8 +293,8 @@ def _schedule_comm_schedule(plan: SchedulePlan, topo,
             # cycle 4: supported pairs exchange their own keys
             step += 1
             events.extend(
-                CommEvent(step=step, src=u, dst=int(cs.perm[u]),
-                          kind="sendrecv", size=1)
+                CommEvent(step=step, src=u, dst=u ^ bit, kind="sendrecv",
+                          size=1)
                 for u in supported
             )
     return CommSchedule(
@@ -366,8 +307,32 @@ def _schedule_comm_schedule(plan: SchedulePlan, topo,
     )
 
 
-def _check_against_extraction(plan, topo, program) -> None:
-    predicted = plan_comm_schedule(plan, topo)
+def check_plan(plan, topo, *, payload_policy: str = "packed") -> None:
+    """Verify ``plan`` against the record-only extractor.
+
+    Runs the algorithm's SPMD program through :func:`extract_schedule`
+    and compares step count, computation steps and the event set with
+    :func:`plan_comm_schedule`; raises :class:`PlanError` on any
+    divergence.  Cost grows with the per-node programs, so this is a
+    test-time check, not part of compilation.
+    """
+    n = plan.num_nodes
+    if isinstance(plan, PrefixDescriptor):
+        from repro.core.dual_prefix import dual_prefix_program
+        from repro.core.ops import ADD
+
+        program = dual_prefix_program(
+            topo, np.arange(n, dtype=object), ADD,
+            paper_literal=plan.paper_literal,
+        )
+    else:
+        from repro.core.dual_sort import schedule_program
+
+        program = schedule_program(
+            topo, list(range(n)), [s.schedule_step() for s in plan.steps],
+            payload_policy=payload_policy,
+        )
+    predicted = plan_comm_schedule(plan, topo, payload_policy=payload_policy)
     extracted = extract_schedule(topo, program)
     if not extracted.completed:
         raise PlanError(
@@ -411,9 +376,9 @@ class WriteSpan:
     This is exactly the footprint of a numpy reshape-view write — a
     contiguous slab is ``count=1``, an interleaved view (every other
     ``2**b``-block, a transposed column) has ``count > 1`` — so the write
-    sets of the sharded replay workers and the columnar rounds are all
-    expressible, and overlap between two spans is decidable by integer
-    division instead of runtime ``shares_memory``.
+    sets of the sharded prefix workers and the in-place ascend rounds are
+    all expressible, and overlap between two spans is decidable by
+    integer division instead of runtime ``shares_memory``.
     """
 
     buffer: str
@@ -484,16 +449,15 @@ def _check_disjoint(
 def shard_task_spans(
     n: int, m: int, tasks: Sequence[tuple[int, int, int]]
 ) -> list[tuple[str, WriteSpan]]:
-    """Write spans of the sharded-replay fork-pool tasks.
+    """Write spans of the sharded-prefix fork-pool tasks.
 
     ``tasks`` are ``(cls, start, stop)`` cluster blocks over a length-``n``
     state with ``2**m``-node clusters (the triples carried by
-    ``repro.core.replay._shard_worker``).  A class-0 worker writes
-    contiguous rows ``[start*width, stop*width)`` of the lower half; a
-    class-1 worker writes columns ``[start, stop)`` of the upper half's
-    ``(width, half/width)`` view — an interleaved span with stride
-    ``half // width``.  Both the ``t`` and ``s`` buffers get the same
-    footprint.
+    ``repro.core.replay._shard_worker``).  The state is indexed by input
+    position, so cluster ``c`` of class ``cls`` is the contiguous row
+    ``cls * 2**m + c``: a task writes rows ``[start, stop)`` of its
+    class half, one contiguous slab.  Both the ``t`` and ``s`` buffers
+    get the same footprint.
     """
     half = n // 2
     width = 1 << m
@@ -507,36 +471,20 @@ def shard_task_spans(
     for cls, start, stop in tasks:
         if cls not in (0, 1):
             raise ShardRaceError(f"shard task has class {cls}, not 0/1")
-        limit = rows if cls == 0 else half // width
-        if not 0 <= start < stop <= limit:
+        if not 0 <= start < stop <= rows:
             raise ShardRaceError(
                 f"shard task class {cls} block [{start}, {stop}) escapes "
-                f"its 0..{limit} cluster range"
+                f"its 0..{rows} cluster range"
             )
         name = f"shard(cls={cls}, [{start}:{stop}))"
         for buf in ("t", "s"):
-            if cls == 0:
-                span = WriteSpan(
-                    buffer=buf,
-                    base=start * width,
-                    stride=half,
-                    count=1,
-                    block=(stop - start) * width,
-                )
-            else:
-                span = WriteSpan(
-                    buffer=buf,
-                    base=half + start,
-                    stride=half // width,
-                    count=width,
-                    block=stop - start,
-                )
-            if span.stop > (half if cls == 0 else n):
-                raise ShardRaceError(
-                    f"{name} writes past its half: span {span} in a "
-                    f"length-{n} state"
-                )
-            spans.append((name, span))
+            spans.append((name, WriteSpan(
+                buffer=buf,
+                base=cls * half + start * width,
+                stride=half,
+                count=1,
+                block=(stop - start) * width,
+            )))
     return spans
 
 
@@ -547,7 +495,7 @@ def check_shard_plan(
 
     Raises :class:`ShardRaceError` when any two tasks' write sets
     overlap or a task escapes its class half — called by
-    ``_dual_prefix_replay_sharded`` before the pool forks, so a racing
+    the sharded prefix before the pool forks, so a racing
     plan can never reach shared memory.
     """
     spans = shard_task_spans(n, m, tasks)
@@ -558,7 +506,7 @@ def check_shard_plan(
 def columnar_round_spans(
     length: int, bit: int
 ) -> list[tuple[str, WriteSpan]]:
-    """Write spans of one columnar ``bit_pair_views`` combine round.
+    """Write spans of one in-place ``bit_pair_views`` ascend round.
 
     The round body writes ``s_hi``, ``t_hi`` and ``t_lo``, where lo/hi
     are the bit-``bit`` pair sides of a length-``length`` column: every
@@ -590,7 +538,7 @@ def columnar_round_spans(
 def check_columnar_round(
     length: int, bit: int
 ) -> list[tuple[str, WriteSpan]]:
-    """Verify one columnar round's in-place writes cannot race.
+    """Verify one ascend round's in-place writes cannot race.
 
     Raises :class:`ShardRaceError` on overlap or an out-of-column span;
     returns the spans otherwise.

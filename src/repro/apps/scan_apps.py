@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.dual_prefix import dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix
 from repro.core.ops import ADD, MATMUL2, AssocOp
 from repro.simulator import CostCounters
 from repro.topology.dualcube import DualCube
@@ -39,7 +39,7 @@ def enumerate_true(
     ind = np.asarray(flags, dtype=np.int64)
     if set(np.unique(ind)) - {0, 1}:
         raise ValueError("flags must be 0/1 valued")
-    return dual_prefix_vec(dc, ind, ADD, inclusive=False, counters=counters)
+    return dual_prefix(dc, ind, ADD, inclusive=False, counters=counters)
 
 
 def stream_compact(
@@ -102,7 +102,7 @@ def linear_recurrence(
     )
     mats = np.empty(dc.num_nodes, dtype=object)
     mats[:] = [(float(ai), float(bi), 0.0, 1.0) for ai, bi in zip(av, bv)]
-    prods = dual_prefix_vec(dc, mats, flipped, counters=counters)
+    prods = dual_prefix(dc, mats, flipped, counters=counters)
     out = np.empty(dc.num_nodes, dtype=np.float64)
     for k, (m00, m01, _m10, _m11) in enumerate(prods):
         out[k] = m00 * x0 + m01
@@ -143,5 +143,5 @@ def segmented_sum(
     seg_op = AssocOp("segmented-sum", seg_fn, (0, 0.0), commutative=False)
     pairs = np.empty(dc.num_nodes, dtype=object)
     pairs[:] = [(int(f), float(v)) for f, v in zip(heads, vals)]
-    scanned = dual_prefix_vec(dc, pairs, seg_op, counters=counters)
+    scanned = dual_prefix(dc, pairs, seg_op, counters=counters)
     return np.array([v for _f, v in scanned], dtype=np.float64)

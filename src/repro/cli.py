@@ -24,8 +24,8 @@ from repro.analysis.complexity import (
     theorem2_comp_bound,
 )
 from repro.analysis.tables import format_table
-from repro.core.dual_prefix import dual_prefix_vec
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 from repro.core.ops import ADD
 from repro.routing.dualcube_routing import route
 from repro.simulator import CostCounters
@@ -100,7 +100,7 @@ def _cmd_prefix(args) -> int:
     rng = np.random.default_rng(args.seed)
     vals = rng.integers(0, 100, dc.num_nodes)
     counters = CostCounters(dc.num_nodes)
-    out = dual_prefix_vec(dc, vals, ADD, counters=counters)
+    out = dual_prefix(dc, vals, ADD, counters=counters)
     print(f"input : {[int(v) for v in vals[: args.show]]}...")
     print(f"prefix: {[int(v) for v in out[: args.show]]}...")
     print(
@@ -116,7 +116,7 @@ def _cmd_sort(args) -> int:
     rng = np.random.default_rng(args.seed)
     keys = rng.permutation(rdc.num_nodes)
     counters = CostCounters(rdc.num_nodes)
-    out = dual_sort_vec(rdc, keys, counters=counters)
+    out = dual_sort(rdc, keys, counters=counters)
     ok = list(out) == sorted(keys)
     print(f"keys  : {[int(v) for v in keys[: args.show]]}...")
     print(f"sorted: {[int(v) for v in out[: args.show]]}...  ({'ok' if ok else 'WRONG'})")
@@ -207,25 +207,18 @@ def _cmd_bench(args) -> int:
         merge_bench,
         run_bench,
         run_bench_campaign,
-        run_bench_columnar,
         run_bench_replay,
         run_bench_serving,
         write_bench,
     )
 
     backend = args.backend
-    if backend in ("columnar", "replay", "serving", "campaign") and args.faults:
+    if backend in ("replay", "serving", "campaign") and args.faults:
         print("--faults is the core suite only (engine-backed scenarios)")
         return 2
     suites = {
-        "columnar": lambda: run_bench_columnar(
-            max_n=args.max_n if args.max_n is not None else 11,
-            repeats=args.repeats,
-            smoke=args.smoke,
-            seed=args.seed,
-        ),
         "replay": lambda: run_bench_replay(
-            max_n=args.max_n if args.max_n is not None else 5,
+            max_n=args.max_n if args.max_n is not None else 11,
             repeats=args.repeats,
             smoke=args.smoke,
             seed=args.seed,
@@ -278,7 +271,6 @@ def _cmd_bench(args) -> int:
         default_out = "BENCH_faults_smoke.json" if args.smoke else "BENCH_faults.json"
     elif args.smoke:
         default_out = {
-            "columnar": "BENCH_columnar_smoke.json",
             "replay": "BENCH_replay_smoke.json",
             "serving": "BENCH_serving_smoke.json",
             "campaign": "BENCH_campaign_smoke.json",
@@ -300,11 +292,11 @@ def _cmd_bench(args) -> int:
             print(f"no baseline at {args.compare}; recording a fresh one")
 
     if (
-        backend in ("columnar", "replay", "serving", "campaign")
+        backend in ("replay", "serving", "campaign")
         and not args.smoke
         and Path(out).exists()
     ):
-        # A full columnar, replay, serving or campaign sweep lands next to
+        # A full replay, serving or campaign sweep lands next to
         # the core suite's records instead of clobbering them.
         payload = merge_bench(load_bench(out), payload)
     path = write_bench(payload, out)
@@ -723,10 +715,10 @@ def _check_faults_plan(args) -> int:
                     }
                 )
             for bit in range(m):
-                spans = check_columnar_round(num // 2, bit)
+                spans = check_columnar_round(num, bit)
                 checked.append(
                     {
-                        "plan": f"columnar n={n} bit={bit}",
+                        "plan": f"ascend n={n} bit={bit}",
                         "tasks": 1,
                         "spans": len(spans),
                     }
@@ -1031,23 +1023,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--max-n", type=int, default=None,
-        help="largest dual-cube n, from 2 (default: 5 core, 11 columnar)",
+        help="largest dual-cube n, from 2 (default: 5 core, 11 replay)",
     )
     sp.add_argument("--repeats", type=int, default=3, help="wallclock best-of repeats")
     sp.add_argument(
         "--backend",
-        choices=["core", "columnar", "replay", "serving", "campaign"],
+        choices=["core", "replay", "serving", "campaign"],
         default="core",
-        help="core = vectorized+engine suite; columnar = structured-array "
-             "backend sweep to D_11; replay = compiled-plan backend sweep "
-             "plus one sharded row; serving = open-loop queueing scenarios; "
+        help="core = array backend + engine suite; replay = array-backend "
+             "sweep to D_11 plus one sharded row; serving = open-loop "
+             "queueing scenarios; "
              "campaign = randomized SLO fault-campaign sweep "
              "(full runs merge into BENCH_core.json)",
     )
     sp.add_argument(
         "--smoke", action="store_true",
-        help="quick wiring check (core/replay: n<=3, serving: n=2, 1 repeat; "
-             "columnar: n=9 only)",
+        help="quick wiring check (core: n<=3, replay: n<=3 plus n=9, "
+             "serving: n=2, 1 repeat)",
     )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
@@ -1153,8 +1145,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--plan", action="store_true",
-        help="instead: race-check the sharded replay plans and columnar "
-             "rounds (exit 2 on any overlapping write sets)",
+        help="instead: race-check the sharded prefix plans and in-place "
+             "ascend rounds (exit 2 on any overlapping write sets)",
     )
     sp.add_argument(
         "--minimal-cut", action="store_true",

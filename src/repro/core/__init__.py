@@ -4,19 +4,14 @@ Every algorithm exists in two executions:
 
 * an **engine program** — SPMD generator run on the cycle-accurate
   simulator, which *measures* communication/computation steps under the
-  1-port model (this is what validates Theorems 1 and 2);
-* a **vectorized backend** — the whole network state as NumPy arrays with
-  dimension exchanges as index permutations, which runs orders of
-  magnitude faster and is used for large-n benchmarks and traces.
-
-plus two derived high-throughput executions:
-
-* a **columnar backend** — structured-array node state with in-place view
-  combines, scaling the same schedules to D_9-D_11;
-* a **replay backend** — the communication schedule compiled once (and
-  cached) into a straight-line plan of permutations and masks, the
-  fastest option on repeat runs and the only one with per-cluster
-  multiprocessing sharding.
+  1-port model (this is what validates Theorems 1 and 2) and serves as
+  the reference oracle;
+* the **array backend** (``replay``) — the schedule compiled once per
+  (algorithm, topology, variant) into cached descriptors and run as
+  in-place numpy operations over reshape views of the whole network's
+  state; it charges the engine's exact cost ledger, records the engine's
+  trace labels, and scales the same schedules to D_9-D_11, optionally
+  sharding the prefix's cluster phases over worker processes.
 
 Backend selection is declarative: every entry point dispatches through
 :mod:`repro.core.backends`, where each backend registers its
@@ -50,7 +45,6 @@ from repro.core.cube_prefix import (
 from repro.core.dual_prefix import (
     dual_prefix,
     dual_prefix_program,
-    dual_prefix_vec,
     dual_prefix_engine,
     dual_suffix_vec,
 )
@@ -64,14 +58,11 @@ from repro.core.backends import (
 from repro.core.bitonic import (
     is_bitonic,
     hypercube_bitonic_sort,
-    hypercube_bitonic_sort_vec,
     hypercube_bitonic_sort_engine,
-    hypercube_bitonic_sort_columnar,
     bitonic_schedule,
 )
 from repro.core.dual_sort import (
     dual_sort,
-    dual_sort_vec,
     dual_sort_engine,
     dual_sort_schedule,
     schedule_program,
@@ -79,17 +70,8 @@ from repro.core.dual_sort import (
 )
 from repro.core.large_inputs import (
     large_prefix,
-    large_prefix_vec,
     large_prefix_engine,
     large_sort,
-    large_sort_vec,
-)
-from repro.core.columnar import (
-    dual_prefix_columnar,
-    execute_schedule_columnar,
-    dual_sort_columnar,
-    large_prefix_columnar,
-    large_sort_columnar,
 )
 from repro.core.replay import (
     clear_plan_cache,
@@ -153,7 +135,6 @@ __all__ = [
     "cube_prefix_program",
     "dual_prefix",
     "dual_prefix_program",
-    "dual_prefix_vec",
     "dual_prefix_engine",
     "dual_suffix_vec",
     "BackendSpec",
@@ -163,26 +144,16 @@ __all__ = [
     "resolve_backend",
     "is_bitonic",
     "hypercube_bitonic_sort",
-    "hypercube_bitonic_sort_vec",
     "hypercube_bitonic_sort_engine",
-    "hypercube_bitonic_sort_columnar",
     "bitonic_schedule",
     "dual_sort",
-    "dual_sort_vec",
     "dual_sort_engine",
     "dual_sort_schedule",
     "schedule_program",
     "ScheduleStep",
     "large_prefix",
-    "large_prefix_vec",
     "large_prefix_engine",
     "large_sort",
-    "large_sort_vec",
-    "dual_prefix_columnar",
-    "execute_schedule_columnar",
-    "dual_sort_columnar",
-    "large_prefix_columnar",
-    "large_sort_columnar",
     "clear_plan_cache",
     "dual_prefix_replay",
     "dual_sort_replay",

@@ -15,24 +15,27 @@ wording.  The registry is the single source of truth:
   features)`` into a runner callable, raising uniformly-worded errors
   for unknown backends and unsupported features;
 * runners import their implementation lazily, so importing an entry
-  point never drags in the columnar or replay machinery.
+  point never drags in the array backend's plan machinery.
 
 The REP007 lint rule enforces the monopoly: inline ``backend == "..."``
 string comparisons are forbidden everywhere outside this module.
 
-Four backends exist (not every entry point has all four):
+Two backends exist (the large-input entry points have only the array
+backend; ``large_prefix_engine`` is the separate cycle-accurate blocked
+prefix):
 
 =============  ==============================================================
 ``engine``     per-rank generator programs on the cycle-accurate simulator;
-               returns ``(result_array, EngineResult)``
-``vectorized`` whole-network numpy arrays, gather permutations per step
-``columnar``   structured-array state, in-place reshape-view combines
-               (the D_9-D_11 scale backend)
-``replay``     straight-line plans compiled from the extracted
-               :class:`~repro.analysis.static.schedule.CommSchedule`
+               the reference oracle; returns ``(result_array, EngineResult)``
+``replay``     the array backend and the default: descriptor plans cached
+               per (algorithm, topology, variant) and run as in-place
+               numpy operations over reshape views
                (:mod:`repro.core.replay`); optional per-cluster
                multiprocessing sharding for the prefix algorithms
 =============  ==============================================================
+
+The array backend is called ``replay`` because it replays a cached,
+compiled plan of the schedule.
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ __all__ = [
 ]
 
 # Every optional feature a backend may honor, with the reason text used
-# when a caller requests it from a backend that does not.  The trace
-# wording is pinned by tests (the columnar suite matches on "no per-rank
-# values to trace").
+# when a caller requests it from a backend that does not.
 _FEATURE_REASONS = {
     "counters": (
         "takes no external counters (the returned EngineResult carries "
@@ -103,19 +104,6 @@ class BackendSpec:
 # -- runner adapters (lazy imports; one shared surface per entry point) --------
 
 
-def _dual_prefix_vectorized() -> Callable:
-    from repro.core.dual_prefix import dual_prefix_vec
-
-    def run(dc, values, op, *, inclusive, paper_literal, counters, trace,
-            profiler, shards):
-        return dual_prefix_vec(
-            dc, values, op, inclusive=inclusive, paper_literal=paper_literal,
-            counters=counters, trace=trace, profiler=profiler,
-        )
-
-    return run
-
-
 def _dual_prefix_engine() -> Callable:
     from repro.core.dual_prefix import dual_prefix_engine
 
@@ -124,45 +112,6 @@ def _dual_prefix_engine() -> Callable:
         return dual_prefix_engine(
             dc, values, op, inclusive=inclusive, paper_literal=paper_literal,
             trace=trace,
-        )
-
-    return run
-
-
-def _dual_prefix_columnar() -> Callable:
-    from repro.core.columnar import dual_prefix_columnar
-
-    def run(dc, values, op, *, inclusive, paper_literal, counters, trace,
-            profiler, shards):
-        return dual_prefix_columnar(
-            dc, values, op, inclusive=inclusive, paper_literal=paper_literal,
-            counters=counters,
-        )
-
-    return run
-
-
-def _dual_prefix_replay() -> Callable:
-    from repro.core.replay import dual_prefix_replay
-
-    def run(dc, values, op, *, inclusive, paper_literal, counters, trace,
-            profiler, shards):
-        return dual_prefix_replay(
-            dc, values, op, inclusive=inclusive, paper_literal=paper_literal,
-            counters=counters, shards=shards,
-        )
-
-    return run
-
-
-def _dual_sort_vectorized() -> Callable:
-    from repro.core.dual_sort import dual_sort_vec
-
-    def run(rdc, keys, *, descending, payload_policy, counters, trace,
-            profiler):
-        return dual_sort_vec(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters, trace=trace, profiler=profiler,
         )
 
     return run
@@ -181,113 +130,6 @@ def _dual_sort_engine() -> Callable:
     return run
 
 
-def _dual_sort_columnar() -> Callable:
-    from repro.core.columnar import dual_sort_columnar
-
-    def run(rdc, keys, *, descending, payload_policy, counters, trace,
-            profiler):
-        return dual_sort_columnar(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters,
-        )
-
-    return run
-
-
-def _dual_sort_replay() -> Callable:
-    from repro.core.replay import dual_sort_replay
-
-    def run(rdc, keys, *, descending, payload_policy, counters, trace,
-            profiler):
-        return dual_sort_replay(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters,
-        )
-
-    return run
-
-
-def _large_prefix_vectorized() -> Callable:
-    from repro.core.large_inputs import large_prefix_vec
-
-    def run(dc, values, op, *, counters, profiler, shards):
-        return large_prefix_vec(
-            dc, values, op, counters=counters, profiler=profiler
-        )
-
-    return run
-
-
-def _large_prefix_columnar() -> Callable:
-    from repro.core.columnar import large_prefix_columnar
-
-    def run(dc, values, op, *, counters, profiler, shards):
-        return large_prefix_columnar(
-            dc, values, op, counters=counters, profiler=profiler
-        )
-
-    return run
-
-
-def _large_prefix_replay() -> Callable:
-    from repro.core.replay import large_prefix_replay
-
-    def run(dc, values, op, *, counters, profiler, shards):
-        return large_prefix_replay(
-            dc, values, op, counters=counters, profiler=profiler,
-            shards=shards,
-        )
-
-    return run
-
-
-def _large_sort_vectorized() -> Callable:
-    from repro.core.large_inputs import large_sort_vec
-
-    def run(rdc, keys, *, descending, payload_policy, counters, profiler):
-        return large_sort_vec(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters, profiler=profiler,
-        )
-
-    return run
-
-
-def _large_sort_columnar() -> Callable:
-    from repro.core.columnar import large_sort_columnar
-
-    def run(rdc, keys, *, descending, payload_policy, counters, profiler):
-        return large_sort_columnar(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters, profiler=profiler,
-        )
-
-    return run
-
-
-def _large_sort_replay() -> Callable:
-    from repro.core.replay import large_sort_replay
-
-    def run(rdc, keys, *, descending, payload_policy, counters, profiler):
-        return large_sort_replay(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters, profiler=profiler,
-        )
-
-    return run
-
-
-def _bitonic_vectorized() -> Callable:
-    from repro.core.bitonic import hypercube_bitonic_sort_vec
-
-    def run(keys, *, descending, counters, trace):
-        return hypercube_bitonic_sort_vec(
-            keys, descending=descending, counters=counters, trace=trace
-        )
-
-    return run
-
-
 def _bitonic_engine() -> Callable:
     from repro.core.bitonic import _sort_cube, hypercube_bitonic_sort_engine
 
@@ -301,26 +143,16 @@ def _bitonic_engine() -> Callable:
     return run
 
 
-def _bitonic_columnar() -> Callable:
-    from repro.core.bitonic import hypercube_bitonic_sort_columnar
+def _replay(name: str) -> Callable[[], Callable]:
+    """Loader of the array backend's implementation of one entry point
+    (its keyword surface is the entry point's, minus ``backend``)."""
 
-    def run(keys, *, descending, counters, trace):
-        return hypercube_bitonic_sort_columnar(
-            keys, descending=descending, counters=counters
-        )
+    def load() -> Callable:
+        from repro.core import replay
 
-    return run
+        return getattr(replay, name)
 
-
-def _bitonic_replay() -> Callable:
-    from repro.core.replay import hypercube_bitonic_sort_replay
-
-    def run(keys, *, descending, counters, trace):
-        return hypercube_bitonic_sort_replay(
-            keys, descending=descending, counters=counters
-        )
-
-    return run
+    return load
 
 
 # -- the registry --------------------------------------------------------------
@@ -343,49 +175,27 @@ def _spec(entry: str, name: str, features, returns: str, description: str,
 
 _REGISTRY: dict[str, dict[str, BackendSpec]] = {}
 for _s in (
-    _spec("dual_prefix", "vectorized", ("counters", "trace", "profiler"),
-          _ARRAY, "numpy gathers per round (default)",
-          _dual_prefix_vectorized),
     _spec("dual_prefix", "engine", ("trace",), _PAIR,
           "cycle-accurate SPMD generators", _dual_prefix_engine),
-    _spec("dual_prefix", "columnar", ("counters",), _ARRAY,
-          "structured-array in-place combines (D_9-D_11)",
-          _dual_prefix_columnar),
-    _spec("dual_prefix", "replay", ("counters", "shards"), _ARRAY,
-          "compiled straight-line plan; optional per-cluster sharding",
-          _dual_prefix_replay),
-    _spec("dual_sort", "vectorized", ("counters", "trace", "profiler"),
-          _ARRAY, "numpy gathers per compare-exchange step (default)",
-          _dual_sort_vectorized),
+    _spec("dual_prefix", "replay", ("counters", "trace", "profiler", "shards"),
+          _ARRAY, "cached plan on in-place views; optional per-cluster "
+          "sharding (default)", _replay("dual_prefix_replay")),
     _spec("dual_sort", "engine", ("trace",), _PAIR,
           "cycle-accurate SPMD generators", _dual_sort_engine),
-    _spec("dual_sort", "columnar", ("counters",), _ARRAY,
-          "reshape-view compare-exchanges (D_9-D_11)", _dual_sort_columnar),
-    _spec("dual_sort", "replay", ("counters",), _ARRAY,
-          "compiled straight-line compare-exchange plan", _dual_sort_replay),
-    _spec("large_prefix", "vectorized", ("counters", "profiler"), _ARRAY,
-          "blocked numpy prefix (default)", _large_prefix_vectorized),
-    _spec("large_prefix", "columnar", ("counters", "profiler"), _ARRAY,
-          "blocked structured-array prefix (D_9-D_11)",
-          _large_prefix_columnar),
+    _spec("dual_sort", "replay", ("counters", "trace", "profiler"), _ARRAY,
+          "cached plan on in-place views (default)",
+          _replay("dual_sort_replay")),
     _spec("large_prefix", "replay", ("counters", "profiler", "shards"),
-          _ARRAY, "compiled network phase; optional per-cluster sharding",
-          _large_prefix_replay),
-    _spec("large_sort", "vectorized", ("counters", "profiler"), _ARRAY,
-          "blocked merge-split sort (default)", _large_sort_vectorized),
-    _spec("large_sort", "columnar", ("counters", "profiler"), _ARRAY,
-          "blocked reshape-view merge-splits (D_9-D_11)",
-          _large_sort_columnar),
+          _ARRAY, "blocked prefix, cached network plan; optional "
+          "per-cluster sharding (default)", _replay("large_prefix_replay")),
     _spec("large_sort", "replay", ("counters", "profiler"), _ARRAY,
-          "compiled merge-split plan", _large_sort_replay),
-    _spec("bitonic", "vectorized", ("counters", "trace"), _ARRAY,
-          "numpy Batcher network (default)", _bitonic_vectorized),
+          "blocked merge-splits on in-place views (default)",
+          _replay("large_sort_replay")),
     _spec("bitonic", "engine", ("trace",), _PAIR,
           "cycle-accurate SPMD generators", _bitonic_engine),
-    _spec("bitonic", "columnar", ("counters",), _ARRAY,
-          "reshape-view Batcher network", _bitonic_columnar),
-    _spec("bitonic", "replay", ("counters",), _ARRAY,
-          "compiled straight-line Batcher plan", _bitonic_replay),
+    _spec("bitonic", "replay", ("counters", "trace"), _ARRAY,
+          "cached Batcher plan on in-place views (default)",
+          _replay("hypercube_bitonic_sort_replay")),
 ):
     _REGISTRY.setdefault(_s.entry_point, {})[_s.name] = _s
 del _s

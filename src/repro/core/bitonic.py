@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.core.dual_sort import (
     ScheduleStep,
+    check_sort_input,
     execute_schedule_engine,
-    execute_schedule_vec,
 )
 from repro.simulator import CostCounters, TraceRecorder
 from repro.topology.hypercube import Hypercube
@@ -31,9 +31,7 @@ __all__ = [
     "is_bitonic",
     "bitonic_schedule",
     "hypercube_bitonic_sort",
-    "hypercube_bitonic_sort_vec",
     "hypercube_bitonic_sort_engine",
-    "hypercube_bitonic_sort_columnar",
 ]
 
 
@@ -91,42 +89,6 @@ def bitonic_schedule(q: int, *, descending: bool = False) -> list[ScheduleStep]:
     return steps
 
 
-def hypercube_bitonic_sort_vec(
-    keys,
-    *,
-    descending: bool = False,
-    counters: CostCounters | None = None,
-    trace: TraceRecorder | None = None,
-) -> np.ndarray:
-    """Vectorized Batcher bitonic sort of ``2**q`` keys (the E7 baseline)."""
-    arr = np.asarray(keys)
-    cube = _sort_cube(len(arr))
-    sched = bitonic_schedule(cube.q, descending=descending)
-    return execute_schedule_vec(cube, arr, sched, counters=counters, trace=trace)
-
-
-def hypercube_bitonic_sort_columnar(
-    keys,
-    *,
-    descending: bool = False,
-    counters: CostCounters | None = None,
-) -> np.ndarray:
-    """Columnar Batcher bitonic sort of ``2**q`` keys.
-
-    Results and counters mirror :func:`hypercube_bitonic_sort_vec`
-    exactly; the schedule executes through
-    :func:`~repro.core.columnar.execute_schedule_columnar`'s in-place
-    reshape views (every hypercube dimension is direct, so the executor's
-    dual-cube relay machinery never engages).
-    """
-    from repro.core.columnar import execute_schedule_columnar
-
-    arr = np.asarray(keys)
-    cube = _sort_cube(len(arr))
-    sched = bitonic_schedule(cube.q, descending=descending)
-    return execute_schedule_columnar(cube, arr, sched, counters=counters)
-
-
 def hypercube_bitonic_sort_engine(
     cube: Hypercube,
     keys,
@@ -143,19 +105,21 @@ def hypercube_bitonic_sort(
     keys,
     *,
     descending: bool = False,
-    backend: str = "vectorized",
+    backend: str = "replay",
     counters: CostCounters | None = None,
     trace: TraceRecorder | None = None,
 ):
     """Bitonic sort on the hypercube (baseline public entry point).
 
-    ``backend`` selects ``"vectorized"``, ``"columnar"``, ``"replay"``
-    (identical results and counters), or ``"engine"`` (cycle-accurate;
-    returns ``(keys, EngineResult)``); capabilities are declared in
-    :mod:`repro.core.backends`.
+    ``backend`` selects ``"replay"`` (the array backend; returns the
+    sorted array) or ``"engine"`` (cycle-accurate; returns ``(keys,
+    EngineResult)``); capabilities are declared in
+    :mod:`repro.core.backends`.  Float keys containing NaN are rejected
+    before dispatch, as in :func:`~repro.core.dual_sort.dual_sort`.
     """
     from repro.core.backends import resolve_backend
 
+    check_sort_input(None, keys, "hypercube_bitonic_sort")
     run = resolve_backend(
         "bitonic",
         backend,

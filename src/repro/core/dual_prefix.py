@@ -32,18 +32,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.arrangement import arrange, arranged_index_v, dearrange
+from repro.core.arrangement import arrange, dearrange
 from repro.core.backends import resolve_backend
-from repro.core.cube_prefix import ascend_rounds_vec, cube_prefix_program
-from repro.core.ops import AssocOp, combine_arrays
-from repro.obs.profile import NULL_PROFILER
+from repro.core.cube_prefix import cube_prefix_program
+from repro.core.ops import AssocOp
 from repro.simulator import CostCounters, SendRecv, TraceRecorder, run_spmd
 from repro.topology.dualcube import DualCube
 
 __all__ = [
     "dual_prefix_program",
     "dual_prefix_engine",
-    "dual_prefix_vec",
     "dual_prefix",
     "dual_suffix_vec",
 ]
@@ -167,102 +165,12 @@ def dual_prefix_engine(
     return dearrange(dc, held_out), result
 
 
-def dual_prefix_vec(
-    dc: DualCube,
-    values,
-    op: AssocOp,
-    *,
-    inclusive: bool = True,
-    paper_literal: bool = False,
-    counters: CostCounters | None = None,
-    trace: TraceRecorder | None = None,
-    profiler=None,
-) -> np.ndarray:
-    """Vectorized Algorithm 2; returns prefixes in input-index order.
-
-    Step-for-step mirror of :func:`dual_prefix_engine` on whole-network
-    arrays; the cross-edge exchanges become a single index permutation and
-    each cluster round one masked combine.  ``profiler`` (a
-    :class:`~repro.obs.profile.PhaseProfiler`) records wallclock spans
-    for the algorithm's four segments: ``cluster-prefix`` (step 1),
-    ``cross`` (the cross-edge exchanges), ``block-prefix`` (step 3), and
-    ``fold`` (steps 4-5).
-    """
-    vals = np.asarray(values)
-    prof = profiler if profiler is not None else NULL_PROFILER
-    if vals.shape != (dc.num_nodes,):
-        raise ValueError(
-            f"expected {dc.num_nodes} values for {dc.name}, got shape {vals.shape}"
-        )
-    m = dc.cluster_dim
-    idx = dc.all_nodes_array()
-    cls1 = dc.class_of_v(idx) == 1
-    nid = dc.node_id_v(idx)
-    cross = idx ^ (1 << dc.class_dimension)
-    # Local round i flips address bit i (class 0) or m+i (class 1).
-    step = np.where(cls1, 1 << m, 1).astype(np.int64)
-
-    held = vals[arranged_index_v(dc)]
-    if trace is not None:
-        trace.record_array("(a) input", held)
-
-    def partner(i):
-        return idx ^ (step << i)
-
-    def upper(i):
-        return (nid >> i) & 1 == 1
-
-    with prof.span("cluster-prefix", rounds=m):
-        t = held.copy()
-        s = held.copy() if inclusive else op.identity_array(dc.num_nodes)
-        t, s = ascend_rounds_vec(t, s, m, partner, upper, op, counters)
-    if trace is not None:
-        trace.record_array("(b) cluster prefix s", s)
-        trace.record_array("(b) cluster total t", t)
-
-    with prof.span("cross"):
-        temp = t[cross]
-        if counters is not None:
-            counters.record_comm_step(messages=dc.num_nodes)
-    if trace is not None:
-        trace.record_array("(c) cross total temp", temp)
-
-    with prof.span("block-prefix", rounds=m):
-        t2 = temp.copy()
-        s2 = op.identity_array(dc.num_nodes)
-        t2, s2 = ascend_rounds_vec(t2, s2, m, partner, upper, op, counters)
-    if trace is not None:
-        trace.record_array("(d) block-prefix s'", s2)
-        trace.record_array("(d) half total t'", t2)
-
-    with prof.span("cross"):
-        got = s2[cross]
-        if counters is not None:
-            counters.record_comm_step(messages=dc.num_nodes)
-            counters.record_comp_step(ops_each=1)
-    with prof.span("fold"):
-        s = combine_arrays(op, got, s)
-    if trace is not None:
-        trace.record_array("(e) after s' fold", s)
-
-    with prof.span("fold"):
-        if paper_literal and counters is not None:
-            counters.record_comm_step(messages=dc.num_nodes)
-        s = np.where(cls1, combine_arrays(op, t2, s), s)
-        if counters is not None:
-            counters.record_comp_step(ops_each=1, ranks=idx[cls1])
-    if trace is not None:
-        trace.record_array("(f) final prefix", s)
-
-    return dearrange(dc, s)
-
-
 def dual_prefix(
     dc: DualCube,
     values,
     op: AssocOp,
     *,
-    backend: str = "vectorized",
+    backend: str = "replay",
     inclusive: bool = True,
     paper_literal: bool = False,
     counters: CostCounters | None = None,
@@ -272,15 +180,14 @@ def dual_prefix(
 ):
     """Parallel prefix on the dual-cube — the library's headline entry point.
 
-    ``backend`` selects ``"vectorized"`` (fast; returns the prefix array),
-    ``"columnar"`` (structured-array state, in-place view combines;
-    reaches D_9-D_11), ``"replay"`` (compiled straight-line plan; fastest
-    on repeat runs, and the only backend taking ``shards`` for
-    per-cluster multiprocessing), or ``"engine"`` (cycle-accurate;
-    returns ``(prefixes, EngineResult)``).  Capabilities are declared in
-    :mod:`repro.core.backends`: a backend without per-rank traces,
-    profiling hooks, external counters, or sharding rejects the
-    corresponding keyword with a ``ValueError``.
+    ``backend`` selects ``"replay"`` (the array backend: a cached plan run
+    on in-place views; returns the prefix array, takes ``counters``,
+    ``trace``, ``profiler`` and ``shards`` for per-cluster
+    multiprocessing) or ``"engine"`` (cycle-accurate; returns
+    ``(prefixes, EngineResult)``).  Capabilities are declared in
+    :mod:`repro.core.backends`: a backend without external counters,
+    profiling hooks or sharding rejects the corresponding keyword with a
+    ``ValueError``.
     """
     run = resolve_backend(
         "dual_prefix",
@@ -323,9 +230,11 @@ def dual_suffix_vec(
         op.identity,
         commutative=op.commutative,
     )
+    from repro.core.replay import dual_prefix_replay
+
     vals = np.asarray(values)
     rev = vals[::-1].copy()
-    out = dual_prefix_vec(
+    out = dual_prefix_replay(
         dc, rev, flipped, inclusive=inclusive, counters=counters
     )
     return out[::-1].copy()

@@ -36,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.obs.profile import NULL_PROFILER
 from repro.simulator import (
     CostCounters,
     Idle,
@@ -55,9 +54,8 @@ __all__ = [
     "dual_sort_schedule",
     "schedule_program",
     "execute_schedule_engine",
-    "execute_schedule_vec",
+    "check_sort_input",
     "dual_sort_engine",
-    "dual_sort_vec",
     "dual_sort",
     "step_cycle_cost",
 ]
@@ -246,89 +244,23 @@ def execute_schedule_engine(
     return list(result.returns), result
 
 
-def _elementwise_minmax(arr: np.ndarray, other: np.ndarray):
-    """Elementwise (min, max) supporting object arrays of orderables."""
-    if arr.dtype == object or other.dtype == object:
-        lo = np.empty(len(arr), dtype=object)
-        hi = np.empty(len(arr), dtype=object)
-        for k, (a, b) in enumerate(zip(arr, other)):
-            if b < a:
-                lo[k], hi[k] = b, a
-            else:
-                lo[k], hi[k] = a, b
-        return lo, hi
-    return np.minimum(arr, other), np.maximum(arr, other)
+def check_sort_input(rdc, keys, entry: str) -> None:
+    """The sort entry points' input contract, checked before dispatch.
 
-
-def execute_schedule_vec(
-    topo: DimensionedTopology,
-    keys,
-    schedule: Sequence[ScheduleStep],
-    *,
-    payload_policy: str = "packed",
-    counters: CostCounters | None = None,
-    trace: TraceRecorder | None = None,
-    profiler=None,
-) -> np.ndarray:
-    """Vectorized schedule executor (cost counters mirror the engine's cycles).
-
-    ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`) records one
-    wallclock span per :class:`ScheduleStep`, named by the step's
-    recursion segment (``step.phase``) so per-phase totals fall out of
-    :meth:`~repro.obs.profile.PhaseProfiler.totals`.
+    ``rdc`` must be a :class:`RecursiveDualCube` (``None`` skips the
+    check, for the hypercube baseline), and float keys must not contain
+    NaN: NaN has no place in a total order, so a compare-exchange network
+    would return an arbitrary arrangement (or NaN copies).
     """
-    _check_policy(payload_policy)
-    arr = np.asarray(keys).copy()
-    n = topo.num_nodes
-    if arr.shape != (n,):
-        raise ValueError(
-            f"expected {n} keys for {topo.name}, got shape {arr.shape}"
+    if rdc is not None and not isinstance(rdc, RecursiveDualCube):
+        raise TypeError(
+            f"{entry} needs a RecursiveDualCube (the schedule pairs its "
+            f"address bits), got {type(rdc).__name__} {rdc.name}"
         )
-    prof = profiler if profiler is not None else NULL_PROFILER
-    idx = np.arange(n, dtype=np.int64)
-    if trace is not None:
-        trace.record_array("input", arr)
-    for k, step in enumerate(schedule):
-        with prof.span(step.phase, step=k, dim=step.dim):
-            partner = idx ^ (1 << step.dim)
-            pk = arr[partner]
-            keep_min = ((idx >> step.dim) & 1 == 0) != step.descending_mask(idx)
-            lo, hi = _elementwise_minmax(arr, pk)
-            arr = np.where(keep_min, lo, hi)
-            if counters is not None:
-                _count_step(counters, topo, step.dim, n, payload_policy)
-            if trace is not None:
-                trace.record_array(f"step {k:03d} dim {step.dim} [{step.phase}]", arr)
-    return arr
-
-
-def _count_step(
-    counters: CostCounters,
-    topo: DimensionedTopology,
-    dim: int,
-    n: int,
-    payload_policy: str,
-) -> None:
-    """Charge the counters exactly what the engine would measure for one step."""
-    if _dim_mode(topo, dim) == "direct":
-        counters.record_comm_step(messages=n)
-    else:
-        half = n // 2
-        # cycle 1: unsupported -> supported over cross-edges
-        counters.record_comm_step(messages=half)
-        if payload_policy == "packed":
-            # cycle 2: supported pairs exchange (relayed key, own key)
-            counters.record_comm_step(
-                messages=half, payload_items=2 * half, max_payload=2
-            )
-        else:
-            counters.record_comm_step(messages=half)
-        # cycle 3: supported -> unsupported over cross-edges
-        counters.record_comm_step(messages=half)
-        if payload_policy == "single":
-            # cycle 4: supported pairs exchange their own keys
-            counters.record_comm_step(messages=half)
-    counters.record_comp_step(ops_each=1)
+    arr = np.asarray(keys)
+    if arr.dtype.kind in "fc" and np.isnan(arr).any():
+        raise ValueError(f"{entry}: float keys contain NaN, which has no "
+                         f"place in a total order")
 
 
 def dual_sort_engine(
@@ -350,35 +282,12 @@ def dual_sort_engine(
     )
 
 
-def dual_sort_vec(
-    rdc: RecursiveDualCube,
-    keys,
-    *,
-    descending: bool = False,
-    payload_policy: str = "packed",
-    counters: CostCounters | None = None,
-    trace: TraceRecorder | None = None,
-    profiler=None,
-) -> np.ndarray:
-    """Vectorized Algorithm 3; returns keys sorted in node-address order."""
-    sched = dual_sort_schedule(rdc.n, descending=descending)
-    return execute_schedule_vec(
-        rdc,
-        keys,
-        sched,
-        payload_policy=payload_policy,
-        counters=counters,
-        trace=trace,
-        profiler=profiler,
-    )
-
-
 def dual_sort(
     rdc: RecursiveDualCube,
     keys,
     *,
     descending: bool = False,
-    backend: str = "vectorized",
+    backend: str = "replay",
     payload_policy: str = "packed",
     counters: CostCounters | None = None,
     trace: TraceRecorder | None = None,
@@ -386,17 +295,20 @@ def dual_sort(
 ):
     """Sorting on the dual-cube — the library's headline entry point.
 
-    ``backend`` selects ``"vectorized"`` (fast; returns the sorted array),
-    ``"columnar"`` (structured-array state, in-place view compare-exchange;
-    reaches D_9-D_11), ``"replay"`` (compiled straight-line plan; fastest
-    on repeat runs), or ``"engine"`` (cycle-accurate; returns
-    ``(keys, EngineResult)``).  Capabilities are declared in
-    :mod:`repro.core.backends`: ``profiler`` records
-    per-:class:`ScheduleStep` wallclock spans (vectorized backend only),
-    and a backend without per-rank traces keeps no values to ``trace``.
+    ``backend`` selects ``"replay"`` (the array backend: a cached plan run
+    on in-place views; returns the sorted array) or ``"engine"``
+    (cycle-accurate; returns ``(keys, EngineResult)``).  Capabilities are
+    declared in :mod:`repro.core.backends`: ``profiler`` records
+    per-:class:`ScheduleStep` wallclock spans (array backend only).
+
+    ``rdc`` must be a :class:`RecursiveDualCube` (the schedule pairs its
+    address bits; the standard presentation lacks those links), and float
+    keys must not contain NaN (no total order) — both are rejected here,
+    before any backend runs.
     """
     from repro.core.backends import resolve_backend
 
+    check_sort_input(rdc, keys, "dual_sort")
     run = resolve_backend(
         "dual_sort",
         backend,

@@ -23,24 +23,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dual_prefix import dual_prefix_vec
-from repro.core.dual_sort import (
-    ScheduleStep,
-    _dim_mode,
-    dual_sort_schedule,
-)
-from repro.core.ops import AssocOp, combine_arrays
-from repro.obs.profile import NULL_PROFILER as _NULL_PROFILER
+from repro.core.dual_sort import check_sort_input
+from repro.core.ops import AssocOp
 from repro.simulator import CostCounters
 from repro.topology.dualcube import DualCube
 from repro.topology.recursive import RecursiveDualCube
 
 __all__ = [
     "large_prefix",
-    "large_prefix_vec",
     "large_prefix_engine",
     "large_sort",
-    "large_sort_vec",
 ]
 
 
@@ -73,7 +65,7 @@ def large_prefix(
     values,
     op: AssocOp,
     *,
-    backend: str = "vectorized",
+    backend: str = "replay",
     counters: CostCounters | None = None,
     profiler=None,
     shards: int | None = None,
@@ -83,11 +75,10 @@ def large_prefix(
     Global index order: node block k (input order) covers indices
     ``[kB, (k+1)B)``.  Communication cost equals plain `D_prefix`.
 
-    ``backend`` selects ``"vectorized"``, ``"columnar"`` (blocks as
-    structured subarray fields; scales to D_9-D_11), or ``"replay"``
-    (network phase from the compiled `D_prefix` plan; the only backend
-    taking ``shards``) — all with identical results and counters;
-    capabilities are declared in :mod:`repro.core.backends`.
+    ``backend`` is ``"replay"``, the array backend (its network phase
+    runs the cached `D_prefix` plan and takes ``shards``); the
+    cycle-accurate variant is :func:`large_prefix_engine`.  Capabilities
+    are declared in :mod:`repro.core.backends`.
     ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`) records
     wallclock spans for the three phases the cost model distinguishes:
     ``local-prefix`` (B-1 local rounds), ``network`` (the diminished
@@ -106,45 +97,6 @@ def large_prefix(
     return run(
         dc, values, op, counters=counters, profiler=profiler, shards=shards
     )
-
-
-def large_prefix_vec(
-    dc: DualCube,
-    values,
-    op: AssocOp,
-    *,
-    counters: CostCounters | None = None,
-    profiler=None,
-) -> np.ndarray:
-    """The vectorized blocked prefix (the ``"vectorized"`` backend of
-    :func:`large_prefix`; same phases, counters, and profiler spans)."""
-    blocks, b = _blocked(values, dc.num_nodes)
-    prof = profiler if profiler is not None else _NULL_PROFILER
-
-    # Local inclusive prefix inside each block (vector over nodes, loop
-    # over the block — B local rounds).  A copy of an object-dtype input
-    # is already object dtype, so no dtype coercion is needed here; the
-    # CONCAT regression test pins that behaviour.
-    with prof.span("local-prefix", block=b):
-        local = blocks.copy()
-        for k in range(1, b):
-            local[:, k] = combine_arrays(op, local[:, k - 1], local[:, k])
-        if counters is not None and b > 1:
-            counters.record_comp_step(ops_each=b - 1)
-
-    with prof.span("network"):
-        totals = local[:, -1]
-        offsets = dual_prefix_vec(
-            dc, totals, op, inclusive=False, counters=counters
-        )
-
-    with prof.span("fold", block=b):
-        out = np.empty_like(local)
-        for k in range(b):
-            out[:, k] = combine_arrays(op, offsets, local[:, k])
-        if counters is not None:
-            counters.record_comp_step(ops_each=b)
-        return out.reshape(-1)
 
 
 def large_prefix_engine(
@@ -192,14 +144,14 @@ def large_prefix_engine(
 
 def _count_block_step(
     counters: CostCounters,
-    topo: RecursiveDualCube,
-    step: ScheduleStep,
+    direct: bool,
     n: int,
     b: int,
     payload_policy: str,
 ) -> None:
-    """Cycle/message accounting for one merge-split round with B-key blocks."""
-    if _dim_mode(topo, step.dim) == "direct":
+    """Cycle/message accounting for one merge-split round with B-key
+    blocks (``direct``: every pair at the step's dimension has a link)."""
+    if direct:
         counters.record_comm_step(messages=n, payload_items=n * b, max_payload=b)
         counters.record_comp_step(ops_each=2 * b)
         return
@@ -226,7 +178,7 @@ def large_sort(
     keys,
     *,
     descending: bool = False,
-    backend: str = "vectorized",
+    backend: str = "replay",
     payload_policy: str = "packed",
     counters: CostCounters | None = None,
     profiler=None,
@@ -236,17 +188,17 @@ def large_sort(
     Keys are indexed by (recursive node address, block offset); the output
     is the globally sorted flat sequence in that same blocked order.
 
-    ``backend`` selects ``"vectorized"``, ``"columnar"`` (merge-splits
-    through reshape views; scales to D_9-D_11), or ``"replay"``
-    (compiled-plan permutations and masks) — all with identical results
-    and counters; capabilities are declared in
-    :mod:`repro.core.backends`.  ``profiler`` records one wallclock span
-    per merge-split round, named by the round's recursion segment
-    (``step.phase``), plus a ``local-sort`` span for the initial
-    per-block sort.
+    ``backend`` is ``"replay"``, the array backend (merge-splits through
+    reshape views driven by the cached `D_sort` plan); capabilities are
+    declared in :mod:`repro.core.backends`.  ``profiler`` records one
+    wallclock span per merge-split round, named by the round's recursion
+    segment (``step.phase``), plus a ``local-sort`` span for the initial
+    per-block sort.  The topology and NaN checks of
+    :func:`~repro.core.dual_sort.dual_sort` apply.
     """
     from repro.core.backends import resolve_backend
 
+    check_sort_input(rdc, keys, "large_sort")
     run = resolve_backend(
         "large_sort",
         backend,
@@ -261,45 +213,3 @@ def large_sort(
         counters=counters,
         profiler=profiler,
     )
-
-
-def large_sort_vec(
-    rdc: RecursiveDualCube,
-    keys,
-    *,
-    descending: bool = False,
-    payload_policy: str = "packed",
-    counters: CostCounters | None = None,
-    profiler=None,
-) -> np.ndarray:
-    """The vectorized blocked sort (the ``"vectorized"`` backend of
-    :func:`large_sort`; same phases, counters, and profiler spans)."""
-    if payload_policy not in ("packed", "single"):
-        raise ValueError(
-            f"payload_policy must be 'packed' or 'single', got {payload_policy!r}"
-        )
-    blocks, b = _blocked(keys, rdc.num_nodes)
-    if blocks.dtype == object:
-        raise TypeError("large_sort supports numeric keys only")
-    prof = profiler if profiler is not None else _NULL_PROFILER
-    with prof.span("local-sort", block=b):
-        arr = np.sort(blocks, axis=1)
-        if counters is not None:
-            # Local sort: ~B log2 B comparisons per node, one local round.
-            counters.record_comp_step(ops_each=_local_sort_ops(b))
-
-    idx = np.arange(rdc.num_nodes, dtype=np.int64)
-    for k, step in enumerate(dual_sort_schedule(rdc.n, descending=descending)):
-        with prof.span(step.phase, step=k, dim=step.dim):
-            partner = idx ^ (1 << step.dim)
-            pk = arr[partner]
-            keep_min = ((idx >> step.dim) & 1 == 0) != step.descending_mask(idx)
-            merged = np.sort(np.concatenate([arr, pk], axis=1), axis=1)
-            arr = np.where(keep_min[:, None], merged[:, :b], merged[:, b:])
-            if counters is not None:
-                _count_block_step(counters, rdc, step, rdc.num_nodes, b, payload_policy)
-    if descending:
-        # Merge-split keeps blocks internally ascending; a descending global
-        # order needs each block flattened high-to-low (local, no messages).
-        arr = arr[:, ::-1]
-    return arr.reshape(-1)

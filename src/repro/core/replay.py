@@ -1,35 +1,47 @@
-"""Replay backend: execute precompiled straight-line plans.
+"""The array backend: cached descriptor plans on in-place view kernels.
 
-The fourth execution backend (next to ``engine``, ``vectorized``,
-``columnar``): every core algorithm's communication schedule is oblivious,
-so :mod:`repro.analysis.static.compile` compiles it **once** per
-``(algorithm, topology)`` into a plan of gather permutations and masks,
-and this module replays the plan with no matching fixed point, no request
-decoding, and no per-step index arithmetic — just ``take``/``ufunc``/
-``where`` over preallocated buffers.  On repeat runs (plans cached
-in-process) that beats the vectorized backend, which re-derives every
-partner permutation and direction mask per call.
+# repro: columnar-hot-path
 
-Plans live in a module-level cache keyed by
-``("prefix", topology, paper_literal)`` or ``("schedule", topology, kind,
-descending)``; :func:`plan_cache_stats` exposes hit/miss/compile-time
-counters and :func:`registry_from_plan_cache` feeds them into a
+Every core algorithm's schedule is oblivious, so
+:mod:`repro.analysis.static.compile` turns it **once** per
+``(algorithm, topology, variant)`` into a few descriptors — the ``m``
+round bits of `D_prefix`, and per compare-exchange step of `D_sort` or
+Batcher's network its dimension, direction bit or constant, and link
+mode — and this module runs them on plain contiguous columns, one batched
+in-place numpy operation per step over reshape views:
+
+* `D_prefix` state is indexed by input position ``u*`` (see
+  :mod:`repro.core.arrangement`), so every cluster of both classes is one
+  contiguous row of ``2**m`` values.  An ascend round pairs one address
+  bit of every row at once, the cross-edge exchange (node ``(0, c, k)``
+  ↔ ``(1, k, c)`` in that indexing) is a transpose of each class half,
+  and the result comes out in input order with no arrangement gather.
+* A compare-exchange step writes the min and max sides of every pair
+  into a second key column through the step's pair (and direction) bit
+  views, then the two columns swap roles — two ufunc calls per direction
+  and no copy.
+
+Plans live in a module-level cache keyed by ``("prefix", topology,
+paper_literal)`` or ``("schedule", topology, kind, descending)``;
+:func:`plan_cache_stats` exposes hit/miss/compile-time counters and
+:func:`registry_from_plan_cache` feeds them into a
 :class:`~repro.obs.metrics.MetricsRegistry` as ``repro_replay_*`` series.
 
-**Sharding** (`D_prefix` family only): the two `Cube_prefix` phases touch
-no cross-class edge — clusters are independent (n-1)-cubes between the
-cross-edge barrier steps — so ``shards=k`` runs each ascend phase with
-cluster blocks distributed over ``k`` forked workers writing into shared
-memory, and the main process performs the cross exchanges and folds at
-the barriers.  Sharding requires a numeric dtype and an operation with a
-numpy ufunc (worker slabs combine in place); counters are charged by the
-main process — the ledger is data-independent, so it is identical to the
-unsharded run.
+Cost accounting is call-for-call the ledger the engine measures (the same
+``record_comm_step``/``record_comp_step`` sequence), so step counts,
+message/payload tallies, per-rank computation arrays and attached
+timelines agree exactly with the engine and the static
+:class:`CommSchedule`.  ``trace=`` snapshots carry the engine's labels in
+node order, and ``profiler=`` records the same phase spans on every
+entry point.
 
-Cost accounting is call-for-call identical to the vectorized backend
-(the same ``record_comm_step``/``record_comp_step`` sequence), so step
-counts, message/payload tallies, and attached timelines agree exactly
-with the engine and the static :class:`CommSchedule`.
+**Sharding** (`D_prefix` family only): the two `Cube_prefix` phases touch
+no cross-class edge, so ``shards=k`` runs them with blocks of cluster
+rows spread over ``k`` forked workers writing shared memory in place,
+and the main process performs the cross exchanges and folds at the
+barriers.  Sharding requires a numeric dtype and an operation with a
+numpy ufunc; counters are charged by the main process, so the ledger is
+identical to the unsharded run.
 """
 
 from __future__ import annotations
@@ -43,8 +55,11 @@ from repro.analysis.static.compile import (
     compile_prefix_plan,
     compile_schedule_plan,
 )
-from repro.core.ops import AssocOp, combine_arrays
-from repro.simulator import CostCounters
+from repro.core.arrangement import arranged_index_v
+from repro.core.ops import AssocOp, combine_arrays, combine_into
+from repro.obs.profile import NULL_PROFILER
+from repro.simulator import CostCounters, TraceRecorder
+from repro.simulator.columnar import bit_pair_views, dir_bit_views
 
 __all__ = [
     "clear_plan_cache",
@@ -64,7 +79,7 @@ __all__ = [
 # -- the compiled-plan cache ---------------------------------------------------
 
 _PLAN_CACHE: dict[tuple, object] = {}
-_STATS = {"hits": 0, "misses": 0, "compile_seconds": 0.0, "validated": 0}
+_STATS = {"hits": 0, "misses": 0, "compile_seconds": 0.0}
 
 
 def _cached_plan(key: tuple, build):
@@ -76,23 +91,20 @@ def _cached_plan(key: tuple, build):
     t0 = time.perf_counter()
     plan = build()
     _STATS["compile_seconds"] += time.perf_counter() - t0
-    if plan.validated:
-        _STATS["validated"] += 1
     _PLAN_CACHE[key] = plan
     return plan
 
 
 def plan_cache_stats() -> dict:
-    """A snapshot of the compiled-plan cache: hits, misses, size,
-    cumulative compile seconds, and how many plans were auto-validated
-    against the extractor."""
+    """A snapshot of the compiled-plan cache: hits, misses, size and
+    cumulative compile seconds."""
     return dict(_STATS, size=len(_PLAN_CACHE))
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan and reset the cache statistics."""
     _PLAN_CACHE.clear()
-    _STATS.update(hits=0, misses=0, compile_seconds=0.0, validated=0)
+    _STATS.update(hits=0, misses=0, compile_seconds=0.0)
 
 
 def registry_from_plan_cache(*, registry=None, labels: dict | None = None):
@@ -100,8 +112,8 @@ def registry_from_plan_cache(*, registry=None, labels: dict | None = None):
 
     Returns the registry (a fresh
     :class:`~repro.obs.metrics.MetricsRegistry` unless one is passed),
-    carrying ``repro_replay_plan_cache_hits`` / ``_misses`` /
-    ``_validated`` counters and ``repro_replay_plan_cache_size`` /
+    carrying ``repro_replay_plan_cache_hits`` / ``_misses`` counters and
+    ``repro_replay_plan_cache_size`` /
     ``repro_replay_plan_compile_seconds`` gauges.
     """
     from repro.obs.metrics import MetricsRegistry
@@ -116,10 +128,6 @@ def registry_from_plan_cache(*, registry=None, labels: dict | None = None):
         "repro_replay_plan_cache_misses",
         "Replay plan cache misses (compilations)", labels,
     ).inc(stats["misses"])
-    reg.counter(
-        "repro_replay_plan_cache_validated",
-        "Compiled plans auto-validated against the extractor", labels,
-    ).inc(stats["validated"])
     reg.gauge(
         "repro_replay_plan_cache_size",
         "Compiled plans currently cached", labels,
@@ -155,7 +163,85 @@ def get_schedule_plan(topo, schedule_factory, *, kind: str,
     )
 
 
-# -- D_prefix replay -----------------------------------------------------------
+# -- view kernels --------------------------------------------------------------
+
+
+def _ascend(t: np.ndarray, s: np.ndarray, bits, combine) -> None:
+    """The cluster ascend rounds in place: per pair, the upper side folds
+    the lower side's subcube total into ``s`` (operand order preserved)
+    and both sides end with ``t = t_lo ⊕ t_hi``."""
+    for b in bits:
+        t_lo, t_hi = bit_pair_views(t, b)
+        s_hi = bit_pair_views(s, b)[1]
+        combine(t_lo, s_hi, s_hi)
+        combine(t_lo, t_hi, t_hi)
+        t_lo[...] = t_hi
+
+
+def _cross(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The cross-edge exchange on input-position-indexed state: node
+    ``(0, c, k)`` and ``(1, k, c)`` are partners, so each class half
+    receives the transpose of the other."""
+    half = len(src) >> 1
+    w = 1 << ((half.bit_length() - 1) >> 1)
+    out[:half].reshape(w, w)[...] = src[half:].reshape(w, w).T
+    out[half:].reshape(w, w)[...] = src[:half].reshape(w, w).T
+    return out
+
+
+def _compare_exchange(src: np.ndarray, dst: np.ndarray, st) -> None:
+    """One compare-exchange step from ``src`` into ``dst``.
+
+    Each pair side applies ``min``/``max`` with its own key first — the
+    operand order of a per-node ``(own, partner)`` compare, which decides
+    ties such as ``-0.0`` vs ``0.0``."""
+    lo, hi = np.minimum, np.maximum
+    if st.dir_bit is None:
+        if st.descending:
+            lo, hi = hi, lo
+        a, b = bit_pair_views(src, st.dim)
+        x, y = bit_pair_views(dst, st.dim)
+        lo(a, b, out=x)
+        hi(b, a, out=y)
+        return
+    al, ah, dl, dh = dir_bit_views(src, st.dir_bit, st.dim)
+    xl, xh, yl, yh = dir_bit_views(dst, st.dir_bit, st.dim)
+    lo(al, ah, out=xl)
+    hi(ah, al, out=xh)
+    hi(dl, dh, out=yl)
+    lo(dh, dl, out=yh)
+
+
+def _merge_split(src: np.ndarray, dst: np.ndarray, st, b: int) -> None:
+    """One merge-split step on ``(nodes, B)`` sorted blocks: the "min"
+    side of each pair keeps the B smallest of the 2B keys, the "max"
+    side the B largest."""
+
+    def split(p, q, low, high, descending):
+        merged = np.sort(np.concatenate([p, q], axis=-1), axis=-1)
+        small, large = merged[..., :b], merged[..., b:]
+        low[...] = large if descending else small
+        high[...] = small if descending else large
+
+    if st.dir_bit is None:
+        split(*bit_pair_views(src, st.dim), *bit_pair_views(dst, st.dim),
+              st.descending)
+        return
+    al, ah, dl, dh = dir_bit_views(src, st.dir_bit, st.dim)
+    xl, xh, yl, yh = dir_bit_views(dst, st.dir_bit, st.dim)
+    split(al, ah, xl, xh, False)
+    split(dl, dh, yl, yh, True)
+
+
+# -- D_prefix ------------------------------------------------------------------
+
+
+def _check_values(topo, vals: np.ndarray, what: str) -> None:
+    if vals.shape != (topo.num_nodes,):
+        raise ValueError(
+            f"expected {topo.num_nodes} {what} for {topo.name}, "
+            f"got shape {vals.shape}"
+        )
 
 
 def dual_prefix_replay(
@@ -166,133 +252,149 @@ def dual_prefix_replay(
     inclusive: bool = True,
     paper_literal: bool = False,
     counters: CostCounters | None = None,
+    trace: TraceRecorder | None = None,
+    profiler=None,
     shards: int | None = None,
 ) -> np.ndarray:
-    """Replay Algorithm 2 from its compiled plan.
+    """Algorithm 2 from its cached plan; returns prefixes in input order.
 
-    Results and counter sequence are byte-identical to
-    :func:`~repro.core.dual_prefix.dual_prefix_vec`; the arrangement
-    permutation, per-round partner permutations, and fold masks come from
-    the cached :class:`~repro.analysis.static.compile.PrefixPlan` instead
-    of being re-derived per call.  ``shards=k`` (k >= 2) distributes the
-    cluster-local ascend phases over ``k`` forked workers (numeric
-    ufunc operations only); the cross-edge steps stay in the main
-    process as barriers.
+    Results, dtypes and the counter call sequence are those of the
+    engine-mirroring whole-array algorithm: ``t``/``t'`` keep the input
+    dtype, ``s``/``s'`` widen to the identity's dtype where it takes
+    part, and the folds combine in the wider of the two.  ``trace``
+    records the engine's snapshot labels in node order; ``profiler``
+    records ``cluster-prefix`` (step 1), ``cross`` (the cross-edge
+    exchanges), ``block-prefix`` (step 3) and ``fold`` (steps 4-5)
+    spans.  ``shards=k`` (k >= 2) runs the cluster-local ascend phases
+    on ``k`` forked workers (numeric ufunc operations only).
     """
     vals = np.asarray(values)
-    if vals.shape != (dc.num_nodes,):
-        raise ValueError(
-            f"expected {dc.num_nodes} values for {dc.name}, got shape {vals.shape}"
-        )
+    _check_values(dc, vals, "values")
+    if shards is not None and shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     plan = get_prefix_plan(dc, paper_literal=paper_literal)
-    if shards is not None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and len(plan.rounds) > 0:
-            return _dual_prefix_replay_sharded(
-                dc, vals, op, plan, inclusive=inclusive, counters=counters,
-                shards=shards,
-            )
     n = dc.num_nodes
-    held = vals[plan.input_perm]
-    t = held.copy()
-    s = held.copy() if inclusive else op.identity_array(n)
-    t, s = _replay_rounds(plan, t, s, op, counters)
+    half = n >> 1
+    prof = profiler if profiler is not None else NULL_PROFILER
 
-    temp = t[plan.cross]
-    if counters is not None:
-        counters.record_comm_step(messages=n)
+    ident = op.identity_array(n)
+    numeric = (op.ufunc is not None and vals.dtype != object
+               and ident.dtype != object)
+    dt_t = vals.dtype if numeric else np.dtype(object)
+    dt_s2 = np.result_type(dt_t, ident.dtype)
+    dt_s = dt_t if inclusive else dt_s2
+    pool = None
+    if shards is not None and shards > 1 and plan.rounds:
+        pool = _ShardPool(dc, vals, op, shards, np.result_type(dt_s2, dt_s))
+        dt_t = dt_s = dt_s2 = pool.dtype
 
-    t2 = temp.copy()
-    s2 = op.identity_array(n)
-    t2, s2 = _replay_rounds(plan, t2, s2, op, counters)
+    def record(label, state):
+        if trace is not None:
+            trace.record_array(label, state[arranged_index_v(dc)])
 
-    got = s2[plan.cross]
-    if counters is not None:
-        counters.record_comm_step(messages=n)
-        counters.record_comp_step(ops_each=1)
-    s = combine_arrays(op, got, s)
-
-    if plan.paper_literal and counters is not None:
-        counters.record_comm_step(messages=n)
-    s = np.where(plan.cls1_mask, combine_arrays(op, t2, s), s)
-    if counters is not None:
-        counters.record_comp_step(ops_each=1, ranks=plan.cls1_ranks)
-
-    out = np.empty_like(s)
-    out[plan.input_perm] = s
-    return out
-
-
-def _replay_rounds(plan, t, s, op, counters):
-    """The m ascend rounds from precompiled permutations (both phases
-    replay the same tuple) — op-for-op the vectorized
-    :func:`~repro.core.cube_prefix.ascend_rounds_vec`."""
-    for r in plan.rounds:
-        temp = t[r.perm]
-        t = np.where(
-            r.upper, combine_arrays(op, temp, t), combine_arrays(op, t, temp)
-        )
-        s = np.where(r.upper, combine_arrays(op, temp, s), s)
+    def charge_rounds():
         if counters is not None:
-            counters.record_comm_step(messages=len(t))
-            counters.record_comp_step(ops_each=2)
-    return t, s
+            for _ in plan.rounds:
+                counters.record_comm_step(messages=n)
+                counters.record_comp_step(ops_each=2)
+
+    if numeric:
+        def combine(a, b, out):
+            op.ufunc(a, b, out=out)
+    else:
+        def combine(a, b, out):
+            combine_into(op, a, b, out)
+
+    try:
+        if pool is not None:
+            t, s, t2, s2 = pool.buffers
+        else:
+            t, t2 = np.empty(n, dt_t), np.empty(n, dt_t)
+            s, s2 = np.empty(n, dt_s), np.empty(n, dt_s2)
+        t[...] = vals
+        s[...] = vals if inclusive else ident
+        record("(a) input", t)
+
+        # Step 1: inclusive/diminished Cube_prefix inside every cluster.
+        with prof.span("cluster-prefix", rounds=len(plan.rounds)):
+            if pool is not None:
+                pool.ascend(0)
+            else:
+                _ascend(t, s, plan.rounds, combine)
+            charge_rounds()
+        record("(b) cluster prefix s", s)
+        record("(b) cluster total t", t)
+
+        # Step 2: block totals cross the class boundary.
+        with prof.span("cross"):
+            _cross(t, t2)
+            if counters is not None:
+                counters.record_comm_step(messages=n)
+        record("(c) cross total temp", t2)
+
+        # Step 3: diminished prefix of the other class's block totals.
+        with prof.span("block-prefix", rounds=len(plan.rounds)):
+            s2[...] = ident
+            if pool is not None:
+                pool.ascend(1)
+            else:
+                _ascend(t2, s2, plan.rounds, combine)
+            charge_rounds()
+        record("(d) block-prefix s'", s2)
+        record("(d) half total t'", t2)
+
+        # Step 4: earlier-block composition returns over the cross-edge
+        # and pre-folds into s.
+        with prof.span("cross"):
+            got = _cross(s2, np.empty_like(s2))
+            if counters is not None:
+                counters.record_comm_step(messages=n)
+                counters.record_comp_step(ops_each=1)
+        with prof.span("fold"):
+            out = s.astype(np.result_type(dt_s2, dt_s))
+            combine(got, out, out)
+        record("(e) after s' fold", out)
+
+        # Step 5 (paper-literal: one redundant cross exchange, counted
+        # only — see the dual_prefix module docstring), then the class-1
+        # pre-fold of the first-half total, which is class 1's own t'.
+        with prof.span("fold"):
+            if paper_literal and counters is not None:
+                counters.record_comm_step(messages=n)
+            combine(t2[half:], out[half:], out[half:])
+            if counters is not None:
+                counters.record_comp_step(ops_each=1, ranks=range(half, n))
+        record("(f) final prefix", out)
+        return out
+    finally:
+        if pool is not None:
+            pool.close()
 
 
 # -- sharded D_prefix ----------------------------------------------------------
 
 
 def _shard_worker(task):
-    """Run all m ascend rounds on one block of clusters, in shared memory.
+    """Run all ascend rounds of one block of cluster rows, in place.
 
-    ``task`` = (t_name, s_name, dtype_str, n, m, cls, start, stop, ufunc).
-    Class-0 clusters are contiguous rows of the lower half; class-1
-    clusters are columns of the upper half, so those slabs move through a
-    transpose copy.  The in-place round body is the columnar backend's
-    (s_hi = t_lo + s_hi; t_hi = t_lo + t_hi; t_lo = t_hi), which computes
-    the same per-element operand order as the vectorized rounds.
+    ``task`` = (shm_name, dtype_str, n, m, t_at, s_at, cls, start, stop,
+    ufunc): rows ``[start, stop)`` of class half ``cls`` of the ``t`` and
+    ``s`` buffers that start at element offsets ``t_at``/``s_at`` of the
+    shared block.
     """
     from multiprocessing import shared_memory
 
-    t_name, s_name, dtype_str, n, m, cls, start, stop, ufunc = task
-    dt = np.dtype(dtype_str)
-    shm_t = shared_memory.SharedMemory(name=t_name)
-    shm_s = shared_memory.SharedMemory(name=s_name)
+    name, dtype_str, n, m, t_at, s_at, cls, start, stop, ufunc = task
+    shm = shared_memory.SharedMemory(name=name)
     try:
-        half = n // 2
-        width = 1 << m
-        t_all = np.ndarray((n,), dtype=dt, buffer=shm_t.buf)
-        s_all = np.ndarray((n,), dtype=dt, buffer=shm_s.buf)
-        if cls == 0:
-            t_view = t_all[:half].reshape(-1, width)[start:stop]
-            s_view = s_all[:half].reshape(-1, width)[start:stop]
-            slab_t = np.ascontiguousarray(t_view)
-            slab_s = np.ascontiguousarray(s_view)
-        else:
-            t_view = t_all[half:].reshape(width, -1)[:, start:stop]
-            s_view = s_all[half:].reshape(width, -1)[:, start:stop]
-            slab_t = np.ascontiguousarray(t_view.T)
-            slab_s = np.ascontiguousarray(s_view.T)
-        nc = slab_t.shape[0]
-        for i in range(m):
-            tv = slab_t.reshape(nc, -1, 2, 1 << i)
-            sv = slab_s.reshape(nc, -1, 2, 1 << i)
-            t_lo = tv[:, :, 0, :]
-            t_hi = tv[:, :, 1, :]
-            s_hi = sv[:, :, 1, :]
-            ufunc(t_lo, s_hi, out=s_hi)
-            ufunc(t_lo, t_hi, out=t_hi)
-            t_lo[...] = t_hi
-        if cls == 0:
-            t_view[...] = slab_t
-            s_view[...] = slab_s
-        else:
-            t_view[...] = slab_t.T
-            s_view[...] = slab_s.T
+        buf = np.ndarray((4 * n,), dtype=np.dtype(dtype_str), buffer=shm.buf)
+        lo = (cls << (2 * m)) + (start << m)
+        hi = (cls << (2 * m)) + (stop << m)
+        _ascend(buf[t_at + lo:t_at + hi], buf[s_at + lo:s_at + hi],
+                range(m), lambda a, b, out: ufunc(a, b, out=out))
+        del buf
     finally:
-        shm_t.close()
-        shm_s.close()
+        shm.close()
 
 
 def _cluster_blocks(num_clusters: int, shards: int) -> list:
@@ -304,109 +406,87 @@ def _cluster_blocks(num_clusters: int, shards: int) -> list:
     ]
 
 
-def _swapped_halves(arr: np.ndarray) -> np.ndarray:
-    """The cross-edge exchange on a class-contiguous array."""
-    half = len(arr) // 2
-    out = np.empty_like(arr)
-    out[:half] = arr[half:]
-    out[half:] = arr[:half]
-    return out
+class _ShardPool:
+    """A fork pool plus one shared block holding ``t, s, t', s'``.
 
+    The write sets of every phase's tasks are proven pairwise disjoint
+    (:func:`~repro.analysis.static.compile.check_shard_plan`) before the
+    pool forks.
+    """
 
-def _dual_prefix_replay_sharded(
-    dc, vals, op, plan, *, inclusive, counters, shards
-):
-    import multiprocessing
+    def __init__(self, dc, vals, op, shards: int, dtype):
+        import multiprocessing
+        from multiprocessing import shared_memory
 
-    if op.ufunc is None:
-        raise ValueError(
-            f"sharded replay requires an operation with a numpy ufunc "
-            f"(got {op.name!r}); run with shards=None"
-        )
-    if vals.dtype == object:
-        raise ValueError(
-            "sharded replay supports numeric values only; run with "
-            "shards=None"
-        )
-    if dc.class_dimension != dc.num_dimensions - 1:
-        raise ValueError(
-            "sharded replay needs the class bit as the top address bit "
-            f"(got dimension {dc.class_dimension} of {dc.num_dimensions})"
-        )
-    n = dc.num_nodes
-    m = dc.cluster_dim
-    dt = np.result_type(vals.dtype, np.asarray(op.identity).dtype)
-    ufunc = op.ufunc
-    ctx = multiprocessing.get_context("fork")
-    from multiprocessing import shared_memory
-
-    shm_t = shared_memory.SharedMemory(create=True, size=max(1, dt.itemsize * n))
-    shm_s = shared_memory.SharedMemory(create=True, size=max(1, dt.itemsize * n))
-    try:
-        t = np.ndarray((n,), dtype=dt, buffer=shm_t.buf)
-        s = np.ndarray((n,), dtype=dt, buffer=shm_s.buf)
-        held = vals[plan.input_perm].astype(dt, copy=False)
-        t[...] = held
-        if inclusive:
-            s[...] = held
-        else:
-            s[...] = op.identity_array(n).astype(dt, copy=False)
-
+        if op.ufunc is None:
+            raise ValueError(
+                f"sharded replay requires an operation with a numpy ufunc "
+                f"(got {op.name!r}); run with shards=None"
+            )
+        if vals.dtype == object:
+            raise ValueError(
+                "sharded replay supports numeric values only; run with "
+                "shards=None"
+            )
+        n, m = dc.num_nodes, dc.cluster_dim
+        self.dtype = np.dtype(dtype)
         blocks = _cluster_blocks(1 << m, shards)
-        tasks = [
-            (shm_t.name, shm_s.name, dt.str, n, m, cls, a, b, ufunc)
-            for cls in (0, 1)
-            for a, b in blocks
+        triples = [(cls, a, b) for cls in (0, 1) for a, b in blocks]
+        check_shard_plan(n, m, triples)
+        self._shm = shared_memory.SharedMemory(
+            create=True, size=max(1, 4 * n * self.dtype.itemsize))
+        buf = np.ndarray((4 * n,), dtype=self.dtype, buffer=self._shm.buf)
+        self.buffers = tuple(buf[k * n:(k + 1) * n] for k in range(4))
+        self._tasks = [
+            [(self._shm.name, self.dtype.str, n, m, t_at, s_at, *tr,
+              op.ufunc) for tr in triples]
+            for t_at, s_at in ((0, n), (2 * n, 3 * n))
         ]
-        # Prove the workers' shared-memory write sets pairwise disjoint
-        # before anything forks; a racing plan raises ShardRaceError here.
-        check_shard_plan(n, m, [(t[5], t[6], t[7]) for t in tasks])
+        try:
+            self._pool = multiprocessing.get_context("fork").Pool(
+                processes=min(shards, len(triples)))
+        except BaseException:
+            self._shm.close()
+            self._shm.unlink()
+            raise
 
-        def charge_rounds():
-            if counters is not None:
-                for _ in range(m):
-                    counters.record_comm_step(messages=n)
-                    counters.record_comp_step(ops_each=2)
+    def ascend(self, phase: int) -> None:
+        self._pool.map(_shard_worker, self._tasks[phase])
 
-        with ctx.Pool(processes=min(shards, len(tasks))) as pool:
-            # Phase 1: cluster-local ascend rounds (workers), then the
-            # cross-edge barrier (main process).
-            pool.map(_shard_worker, tasks)
-            charge_rounds()
-            s_phase1 = s.copy()
-            temp = _swapped_halves(t)
-            if counters is not None:
-                counters.record_comm_step(messages=n)
-
-            # Phase 2: the same rounds on the crossed totals.
-            t[...] = temp
-            s[...] = op.identity_array(n).astype(dt, copy=False)
-            pool.map(_shard_worker, tasks)
-            charge_rounds()
-
-        # Folds (main process; identical op order to the unsharded path).
-        got = _swapped_halves(s)
-        if counters is not None:
-            counters.record_comm_step(messages=n)
-            counters.record_comp_step(ops_each=1)
-        folded = ufunc(got, s_phase1)
-        if plan.paper_literal and counters is not None:
-            counters.record_comm_step(messages=n)
-        folded = np.where(plan.cls1_mask, ufunc(t, folded), folded)
-        if counters is not None:
-            counters.record_comp_step(ops_each=1, ranks=plan.cls1_ranks)
-
-        out = np.empty(n, dtype=folded.dtype)
-        out[plan.input_perm] = folded
-        return out
-    finally:
-        shm_t.close()
-        shm_s.close()
-        shm_t.unlink()
-        shm_s.unlink()
+    def close(self) -> None:
+        self._pool.close()
+        self._pool.join()
+        self.buffers = None
+        self._shm.close()
+        self._shm.unlink()
 
 
-# -- compare-exchange replay ---------------------------------------------------
+# -- compare-exchange schedules ------------------------------------------------
+
+
+def _count_step(counters: CostCounters, direct: bool, n: int,
+                payload_policy: str) -> None:
+    """Charge the counters exactly what the engine measures for one
+    compare-exchange step."""
+    if direct:
+        counters.record_comm_step(messages=n)
+    else:
+        half = n // 2
+        # cycle 1: unsupported -> supported over cross-edges
+        counters.record_comm_step(messages=half)
+        if payload_policy == "packed":
+            # cycle 2: supported pairs exchange (relayed key, own key)
+            counters.record_comm_step(
+                messages=half, payload_items=2 * half, max_payload=2
+            )
+        else:
+            counters.record_comm_step(messages=half)
+        # cycle 3: supported -> unsupported over cross-edges
+        counters.record_comm_step(messages=half)
+        if payload_policy == "single":
+            # cycle 4: supported pairs exchange their own keys
+            counters.record_comm_step(messages=half)
+    counters.record_comp_step(ops_each=1)
 
 
 def execute_schedule_replay(
@@ -416,44 +496,49 @@ def execute_schedule_replay(
     *,
     payload_policy: str = "packed",
     counters: CostCounters | None = None,
+    trace: TraceRecorder | None = None,
+    profiler=None,
 ) -> np.ndarray:
-    """Execute a compiled :class:`SchedulePlan` on a key array.
+    """Run a compiled compare-exchange plan on a key array.
 
-    Results and counters mirror
-    :func:`~repro.core.dual_sort.execute_schedule_vec` exactly; numeric
-    dtypes run through four preallocated buffers (``take`` / ``minimum``
-    / ``maximum`` / masked ``copyto``) with no per-step allocation,
-    object dtypes fall back to the vectorized element loop.
+    Keys stay in node-address order.  ``trace`` records ``input`` and one
+    snapshot per step (the engine's labels); ``profiler`` one span per
+    step, named by the step's recursion segment.
     """
-    from repro.core.dual_sort import _check_policy, _count_step, _elementwise_minmax
+    from repro.core.dual_sort import _check_policy
 
     _check_policy(payload_policy)
-    arr = np.asarray(keys).copy()
+    arr = np.asarray(keys)
+    _check_values(topo, arr, "keys")
     n = topo.num_nodes
-    if arr.shape != (n,):
-        raise ValueError(
-            f"expected {n} keys for {topo.name}, got shape {arr.shape}"
-        )
-    if arr.dtype == object:
-        for cs in plan.steps:
-            pk = arr[cs.perm]
-            lo, hi = _elementwise_minmax(arr, pk)
-            arr = np.where(cs.keep_min, lo, hi)
-            if counters is not None:
-                _count_step(counters, topo, cs.dim, n, payload_policy)
-        return arr
-    pk = np.empty_like(arr)
-    lo = np.empty_like(arr)
-    hi = np.empty_like(arr)
-    for cs in plan.steps:
-        np.take(arr, cs.perm, out=pk)
-        np.minimum(arr, pk, out=lo)
-        np.maximum(arr, pk, out=hi)
-        np.copyto(hi, lo, where=cs.keep_min)
-        arr, hi = hi, arr
+    src = arr.copy()
+    dst = np.empty_like(src)
+    if trace is not None:
+        trace.record_array("input", src)
+    for st in plan.steps:
+        if profiler is None:
+            _compare_exchange(src, dst, st)
+        else:
+            with profiler.span(st.phase, step=st.index, dim=st.dim):
+                _compare_exchange(src, dst, st)
+        src, dst = dst, src
         if counters is not None:
-            _count_step(counters, topo, cs.dim, n, payload_policy)
-    return arr
+            _count_step(counters, st.direct, n, payload_policy)
+        if trace is not None:
+            trace.record_array(
+                f"step {st.index:03d} dim {st.dim} [{st.phase}]", src)
+    return src
+
+
+def _dual_sort_plan(rdc, descending: bool):
+    from repro.core.dual_sort import dual_sort_schedule
+
+    return get_schedule_plan(
+        rdc,
+        lambda: dual_sort_schedule(rdc.n, descending=descending),
+        kind="dual_sort",
+        descending=descending,
+    )
 
 
 def dual_sort_replay(
@@ -463,19 +548,14 @@ def dual_sort_replay(
     descending: bool = False,
     payload_policy: str = "packed",
     counters: CostCounters | None = None,
+    trace: TraceRecorder | None = None,
+    profiler=None,
 ) -> np.ndarray:
-    """Replay Algorithm 3 from its compiled plan; byte-identical results
-    and counters to :func:`~repro.core.dual_sort.dual_sort_vec`."""
-    from repro.core.dual_sort import dual_sort_schedule
-
-    plan = get_schedule_plan(
-        rdc,
-        lambda: dual_sort_schedule(rdc.n, descending=descending),
-        kind="dual_sort",
-        descending=descending,
-    )
+    """Algorithm 3 from its cached plan; keys sorted in address order."""
     return execute_schedule_replay(
-        rdc, keys, plan, payload_policy=payload_policy, counters=counters
+        rdc, keys, _dual_sort_plan(rdc, descending),
+        payload_policy=payload_policy, counters=counters, trace=trace,
+        profiler=profiler,
     )
 
 
@@ -484,8 +564,9 @@ def hypercube_bitonic_sort_replay(
     *,
     descending: bool = False,
     counters: CostCounters | None = None,
+    trace: TraceRecorder | None = None,
 ) -> np.ndarray:
-    """Replay Batcher's bitonic network from its compiled plan."""
+    """Batcher's bitonic network from its cached plan."""
     from repro.core.bitonic import _sort_cube, bitonic_schedule
 
     arr = np.asarray(keys)
@@ -496,10 +577,12 @@ def hypercube_bitonic_sort_replay(
         kind="bitonic",
         descending=descending,
     )
-    return execute_schedule_replay(cube, arr, plan, counters=counters)
+    return execute_schedule_replay(
+        cube, arr, plan, counters=counters, trace=trace
+    )
 
 
-# -- large-input replay --------------------------------------------------------
+# -- large inputs --------------------------------------------------------------
 
 
 def large_prefix_replay(
@@ -511,15 +594,16 @@ def large_prefix_replay(
     profiler=None,
     shards: int | None = None,
 ) -> np.ndarray:
-    """Replay the blocked prefix: local phases as in
-    :func:`~repro.core.large_inputs.large_prefix`, the network phase from
-    the compiled `D_prefix` plan (optionally sharded)."""
+    """The blocked prefix: a local prefix per block, the diminished
+    `D_prefix` on the block totals (optionally sharded), then the offset
+    fold — ``local-prefix``, ``network`` and ``fold`` profiler spans."""
     from repro.core.large_inputs import _blocked
-    from repro.obs.profile import NULL_PROFILER
 
     blocks, b = _blocked(values, dc.num_nodes)
     prof = profiler if profiler is not None else NULL_PROFILER
 
+    # A copy of an object-dtype input is already object dtype, so no
+    # dtype coercion is needed; the CONCAT regression test pins that.
     with prof.span("local-prefix", block=b):
         local = blocks.copy()
         for k in range(1, b):
@@ -528,9 +612,9 @@ def large_prefix_replay(
             counters.record_comp_step(ops_each=b - 1)
 
     with prof.span("network"):
-        totals = local[:, -1]
         offsets = dual_prefix_replay(
-            dc, totals, op, inclusive=False, counters=counters, shards=shards
+            dc, local[:, -1], op, inclusive=False, counters=counters,
+            shards=shards,
         )
 
     with prof.span("fold", block=b):
@@ -551,40 +635,36 @@ def large_sort_replay(
     counters: CostCounters | None = None,
     profiler=None,
 ) -> np.ndarray:
-    """Replay the blocked sort: merge-split rounds over the compiled
-    `D_sort` plan's permutations and keep-min masks."""
-    from repro.core.dual_sort import _check_policy, dual_sort_schedule
+    """The blocked sort: a local sort per block, then the `D_sort` plan
+    with every compare-exchange replaced by a merge-split — a
+    ``local-sort`` span, then one span per step named by its phase."""
+    from repro.core.dual_sort import _check_policy
     from repro.core.large_inputs import (
         _blocked,
         _count_block_step,
         _local_sort_ops,
     )
-    from repro.obs.profile import NULL_PROFILER
 
     _check_policy(payload_policy)
     blocks, b = _blocked(keys, rdc.num_nodes)
     if blocks.dtype == object:
         raise TypeError("large_sort supports numeric keys only")
     prof = profiler if profiler is not None else NULL_PROFILER
-    plan = get_schedule_plan(
-        rdc,
-        lambda: dual_sort_schedule(rdc.n, descending=descending),
-        kind="dual_sort",
-        descending=descending,
-    )
+    plan = _dual_sort_plan(rdc, descending)
+    n = rdc.num_nodes
     with prof.span("local-sort", block=b):
-        arr = np.sort(blocks, axis=1)
+        src = np.sort(blocks, axis=1)
         if counters is not None:
             counters.record_comp_step(ops_each=_local_sort_ops(b))
-
-    n = rdc.num_nodes
-    for cs in plan.steps:
-        with prof.span(cs.phase, step=cs.index, dim=cs.dim):
-            pk = arr[cs.perm]
-            merged = np.sort(np.concatenate([arr, pk], axis=1), axis=1)
-            arr = np.where(cs.keep_min[:, None], merged[:, :b], merged[:, b:])
+    dst = np.empty_like(src)
+    for st in plan.steps:
+        with prof.span(st.phase, step=st.index, dim=st.dim):
+            _merge_split(src, dst, st, b)
+            src, dst = dst, src
             if counters is not None:
-                _count_block_step(counters, rdc, cs.step, n, b, payload_policy)
+                _count_block_step(counters, st.direct, n, b, payload_policy)
     if descending:
-        arr = arr[:, ::-1]
-    return arr.reshape(-1)
+        # Blocks end internally ascending; flatten each high-to-low for a
+        # descending global order (local, no messages).
+        src = src[:, ::-1]
+    return src.reshape(-1)

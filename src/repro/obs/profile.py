@@ -14,7 +14,7 @@ per-phase totals in its records.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 __all__ = ["PhaseSpan", "PhaseProfiler", "NULL_PROFILER"]
@@ -81,11 +81,17 @@ class PhaseProfiler:
 
 
 class _NullProfiler:
-    """Do-nothing stand-in so instrumented code needs no per-phase branch."""
+    """Do-nothing stand-in so instrumented code needs no per-phase branch.
 
-    @contextmanager
+    Every span is one shared ``nullcontext``: entering it costs a method
+    call, not a generator, on hot paths that open a span per step.
+    """
+
+    def __init__(self):
+        self._span = nullcontext(self)
+
     def span(self, name: str, **meta):
-        yield self
+        return self._span
 
 
 #: Shared no-op profiler; algorithms use it when none was passed so the

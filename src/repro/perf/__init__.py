@@ -2,7 +2,7 @@
 
 Times the library's headline algorithms — `D_prefix`, `D_sort`, the
 blocked large-input variants, and the random-traffic experiment — across
-their backends (vectorized, engine, columnar, compiled replay), the
+their backends (the array backend and the cycle-accurate engine), the
 open-loop serving scenarios, and a range of network sizes, and writes a
 machine-readable
 ``BENCH_core.json`` so every change leaves a measured perf trajectory
@@ -22,7 +22,6 @@ from repro.perf.bench import (
     load_bench,
     merge_bench,
     run_bench,
-    run_bench_columnar,
     run_bench_replay,
     run_bench_serving,
     write_bench,
@@ -36,7 +35,6 @@ __all__ = [
     "load_bench",
     "merge_bench",
     "run_bench",
-    "run_bench_columnar",
     "run_bench_replay",
     "run_bench_serving",
     "write_bench",

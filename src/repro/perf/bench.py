@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.obs.profile import PhaseProfiler
 
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_vec
-from repro.core.dual_sort import dual_sort_engine, dual_sort_vec
+from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
+from repro.core.dual_sort import dual_sort, dual_sort_engine
 from repro.core.large_inputs import large_prefix, large_sort
 from repro.core.ops import ADD
 from repro.core.run_faulty import run_faulty
@@ -45,7 +45,6 @@ __all__ = [
     "BenchRecord",
     "BenchRegression",
     "run_bench",
-    "run_bench_columnar",
     "run_bench_replay",
     "run_bench_serving",
     "run_bench_campaign",
@@ -61,15 +60,15 @@ SCHEMA_VERSION = 3
 
 # Schemas this loader still understands.  Version 2 added the per-record
 # ``phases`` dict (wallclock split per algorithm phase); version 3 added
-# ``peak_mem_mb`` (tracemalloc peak, columnar records only).  Older files
+# ``peak_mem_mb`` (tracemalloc peak, array-backend records only).  Older files
 # simply lack the fields, and ``compare_bench`` only reads the exact-cost
 # fields, so old baselines keep regression-checking new runs.
 _SUPPORTED_SCHEMAS = (1, 2, 3)
 
 # Backends whose records carry the tracemalloc peak-memory column: the
-# ones making a memory claim (columnar's O(nodes) state, replay's
-# compiled-plan buffers).
-_PEAK_MEM_BACKENDS = frozenset({"columnar", "replay"})
+# array backend's O(nodes) state is a memory claim; the engine's per-rank
+# programs make none.
+_PEAK_MEM_BACKENDS = frozenset({"replay"})
 
 # Cost fields that must reproduce exactly between runs (they are
 # deterministic functions of the algorithm, not the machine).  The fault
@@ -109,8 +108,8 @@ class BenchRecord:
     # timings are machine-dependent, unlike the exact cost fields.
     phases: dict = field(default_factory=dict)
     # Peak Python-heap allocation during one run, in MiB (schema v3;
-    # tracemalloc, recorded for columnar records only — it is the O(nodes)
-    # memory claim made observable).  Not regression-checked.
+    # tracemalloc, recorded for array-backend records only — it is the
+    # O(nodes) memory claim made observable).  Not regression-checked.
     peak_mem_mb: float = 0.0
 
     @property
@@ -186,42 +185,28 @@ def _bench_dual_prefix(
     dc = DualCube(n)
     vals = rng.integers(0, 1000, dc.num_nodes)
 
-    def run_vectorized() -> CostCounters:
-        counters = CostCounters(dc.num_nodes)
-        dual_prefix_vec(dc, vals, ADD, counters=counters)
-        return counters
-
-    def run_columnar() -> CostCounters:
-        from repro.core.columnar import dual_prefix_columnar
-
-        counters = CostCounters(dc.num_nodes)
-        dual_prefix_columnar(dc, vals, ADD, counters=counters)
-        return counters
+    phase_box: dict = {}
 
     def run_replay() -> CostCounters:
-        from repro.core.replay import dual_prefix_replay
-
         counters = CostCounters(dc.num_nodes)
-        dual_prefix_replay(dc, vals, ADD, counters=counters, shards=shards)
+        prof = PhaseProfiler()
+        dual_prefix(dc, vals, ADD, counters=counters, profiler=prof,
+                    shards=shards)
+        phase_box.update(prof.totals())
         return counters
 
     def run_engine() -> CostCounters:
         _, result = dual_prefix_engine(dc, vals, ADD)
         return result.counters
 
-    run = {
-        "vectorized": run_vectorized,
-        "columnar": run_columnar,
-        "replay": run_replay,
-        "engine": run_engine,
-    }[backend]
+    run = {"replay": run_replay, "engine": run_engine}[backend]
     wall, counters = _time_best(run, repeats)
     peak = _peak_mem_mb(run) if backend in _PEAK_MEM_BACKENDS else 0.0
-    # A sharded replay run gets its own backend label so the record keys
-    # (and regression baselines) stay distinct from the in-process row.
+    # A sharded run gets its own backend label so the record keys (and
+    # regression baselines) stay distinct from the in-process row.
     label = f"{backend}-sharded" if shards else backend
     return _from_counters(
-        "dual_prefix", label, n, dc.num_nodes, wall, counters,
+        "dual_prefix", label, n, dc.num_nodes, wall, counters, phase_box,
         peak_mem_mb=peak,
     )
 
@@ -232,37 +217,18 @@ def _bench_dual_sort(n: int, backend: str, rng, repeats: int) -> BenchRecord:
 
     phase_box: dict = {}
 
-    def run_vectorized() -> CostCounters:
+    def run_replay() -> CostCounters:
         counters = CostCounters(rdc.num_nodes)
         prof = PhaseProfiler()
-        dual_sort_vec(rdc, keys, counters=counters, profiler=prof)
+        dual_sort(rdc, keys, counters=counters, profiler=prof)
         phase_box.update(prof.totals())
-        return counters
-
-    def run_columnar() -> CostCounters:
-        from repro.core.columnar import dual_sort_columnar
-
-        counters = CostCounters(rdc.num_nodes)
-        dual_sort_columnar(rdc, keys, counters=counters)
-        return counters
-
-    def run_replay() -> CostCounters:
-        from repro.core.replay import dual_sort_replay
-
-        counters = CostCounters(rdc.num_nodes)
-        dual_sort_replay(rdc, keys, counters=counters)
         return counters
 
     def run_engine() -> CostCounters:
         _, result = dual_sort_engine(rdc, keys)
         return result.counters
 
-    run = {
-        "vectorized": run_vectorized,
-        "columnar": run_columnar,
-        "replay": run_replay,
-        "engine": run_engine,
-    }[backend]
+    run = {"replay": run_replay, "engine": run_engine}[backend]
     wall, counters = _time_best(run, repeats)
     peak = _peak_mem_mb(run) if backend in _PEAK_MEM_BACKENDS else 0.0
     return _from_counters(
@@ -272,7 +238,7 @@ def _bench_dual_sort(n: int, backend: str, rng, repeats: int) -> BenchRecord:
 
 
 def _bench_large_prefix(
-    n: int, block: int, rng, repeats: int, backend: str = "vectorized"
+    n: int, block: int, rng, repeats: int, backend: str = "replay"
 ) -> BenchRecord:
     dc = DualCube(n)
     vals = rng.integers(0, 1000, dc.num_nodes * block)
@@ -297,7 +263,7 @@ def _bench_large_prefix(
 
 
 def _bench_large_sort(
-    n: int, block: int, rng, repeats: int, backend: str = "vectorized"
+    n: int, block: int, rng, repeats: int, backend: str = "replay"
 ) -> BenchRecord:
     rdc = RecursiveDualCube(n)
     keys = rng.permutation(rdc.num_nodes * block)
@@ -646,9 +612,9 @@ def run_bench(
     if not faults_only:
         for n in range(2, max_n + 1):
             rng = np.random.default_rng(seed + n)
-            records.append(_bench_dual_prefix(n, "vectorized", rng, repeats))
+            records.append(_bench_dual_prefix(n, "replay", rng, repeats))
             records.append(_bench_dual_prefix(n, "engine", rng, repeats))
-            records.append(_bench_dual_sort(n, "vectorized", rng, repeats))
+            records.append(_bench_dual_sort(n, "replay", rng, repeats))
             records.append(_bench_dual_sort(n, "engine", rng, repeats))
             records.append(_bench_large_prefix(n, block, rng, repeats))
             records.append(_bench_large_sort(n, block, rng, repeats))
@@ -675,96 +641,50 @@ def run_bench(
     }
 
 
-def run_bench_columnar(
+def run_bench_replay(
     *,
     max_n: int = 11,
     repeats: int = 1,
     smoke: bool = False,
     seed: int = 0,
     block: int = 8,
-) -> dict:
-    """Run the columnar-backend suite and return the JSON-ready payload.
-
-    The sweep covers dual_prefix and dual_sort for n = 2..``max_n``
-    (default 11 — D_11 is 2^21 nodes, seconds per run on the columnar
-    backend) plus the blocked large-input variants up to n = 9, where the
-    N = 8 * 2^17 input keeps the large benches in the same seconds range.
-    ``smoke`` runs only n = min(9, max_n), single repeat — the CI wiring
-    check behind ``make bench-columnar-smoke``.  Every record carries the
-    tracemalloc ``peak_mem_mb`` so the O(nodes) memory claim is visible in
-    the table.
-    """
-    if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
-    if smoke:
-        sizes: tuple[int, ...] = (min(9, max_n),)
-        repeats = 1
-    else:
-        sizes = tuple(range(2, max_n + 1))
-
-    records: list[BenchRecord] = []
-    for n in sizes:
-        rng = np.random.default_rng(seed + n)
-        records.append(_bench_dual_prefix(n, "columnar", rng, repeats))
-        records.append(_bench_dual_sort(n, "columnar", rng, repeats))
-        if not smoke and n <= 9:
-            records.append(
-                _bench_large_prefix(n, block, rng, repeats, "columnar")
-            )
-            records.append(
-                _bench_large_sort(n, block, rng, repeats, "columnar")
-            )
-
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "columnar",
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "smoke": smoke,
-        "repeats": repeats,
-        "seed": seed,
-        "records": [asdict(r) for r in records],
-    }
-
-
-def run_bench_replay(
-    *,
-    max_n: int = 5,
-    repeats: int = 3,
-    smoke: bool = False,
-    seed: int = 0,
-    block: int = 8,
     shards: int = 4,
 ) -> dict:
-    """Run the replay-backend suite and return the JSON-ready payload.
+    """Run the array-backend suite and return the JSON-ready payload.
 
-    Sweeps the four algorithm benches on the compiled-plan replay backend
-    for n = 2..``max_n``.  Because ``_time_best`` reuses one closure across
-    repeats, the first repeat pays plan compilation and the rest hit the
-    plan cache — exactly the repeat-run scenario replay optimizes, and the
-    regime where it should beat the vectorized rows at n >= 4.  One extra
+    Sweeps dual_prefix and dual_sort for n = 2..``max_n`` (default 11 —
+    D_11 is 2^21 nodes, seconds per run) plus the blocked large-input
+    variants up to n = 9, where the N = 8 * 2^17 input keeps them in the
+    same seconds range.  Because ``_time_best`` reuses one closure across
+    repeats, only the first repeat can pay plan compilation.  One extra
     sharded dual_prefix row (backend ``replay-sharded``, ``shards``
-    workers) runs at n = 9 on a full sweep so the multiprocessing path is
-    exercised at D_9 scale; ``smoke`` caps the sweep at n = 3, single
-    repeat, and runs the sharded row at the cap instead (the CI wiring
-    check behind ``make bench-replay-smoke``).
+    workers) runs at n = 9.  ``smoke`` runs n = 2, 3 (all four benches),
+    the n = 9 dual_prefix/dual_sort rows and the sharded row at n = 3,
+    single repeat — the CI check behind ``make bench-replay-smoke``.
+    Every record carries the tracemalloc ``peak_mem_mb`` so the O(nodes)
+    memory claim is visible in the table.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     if smoke:
-        max_n = min(max_n, 3)
         repeats = 1
+        blocked = range(2, min(max_n, 3) + 1)
+        plain = (min(9, max_n),) if max_n > 3 else ()
+        sharded_n = min(max_n, 3)
+    else:
+        blocked = range(2, min(max_n, 9) + 1)
+        plain = range(10, max_n + 1)
+        sharded_n = min(max_n, 9)
 
     records: list[BenchRecord] = []
-    for n in range(2, max_n + 1):
+    for n in (*blocked, *plain):
         rng = np.random.default_rng(seed + n)
         records.append(_bench_dual_prefix(n, "replay", rng, repeats))
         records.append(_bench_dual_sort(n, "replay", rng, repeats))
-        records.append(_bench_large_prefix(n, block, rng, repeats, "replay"))
-        records.append(_bench_large_sort(n, block, rng, repeats, "replay"))
+        if n in blocked:
+            records.append(_bench_large_prefix(n, block, rng, repeats))
+            records.append(_bench_large_sort(n, block, rng, repeats))
 
-    sharded_n = max_n if smoke else 9
     rng = np.random.default_rng(seed + sharded_n)
     records.append(
         _bench_dual_prefix(sharded_n, "replay", rng, repeats, shards=shards)
@@ -789,7 +709,7 @@ def merge_bench(base: dict, new: dict) -> dict:
     Metadata (schema, timestamps, suite) comes from ``new``; records merge
     by (bench, backend, n) key with ``new`` winning collisions, output
     sorted by key so the merged file is deterministic.  This is how
-    columnar sweeps land next to the core suite's rows in one
+    array-backend sweeps land next to the core suite's rows in one
     ``BENCH_core.json`` instead of clobbering them.
     """
     by_key = {

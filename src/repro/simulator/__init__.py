@@ -28,10 +28,8 @@ from repro.simulator.errors import (
 from repro.simulator.requests import Send, Recv, SendRecv, Shift, Idle
 from repro.simulator.counters import CostCounters, Packed
 from repro.simulator.columnar import (
-    ColumnarState,
     bit_pair_views,
     dir_bit_views,
-    swap_halves,
 )
 from repro.simulator.faults import FAULTED, FaultPlan
 from repro.simulator.message import Message
@@ -84,10 +82,8 @@ __all__ = [
     "Idle",
     "CostCounters",
     "Packed",
-    "ColumnarState",
     "bit_pair_views",
     "dir_bit_views",
-    "swap_halves",
     "Message",
     "NodeCtx",
     "TraceRecorder",

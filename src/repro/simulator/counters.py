@@ -178,8 +178,7 @@ class CostCounters:
         k times is charged k rounds (``np.add.at`` — buffered fancy-index
         ``+=`` would silently collapse duplicates).  A ``range`` charges
         the contiguous slice directly, so callers over huge networks (the
-        columnar backend's class-half rounds) never materialize an index
-        array.
+        array backend's class-1 fold) never materialize an index array.
         """
         if ranks is None:
             self._comp_calls += 1

@@ -230,7 +230,7 @@ class DualCube(DimensionedTopology):
         """Closed-form |E| = n * 2^(2n-2) (degree n, 2^(2n-1) nodes)."""
         return self._n << (2 * self._n - 2)
 
-    # -- vectorized field views (fast backend) ------------------------------
+    # -- vectorized field views (array backend) -----------------------------
 
     def all_nodes_array(self) -> np.ndarray:
         """All node indices as an int64 array."""
@@ -260,9 +260,9 @@ class DualCube(DimensionedTopology):
         """Mask of the low (n-1)-bit field."""
         return mask(self._m)
 
-    # -- arithmetic neighbor queries (columnar backend) ----------------------
+    # -- arithmetic neighbor queries (array backend) -------------------------
     #
-    # The columnar backend never materializes edge lists; these helpers
+    # The array backend never materializes edge lists; these helpers
     # answer every neighbor/cross-edge question it has with pure address
     # arithmetic on whole index arrays (or, cheaper still, with slices).
 
@@ -293,7 +293,7 @@ class DualCube(DimensionedTopology):
 
         Class-uniform companion of :meth:`local_to_global_dim`: every node
         of one class flips the same address bit at ascend round
-        ``local_dim``, which is what lets the columnar backend run a whole
+        ``local_dim``, which is what lets the array backend run a whole
         class's round as one reshape-view combine.
         """
         if cls not in (0, 1):
@@ -308,9 +308,8 @@ class DualCube(DimensionedTopology):
         """``(class-0, class-1)`` node-index slices.
 
         The class bit is the *top* address bit, so each class occupies a
-        contiguous half of the index space — the property that turns the
-        cross-edge exchange into two half-array copies
-        (:func:`~repro.simulator.columnar.swap_halves`).
+        contiguous half of the index space, so the cross-edge exchange
+        maps one half onto the other.
         """
         half = self.num_nodes >> 1
         return slice(0, half), slice(half, self.num_nodes)

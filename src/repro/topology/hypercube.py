@@ -76,7 +76,7 @@ class Hypercube(DimensionedTopology):
         """Closed-form diameter: q."""
         return self._q
 
-    # -- arithmetic neighbor queries (columnar backend) ----------------------
+    # -- arithmetic neighbor queries (array backend) -------------------------
 
     def all_nodes_array(self) -> np.ndarray:
         """All node indices as an int64 array."""
@@ -87,7 +87,7 @@ class Hypercube(DimensionedTopology):
         ``u ^ (1 << d)`` over a whole index array.
 
         Every hypercube dimension is a direct link, so this answers all
-        neighbor queries the columnar backend makes — no edge lists.
+        neighbor queries an array executor makes — no edge lists.
         """
         self.check_dimension(d)
         return flip_bit_v(np.asarray(u, dtype=np.int64), d)

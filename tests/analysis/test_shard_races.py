@@ -1,8 +1,9 @@
 """Shard-disjointness race checker: span algebra, real plans, rejections.
 
-The checker must accept every plan the sharded replay actually compiles
-(they are exact disjoint covers of shared memory) and reject synthetic
-racing or escaping plans *before* any worker forks.
+The checker must accept every plan the sharded prefix actually builds
+(contiguous rows of cluster state, exact disjoint covers of shared
+memory) and reject synthetic racing or escaping plans *before* any worker
+forks.
 """
 
 import numpy as np
@@ -17,14 +18,13 @@ from repro.analysis.static.compile import (
     shard_task_spans,
     spans_overlap,
 )
-from repro.core.dual_prefix import dual_prefix_vec
 from repro.core.ops import ADD
 from repro.core.replay import _cluster_blocks, dual_prefix_replay
 from repro.topology import DualCube
 
 
 def real_tasks(num_nodes, m, shards):
-    """The (cls, start, stop) triples _dual_prefix_replay_sharded builds."""
+    """The (cls, start, stop) triples the sharded prefix builds."""
     return [
         (cls, a, b)
         for cls in (0, 1)
@@ -103,8 +103,10 @@ class TestRealPlansAccepted:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_columnar_rounds_disjoint_exact_partition(self, n):
+        # An ascend round pairs one bit of every cluster row of the whole
+        # input-position-indexed state.
         dc = DualCube(n)
-        length = dc.num_nodes // 2
+        length = dc.num_nodes
         for bit in range(dc.cluster_dim):
             spans = check_columnar_round(length, bit)
             t_cover = frozenset().union(
@@ -149,12 +151,14 @@ class TestReplayGuard:
     """The live sharded replay runs the checker before forking."""
 
     def test_replay_still_matches_vectorized(self):
+        # The sharded run equals the in-process whole-array run.
         dc = DualCube(3)
         rng = np.random.default_rng(11)
         vals = rng.integers(0, 100, dc.num_nodes).tolist()
         got = dual_prefix_replay(dc, vals, ADD, shards=2)
-        want = dual_prefix_vec(dc, vals, ADD)
+        want = dual_prefix_replay(dc, vals, ADD)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, np.cumsum(vals))
 
     def test_racing_block_plan_rejected_before_fork(self, monkeypatch):
         import repro.core.replay as replay

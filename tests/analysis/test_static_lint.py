@@ -208,11 +208,11 @@ class TestRep006PerRankLoop:
         assert "REP006" in LINT_RULES
 
     def test_marked_repo_files_stay_clean(self):
-        # The real columnar modules carry the marker; the rule must hold
-        # on them, not only on synthetic snippets.
+        # The real view-kernel modules carry the marker; the rule must
+        # hold on them, not only on synthetic snippets.
         marked = [
             os.path.join(SRC, "repro", "simulator", "columnar.py"),
-            os.path.join(SRC, "repro", "core", "columnar.py"),
+            os.path.join(SRC, "repro", "core", "replay.py"),
         ]
         for path in marked:
             with open(path, encoding="utf-8") as fh:

@@ -24,7 +24,7 @@ from repro.obs.timeline import TimelineRecorder
 from repro.simulator import CostCounters, TraceRecorder
 from repro.topology import DualCube, RecursiveDualCube
 
-ARRAY_BACKENDS = ("vectorized", "columnar", "replay")
+ARRAY_BACKENDS = ("replay",)
 
 
 class TestRegistryIntrospection:
@@ -38,36 +38,26 @@ class TestRegistryIntrospection:
         )
 
     def test_backend_names(self):
-        assert backend_names("dual_prefix") == (
-            "columnar", "engine", "replay", "vectorized",
-        )
-        assert backend_names("dual_sort") == (
-            "columnar", "engine", "replay", "vectorized",
-        )
-        assert backend_names("bitonic") == (
-            "columnar", "engine", "replay", "vectorized",
-        )
+        assert backend_names("dual_prefix") == ("engine", "replay")
+        assert backend_names("dual_sort") == ("engine", "replay")
+        assert backend_names("bitonic") == ("engine", "replay")
         # The large-input entry points have no backend="engine": the
         # cycle-accurate variant is the separate large_prefix_engine.
-        assert backend_names("large_prefix") == (
-            "columnar", "replay", "vectorized",
-        )
-        assert backend_names("large_sort") == (
-            "columnar", "replay", "vectorized",
-        )
+        assert backend_names("large_prefix") == ("replay",)
+        assert backend_names("large_sort") == ("replay",)
 
     def test_specs_declare_capabilities_once(self):
-        spec = backend_spec("dual_prefix", "vectorized")
+        spec = backend_spec("dual_prefix", "replay")
         assert isinstance(spec, BackendSpec)
-        assert spec.features == {"counters", "trace", "profiler"}
+        assert spec.features == {"counters", "trace", "profiler", "shards"}
         assert spec.returns == "result array"
         assert backend_spec("dual_prefix", "engine").returns == (
             "(result array, EngineResult)"
         )
-        assert backend_spec("dual_prefix", "replay").features == {
-            "counters", "shards",
+        assert backend_spec("dual_sort", "replay").features == {
+            "counters", "trace", "profiler",
         }
-        # Sharding exists only on the prefix family's replay backends.
+        # Sharding exists only on the prefix family's array backend.
         for ep in entry_points():
             for name in backend_names(ep):
                 shards_ok = "shards" in backend_spec(ep, name).features
@@ -79,11 +69,11 @@ class TestRegistryIntrospection:
         with pytest.raises(ValueError, match="unknown entry point 'nope'"):
             backend_names("nope")
         with pytest.raises(ValueError, match="unknown entry point"):
-            resolve_backend("nope", "vectorized")
+            resolve_backend("nope", "replay")
 
     def test_unknown_feature_rejected(self):
         with pytest.raises(ValueError, match="unknown backend feature"):
-            resolve_backend("dual_prefix", "vectorized", warp=True)
+            resolve_backend("dual_prefix", "replay", warp=True)
 
     def test_spec_rejects_undeclared_features(self):
         with pytest.raises(ValueError, match="unknown features"):
@@ -94,42 +84,44 @@ class TestRegistryIntrospection:
 
 
 class TestUnknownBackendMessages:
-    """Satellite fix: one shared message shape for every entry point."""
+    """One shared message shape for every entry point; the retired
+    ``vectorized`` and ``columnar`` names are unknown backends."""
 
     def test_dual_prefix(self):
         dc = DualCube(2)
-        with pytest.raises(
-            ValueError,
-            match=r"unknown backend 'nope' for dual_prefix; choose one of "
-                  r"'columnar', 'engine', 'replay', 'vectorized'",
-        ):
-            dual_prefix(dc, np.arange(dc.num_nodes), ADD, backend="nope")
+        for name in ("nope", "vectorized", "columnar"):
+            with pytest.raises(
+                ValueError,
+                match=rf"unknown backend '{name}' for dual_prefix; choose "
+                      r"one of 'engine', 'replay'$",
+            ):
+                dual_prefix(dc, np.arange(dc.num_nodes), ADD, backend=name)
 
     def test_dual_sort(self):
         rdc = RecursiveDualCube(2)
-        with pytest.raises(
-            ValueError,
-            match=r"unknown backend 'nope' for dual_sort; choose one of "
-                  r"'columnar', 'engine', 'replay', 'vectorized'",
-        ):
-            dual_sort(rdc, np.arange(rdc.num_nodes), backend="nope")
+        for name in ("nope", "vectorized", "columnar"):
+            with pytest.raises(
+                ValueError,
+                match=rf"unknown backend '{name}' for dual_sort; choose "
+                      r"one of 'engine', 'replay'$",
+            ):
+                dual_sort(rdc, np.arange(rdc.num_nodes), backend=name)
 
     def test_bitonic(self):
         with pytest.raises(
             ValueError,
-            match=r"unknown backend 'nope' for bitonic; choose one of "
-                  r"'columnar', 'engine', 'replay', 'vectorized'",
+            match=r"unknown backend 'vectorized' for bitonic; choose one of "
+                  r"'engine', 'replay'$",
         ):
-            hypercube_bitonic_sort(np.arange(8), backend="nope")
+            hypercube_bitonic_sort(np.arange(8), backend="vectorized")
 
     def test_large_prefix_names_the_engine_entry_point(self):
         dc = DualCube(2)
         with pytest.raises(
             ValueError,
             match=r"unknown backend 'engine' for large_prefix; choose one "
-                  r"of 'columnar', 'replay', 'vectorized' "
-                  r"\(large_prefix_engine is the cycle-accurate entry "
-                  r"point\)",
+                  r"of 'replay' \(large_prefix_engine is the cycle-accurate "
+                  r"entry point\)",
         ):
             large_prefix(dc, np.arange(dc.num_nodes), ADD, backend="engine")
 
@@ -137,16 +129,15 @@ class TestUnknownBackendMessages:
         rdc = RecursiveDualCube(2)
         with pytest.raises(
             ValueError,
-            match=r"unknown backend 'nope' for large_sort; choose one of "
-                  r"'columnar', 'replay', 'vectorized'",
+            match=r"unknown backend 'columnar' for large_sort; choose one of "
+                  r"'replay'$",
         ):
-            large_sort(rdc, np.arange(rdc.num_nodes), backend="nope")
+            large_sort(rdc, np.arange(rdc.num_nodes), backend="columnar")
 
 
 class TestCapabilityGuards:
     """Every (entry point, backend) rejects unsupported keywords with the
-    registry's uniform wording — including combinations the old inline
-    chains silently mishandled (dual_prefix profiler, bitonic columnar)."""
+    registry's uniform wording; the array backend honours them all."""
 
     def test_engine_rejects_external_counters(self):
         dc = DualCube(2)
@@ -159,9 +150,8 @@ class TestCapabilityGuards:
             )
 
     def test_columnar_rejects_trace(self):
-        # Wording pinned by the pre-registry columnar suite too.
         dc = DualCube(2)
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
+        with pytest.raises(ValueError, match="unknown backend 'columnar'"):
             dual_prefix(
                 dc, np.arange(dc.num_nodes), ADD, backend="columnar",
                 trace=TraceRecorder(),
@@ -169,36 +159,49 @@ class TestCapabilityGuards:
 
     def test_columnar_rejects_profiler(self):
         dc = DualCube(2)
+        with pytest.raises(ValueError, match="unknown backend 'columnar'"):
+            dual_prefix(
+                dc, np.arange(dc.num_nodes), ADD, backend="columnar",
+                profiler=PhaseProfiler(),
+            )
         with pytest.raises(
             ValueError, match="has no per-phase profiling hooks"
         ):
             dual_prefix(
-                dc, np.arange(dc.num_nodes), ADD, backend="columnar",
+                dc, np.arange(dc.num_nodes), ADD, backend="engine",
                 profiler=PhaseProfiler(),
             )
 
     def test_vectorized_rejects_shards(self):
         dc = DualCube(2)
-        with pytest.raises(
-            ValueError,
-            match=r"the 'vectorized' backend of dual_prefix has no "
-                  r"multiprocessing sharding; shards is supported by: "
-                  r"'replay'",
-        ):
+        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
             dual_prefix(
                 dc, np.arange(dc.num_nodes), ADD, backend="vectorized",
                 shards=2,
             )
+        with pytest.raises(
+            ValueError,
+            match=r"the 'engine' backend of dual_prefix has no "
+                  r"multiprocessing sharding; shards is supported by: "
+                  r"'replay'",
+        ):
+            dual_prefix(
+                dc, np.arange(dc.num_nodes), ADD, backend="engine", shards=2,
+            )
 
     def test_dual_prefix_replay_rejects_trace_and_profiler(self):
+        # The array backend now takes both: trace snapshots carry the
+        # engine's labels, profiler spans the four algorithm phases.
         dc = DualCube(2)
         vals = np.arange(dc.num_nodes)
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
-            dual_prefix(dc, vals, ADD, backend="replay", trace=TraceRecorder())
-        with pytest.raises(ValueError, match="profiling hooks"):
-            dual_prefix(
-                dc, vals, ADD, backend="replay", profiler=PhaseProfiler()
-            )
+        tr, prof = TraceRecorder(), PhaseProfiler()
+        dual_prefix(dc, vals, ADD, backend="replay", trace=tr, profiler=prof)
+        eng_trace = TraceRecorder()
+        dual_prefix(dc, vals, ADD, backend="engine", trace=eng_trace)
+        assert tr.labels() == eng_trace.labels()
+        assert set(prof.totals()) == {
+            "cluster-prefix", "cross", "block-prefix", "fold",
+        }
 
     def test_dual_sort_guards(self):
         rdc = RecursiveDualCube(2)
@@ -208,22 +211,20 @@ class TestCapabilityGuards:
                 rdc, keys, backend="engine",
                 counters=CostCounters(rdc.num_nodes),
             )
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
-            dual_sort(rdc, keys, backend="replay", trace=TraceRecorder())
         with pytest.raises(ValueError, match="profiling hooks"):
-            dual_sort(rdc, keys, backend="columnar", profiler=PhaseProfiler())
+            dual_sort(rdc, keys, backend="engine", profiler=PhaseProfiler())
+        tr = TraceRecorder()
+        dual_sort(rdc, keys, backend="replay", trace=tr)
+        assert tr.labels()[0] == "input"
 
     def test_large_prefix_guards(self):
         dc = DualCube(2)
         vals = np.arange(dc.num_nodes * 4)
-        with pytest.raises(
-            ValueError,
-            match=r"the 'vectorized' backend of large_prefix has no "
-                  r"multiprocessing sharding",
-        ):
-            large_prefix(dc, vals, ADD, backend="vectorized", shards=2)
-        with pytest.raises(ValueError, match="multiprocessing sharding"):
-            large_prefix(dc, vals, ADD, backend="columnar", shards=2)
+        for retired in ("vectorized", "columnar"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                large_prefix(dc, vals, ADD, backend=retired, shards=2)
+        out = large_prefix(dc, vals, ADD, backend="replay", shards=2)
+        assert out.tolist() == np.cumsum(vals).tolist()
 
     def test_bitonic_guards(self):
         keys = np.arange(8)
@@ -231,21 +232,20 @@ class TestCapabilityGuards:
             hypercube_bitonic_sort(
                 keys, backend="engine", counters=CostCounters(8)
             )
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
+        with pytest.raises(ValueError, match="unknown backend 'columnar'"):
             hypercube_bitonic_sort(
                 keys, backend="columnar", trace=TraceRecorder()
             )
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
-            hypercube_bitonic_sort(
-                keys, backend="replay", trace=TraceRecorder()
-            )
+        tr = TraceRecorder()
+        hypercube_bitonic_sort(keys, backend="replay", trace=tr)
+        assert tr.labels()[0] == "input"
 
     def test_error_lists_supporting_backends(self):
         with pytest.raises(
             ValueError,
-            match=r"trace is supported by: 'engine', 'vectorized'",
+            match=r"profiler is supported by: 'replay'",
         ):
-            resolve_backend("dual_sort", "columnar", trace=True)
+            resolve_backend("dual_sort", "engine", profiler=True)
 
     def test_false_requests_pass(self):
         # Passing feature=False (keyword left at None by the caller) never
@@ -261,8 +261,9 @@ class TestCapabilityGuards:
 
 
 class TestCrossBackendMatrix:
-    """The acceptance matrix: every array backend of every entry point
-    produces identical results AND identical counter ledgers on D_2..D_4."""
+    """The acceptance matrix: the array backend of every entry point
+    produces the oracle's results and the engine's counter ledger on
+    D_2..D_4."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dual_prefix(self, n, rng):
@@ -278,10 +279,10 @@ class TestCrossBackendMatrix:
         expected = sequential_prefix(vals.tolist(), ADD)
         for backend in ARRAY_BACKENDS:
             assert results[backend].tolist() == expected, backend
-            assert summaries[backend] == summaries["vectorized"], backend
+            assert summaries[backend] == summaries["replay"], backend
         out, res = dual_prefix(dc, vals, ADD, backend="engine")
         assert list(out) == expected
-        assert res.counters.summary() == summaries["vectorized"]
+        assert res.counters.summary() == summaries["replay"]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("policy", ["packed", "single"])
@@ -297,12 +298,12 @@ class TestCrossBackendMatrix:
             assert out.tolist() == sorted(keys.tolist()), backend
             summaries[backend] = c.summary()
         for backend in ARRAY_BACKENDS:
-            assert summaries[backend] == summaries["vectorized"], backend
+            assert summaries[backend] == summaries["replay"], backend
         out, res = dual_sort(
             rdc, keys, backend="engine", payload_policy=policy
         )
         assert list(out) == sorted(keys.tolist())
-        assert res.counters.summary() == summaries["vectorized"]
+        assert res.counters.summary() == summaries["replay"]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_large_prefix(self, n, rng):
@@ -315,7 +316,7 @@ class TestCrossBackendMatrix:
             assert out.tolist() == np.cumsum(vals).tolist(), backend
             summaries[backend] = c.summary()
         for backend in ARRAY_BACKENDS:
-            assert summaries[backend] == summaries["vectorized"], backend
+            assert summaries[backend] == summaries["replay"], backend
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("policy", ["packed", "single"])
@@ -331,7 +332,7 @@ class TestCrossBackendMatrix:
             assert out.tolist() == sorted(keys.tolist()), backend
             summaries[backend] = c.summary()
         for backend in ARRAY_BACKENDS:
-            assert summaries[backend] == summaries["vectorized"], backend
+            assert summaries[backend] == summaries["replay"], backend
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("descending", [False, True])
@@ -347,23 +348,25 @@ class TestCrossBackendMatrix:
             assert out.tolist() == expected, backend
             summaries[backend] = c.summary()
         for backend in ARRAY_BACKENDS:
-            assert summaries[backend] == summaries["vectorized"], backend
+            assert summaries[backend] == summaries["replay"], backend
         out, res = hypercube_bitonic_sort(
             keys, backend="engine", descending=descending
         )
         assert list(out) == sorted(keys.tolist(), reverse=descending)
-        assert res.counters.summary() == summaries["vectorized"]
+        assert res.counters.summary() == summaries["replay"]
 
 
 class TestTimelineMirroring:
     def test_all_array_backends_emit_identical_step_records(self, rng):
+        # Step records depend only on the schedule, not on the values.
         dc = DualCube(3)
-        vals = rng.integers(0, 100, dc.num_nodes)
         recs = []
-        for backend in ARRAY_BACKENDS:
+        for vals in (rng.integers(0, 100, dc.num_nodes),
+                     np.arange(dc.num_nodes)):
             c = CostCounters(dc.num_nodes)
             tl = TimelineRecorder(num_nodes=dc.num_nodes)
             c.attach_timeline(tl)
-            dual_prefix(dc, vals, ADD, backend=backend, counters=c)
+            dual_prefix(dc, vals, ADD, counters=c)
             recs.append(tl.steps)
-        assert recs[0] == recs[1] == recs[2]
+        assert recs[0] == recs[1]
+        assert sum(r.kind == "comm" for r in recs[0]) == 2 * dc.n

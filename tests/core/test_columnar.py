@@ -1,6 +1,10 @@
-"""Columnar backend: view primitives, differential parity vs both other
-backends (under both engine matchers), static-schedule step parity,
-memory scaling, and the backend dispatchers."""
+"""The array backend's in-place view kernels: view primitives,
+differential parity against the engine (under both matchers, results and
+full ledgers), static-schedule step parity, memory scaling, and the
+dispatchers' handling of the retired ``columnar``/``vectorized`` names.
+
+The reshape-view kernels began as a separate ``columnar`` backend; they
+now run every array-backend step (:mod:`repro.core.replay`)."""
 
 import tracemalloc
 
@@ -14,33 +18,31 @@ from repro.core import (
     CONCAT,
     MATMUL2,
     dual_prefix,
-    dual_prefix_vec,
     dual_sort,
-    dual_sort_vec,
     large_prefix,
     large_sort,
     sequential_prefix,
 )
-from repro.core.columnar import (
-    dual_prefix_columnar,
-    dual_sort_columnar,
-    execute_schedule_columnar,
-    large_prefix_columnar,
-    large_sort_columnar,
-)
+from repro.analysis.static.compile import compile_schedule_plan
 from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_program
 from repro.core.dual_sort import (
     dual_sort_engine,
     dual_sort_schedule,
     schedule_program,
 )
+from repro.core.large_inputs import large_prefix_engine
+from repro.core.replay import (
+    dual_prefix_replay,
+    dual_sort_replay,
+    get_prefix_plan,
+    large_prefix_replay,
+    large_sort_replay,
+)
 from repro.obs.timeline import TimelineRecorder
 from repro.simulator import (
-    ColumnarState,
     CostCounters,
     bit_pair_views,
     dir_bit_views,
-    swap_halves,
     use_matching,
 )
 from repro.topology import DualCube, RecursiveDualCube
@@ -52,24 +54,10 @@ def _obj(items):
     return out
 
 
-class TestColumnarState:
-    def test_columns_are_views(self):
-        st_ = ColumnarState(8, [("t", np.int64), ("s", np.int64)])
-        t = st_.column("t")
-        t[:] = np.arange(8)
-        assert np.array_equal(st_.column("t"), np.arange(8))
-        assert st_.columns() == ("t", "s")
-        assert st_.nbytes == 8 * 16
-
-    def test_subarray_field(self):
-        st_ = ColumnarState(4, [("block", np.int64, (3,))])
-        assert st_.column("block").shape == (4, 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            ColumnarState(0, [("t", np.int64)])
-        with pytest.raises(ValueError, match="at least one field"):
-            ColumnarState(4, [])
+def _ledger(c):
+    """The bulk ledger both backends keep: totals plus the per-rank
+    computation arrays (per-rank send/recv tallies are engine-only)."""
+    return c.summary(), c._comp_calls.tolist(), c._comp_ops.tolist()
 
 
 class TestPairViews:
@@ -88,9 +76,7 @@ class TestPairViews:
         assert np.array_equal(col, [0, 0, 7, 7, 0, 0, 7, 7])
 
     def test_object_column_and_half_slice(self):
-        st_ = ColumnarState(8, [("t", object)])
-        col = st_.column("t")
-        col[:] = [(i,) for i in range(8)]
+        col = _obj([(i,) for i in range(8)])
         lo, hi = bit_pair_views(col[4:], 0)
         lo[0, 0] = (99,)
         lo[1, 0] = (98,)
@@ -115,13 +101,12 @@ class TestPairViews:
         with pytest.raises(ValueError, match="must exceed"):
             dir_bit_views(np.zeros(16), 1, 1)
 
-    def test_swap_halves(self):
-        src = np.arange(8)
-        out = np.empty(8, dtype=src.dtype)
-        swap_halves(src, out)
-        assert np.array_equal(out, [4, 5, 6, 7, 0, 1, 2, 3])
-        with pytest.raises(ValueError, match="shape mismatch"):
-            swap_halves(src, np.empty(4, dtype=src.dtype))
+    def test_strided_column_is_checked(self):
+        # A non-contiguous column still gets the shares_memory proof.
+        col = np.zeros(16, dtype=np.int64)[::2]
+        lo, hi = bit_pair_views(col, 1)
+        hi[...] = 5
+        assert np.array_equal(col, [0, 0, 5, 5, 0, 0, 5, 5])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -138,20 +123,17 @@ class TestPrefixDifferential:
         ):
             for inclusive in (True, False):
                 for paper_literal in (False, True):
-                    cv = CostCounters(dc.num_nodes)
                     cc = CostCounters(dc.num_nodes)
-                    a = dual_prefix_vec(
+                    a, res = dual_prefix_engine(
                         dc, vals, op, inclusive=inclusive,
-                        paper_literal=paper_literal, counters=cv,
+                        paper_literal=paper_literal,
                     )
-                    b = dual_prefix_columnar(
+                    b = dual_prefix_replay(
                         dc, vals, op, inclusive=inclusive,
                         paper_literal=paper_literal, counters=cc,
                     )
                     assert list(a) == list(b)
-                    assert cv.summary() == cc.summary()
-                    assert np.array_equal(cv._comp_calls, cc._comp_calls)
-                    assert np.array_equal(cv._comp_ops, cc._comp_ops)
+                    assert _ledger(res.counters) == _ledger(cc)
 
     @pytest.mark.parametrize("matching", ["indexed", "legacy"])
     def test_vs_engine_both_matchers(self, n, matching, rng):
@@ -159,7 +141,7 @@ class TestPrefixDifferential:
         vals = _obj([(int(x),) for x in rng.integers(0, 99, dc.num_nodes)])
         for inclusive in (True, False):
             cc = CostCounters(dc.num_nodes)
-            got = dual_prefix_columnar(
+            got = dual_prefix_replay(
                 dc, vals, CONCAT, inclusive=inclusive, counters=cc
             )
             with use_matching(matching):
@@ -182,25 +164,24 @@ class TestSortDifferential:
         rdc = RecursiveDualCube(n)
         keys = rng.integers(0, 999, rdc.num_nodes)
         for descending in (False, True):
-            cv = CostCounters(rdc.num_nodes)
             cc = CostCounters(rdc.num_nodes)
-            a = dual_sort_vec(
-                rdc, keys, descending=descending,
-                payload_policy=policy, counters=cv,
+            a, res = dual_sort_engine(
+                rdc, [int(k) for k in keys], descending=descending,
+                payload_policy=policy,
             )
-            b = dual_sort_columnar(
+            b = dual_sort_replay(
                 rdc, keys, descending=descending,
                 payload_policy=policy, counters=cc,
             )
-            assert np.array_equal(a, b)
-            assert cv.summary() == cc.summary()
+            assert b.tolist() == a
+            assert _ledger(res.counters) == _ledger(cc)
 
     @pytest.mark.parametrize("matching", ["indexed", "legacy"])
     def test_vs_engine_both_matchers(self, n, policy, matching, rng):
         rdc = RecursiveDualCube(n)
         keys = rng.integers(0, 999, rdc.num_nodes)
         cc = CostCounters(rdc.num_nodes)
-        got = dual_sort_columnar(rdc, keys, payload_policy=policy, counters=cc)
+        got = dual_sort_replay(rdc, keys, payload_policy=policy, counters=cc)
         with use_matching(matching):
             want, res = dual_sort_engine(
                 rdc, [int(k) for k in keys], payload_policy=policy
@@ -215,7 +196,7 @@ class TestSortDifferential:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 class TestStaticScheduleParity:
-    """Columnar comm step counts equal the static analyzer's extraction."""
+    """Array-backend comm step counts equal the static extraction."""
 
     def test_prefix_steps(self, n, rng):
         from repro.analysis.static.extract import extract_schedule
@@ -223,7 +204,7 @@ class TestStaticScheduleParity:
         dc = DualCube(n)
         vals = [int(v) for v in rng.integers(0, 100, dc.num_nodes)]
         c = CostCounters(dc.num_nodes)
-        dual_prefix_columnar(dc, np.asarray(vals), ADD, counters=c)
+        dual_prefix_replay(dc, np.asarray(vals), ADD, counters=c)
         static = extract_schedule(dc, dual_prefix_program(dc, vals, ADD))
         assert c.comm_steps == static.steps
 
@@ -233,7 +214,7 @@ class TestStaticScheduleParity:
         rdc = RecursiveDualCube(n)
         keys = [int(k) for k in rng.permutation(rdc.num_nodes)]
         c = CostCounters(rdc.num_nodes)
-        dual_sort_columnar(rdc, np.asarray(keys), counters=c)
+        dual_sort_replay(rdc, np.asarray(keys), counters=c)
         static = extract_schedule(
             rdc, schedule_program(rdc, keys, dual_sort_schedule(rdc.n))
         )
@@ -246,17 +227,17 @@ class TestLargeVariants:
     def test_large_prefix_parity(self, n, block, rng):
         dc = DualCube(n)
         vals = rng.integers(0, 100, dc.num_nodes * block)
-        cv, cc = CostCounters(dc.num_nodes), CostCounters(dc.num_nodes)
-        a = large_prefix(dc, vals, ADD, counters=cv)
-        b = large_prefix_columnar(dc, vals, ADD, counters=cc)
-        assert np.array_equal(a, b)
-        assert cv.summary() == cc.summary()
+        cc = CostCounters(dc.num_nodes)
+        a, res = large_prefix_engine(dc, vals, ADD)
+        b = large_prefix_replay(dc, vals, ADD, counters=cc)
+        assert b.tolist() == list(a) == np.cumsum(vals).tolist()
+        assert _ledger(res.counters) == _ledger(cc)
 
     def test_large_prefix_concat_objects(self, rng):
         dc = DualCube(2)
         vals = _obj([(i,) for i in range(dc.num_nodes * 3)])
-        a = large_prefix(dc, vals, CONCAT)
-        b = large_prefix_columnar(dc, vals, CONCAT)
+        a, _ = large_prefix_engine(dc, vals, CONCAT)
+        b = large_prefix_replay(dc, vals, CONCAT)
         assert list(a) == list(b)
         assert b[-1] == tuple(range(dc.num_nodes * 3))
 
@@ -266,85 +247,97 @@ class TestLargeVariants:
     def test_large_sort_parity(self, n, block, descending, rng):
         rdc = RecursiveDualCube(n)
         keys = rng.permutation(rdc.num_nodes * block)
-        cv, cc = CostCounters(rdc.num_nodes), CostCounters(rdc.num_nodes)
-        a = large_sort(rdc, keys, descending=descending, counters=cv)
-        b = large_sort_columnar(rdc, keys, descending=descending, counters=cc)
-        assert np.array_equal(a, b)
-        assert cv.summary() == cc.summary()
+        cc, c1 = CostCounters(rdc.num_nodes), CostCounters(rdc.num_nodes)
+        b = large_sort_replay(rdc, keys, descending=descending, counters=cc)
+        assert b.tolist() == sorted(keys.tolist(), reverse=descending)
+        # The D_sort ledger with B-key messages and a local-sort round.
+        dual_sort(rdc, keys[:rdc.num_nodes], counters=c1)
+        s, s1 = cc.summary(), c1.summary()
+        assert (s["comm_steps"], s["messages"]) == (
+            s1["comm_steps"], s1["messages"])
+        assert s["payload_items"] == block * s1["payload_items"]
+        assert s["comp_steps"] == s1["comp_steps"] + 1
 
     def test_large_sort_rejects_objects(self):
         rdc = RecursiveDualCube(2)
         keys = _obj([(i,) for i in range(rdc.num_nodes)])
         with pytest.raises(TypeError, match="numeric"):
-            large_sort_columnar(rdc, keys)
+            large_sort_replay(rdc, keys)
 
 
 class TestDispatchers:
+    """``columnar`` and ``vectorized`` are retired names: the registry
+    rejects them like any unknown backend, and ``replay`` (the default)
+    runs the view kernels."""
+
     def test_prefix_backend_flag(self, rng):
         dc = DualCube(3)
         vals = rng.integers(0, 100, dc.num_nodes)
         assert np.array_equal(
-            dual_prefix(dc, vals, ADD, backend="columnar"),
-            dual_prefix(dc, vals, ADD, backend="vectorized"),
+            dual_prefix(dc, vals, ADD, backend="replay"),
+            dual_prefix(dc, vals, ADD),
         )
+        for retired in ("columnar", "vectorized"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                dual_prefix(dc, vals, ADD, backend=retired)
 
     def test_sort_backend_flag(self, rng):
         rdc = RecursiveDualCube(3)
         keys = rng.permutation(rdc.num_nodes)
         assert np.array_equal(
-            dual_sort(rdc, keys, backend="columnar"), np.sort(keys)
+            dual_sort(rdc, keys, backend="replay"), np.sort(keys)
         )
+        for retired in ("columnar", "vectorized"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                dual_sort(rdc, keys, backend=retired)
 
     def test_large_backend_flags(self, rng):
         dc, rdc = DualCube(2), RecursiveDualCube(2)
         vals = rng.integers(0, 100, dc.num_nodes * 4)
         assert np.array_equal(
-            large_prefix(dc, vals, ADD, backend="columnar"),
-            large_prefix(dc, vals, ADD),
+            large_prefix(dc, vals, ADD, backend="replay"), np.cumsum(vals)
         )
         assert np.array_equal(
-            large_sort(rdc, vals, backend="columnar"), np.sort(vals)
+            large_sort(rdc, vals, backend="replay"), np.sort(vals)
         )
+        with pytest.raises(ValueError, match="unknown backend"):
+            large_prefix(dc, vals, ADD, backend="columnar")
+        with pytest.raises(ValueError, match="unknown backend"):
+            large_sort(rdc, vals, backend="vectorized")
 
     def test_columnar_rejects_trace(self):
         from repro.simulator import TraceRecorder
 
         dc = DualCube(2)
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
+        with pytest.raises(ValueError, match="unknown backend 'columnar'"):
             dual_prefix(
                 dc, np.zeros(dc.num_nodes), ADD, backend="columnar",
                 trace=TraceRecorder(),
             )
         rdc = RecursiveDualCube(2)
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
-            dual_sort(
-                rdc, np.zeros(rdc.num_nodes), backend="columnar",
-                trace=TraceRecorder(),
-            )
+        tr = TraceRecorder()
+        dual_sort(rdc, np.zeros(rdc.num_nodes), trace=tr)
+        assert tr.labels()[0] == "input"
 
     def test_unknown_backend_names_columnar(self):
         dc = DualCube(2)
-        with pytest.raises(ValueError, match="columnar"):
-            dual_prefix(dc, np.zeros(dc.num_nodes), ADD, backend="nope")
-        with pytest.raises(ValueError, match="columnar"):
+        with pytest.raises(
+            ValueError, match=r"choose one of 'engine', 'replay'$"
+        ):
+            dual_prefix(dc, np.zeros(dc.num_nodes), ADD, backend="columnar")
+        with pytest.raises(ValueError, match=r"choose one of 'replay' \("):
             large_prefix(dc, np.zeros(dc.num_nodes), ADD, backend="nope")
-
-    def test_class_bit_guard(self):
-        class TopBitless(DualCube):
-            @property
-            def class_dimension(self):
-                return 0
-
-        with pytest.raises(ValueError, match="top address bit"):
-            dual_prefix_columnar(TopBitless(2), np.zeros(8), ADD)
 
     def test_degenerate_schedule_step_rejected(self):
         from repro.core.dual_sort import ScheduleStep
 
         rdc = RecursiveDualCube(2)
         bad = [ScheduleStep(dim=1, dir_kind="bit", dir_val=1, phase="x")]
-        with pytest.raises(ValueError, match="degenerate"):
-            execute_schedule_columnar(rdc, np.zeros(rdc.num_nodes), bad)
+        with pytest.raises(ValueError, match="must lie above"):
+            compile_schedule_plan(rdc, bad, kind="custom")
+        below = [ScheduleStep(dim=2, dir_kind="bit", dir_val=0, phase="x")]
+        with pytest.raises(ValueError, match="must lie above"):
+            compile_schedule_plan(rdc, below, kind="custom")
 
 
 @given(data=st.data(), n=st.integers(min_value=1, max_value=3))
@@ -360,9 +353,9 @@ def test_property_prefix_matches_sequential_oracle(data, n):
             )
         )
     )
-    got = dual_prefix_columnar(dc, vals, ADD)
+    got = dual_prefix_replay(dc, vals, ADD)
     assert list(got) == sequential_prefix(list(vals), ADD)
-    sorted_keys = dual_sort_columnar(RecursiveDualCube(n), vals)
+    sorted_keys = dual_sort_replay(RecursiveDualCube(n), vals)
     assert np.array_equal(sorted_keys, np.sort(vals))
 
 
@@ -371,29 +364,33 @@ class TestMemoryScaling:
         """Peak heap stays within a small constant times the node count."""
         dc = DualCube(8)  # 32768 nodes
         vals = np.arange(dc.num_nodes, dtype=np.int64)
+        dual_prefix_replay(dc, vals, ADD)  # plan compiled outside the probe
         tracemalloc.start()
         try:
-            dual_prefix_columnar(dc, vals, ADD)
+            dual_prefix_replay(dc, vals, ADD)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 4 int64 state columns + arrangement permutation + output =
-        # ~48 B/node; 200 B/node plus fixed slack leaves generous headroom
+        # 4 int64 state columns + the received s' + output = ~48 B/node
+        # (no arrangement permutation); 200 B/node plus fixed slack leaves
+        # generous headroom
         # while still catching any O(nodes * rounds) or edge-list blowup.
         assert peak < 200 * dc.num_nodes + 4 * 1024 * 1024
 
 
 class TestTimelineMirroring:
     def test_columnar_emits_same_step_records_as_vec(self, rng):
+        # One comm record per static schedule step (the engine's count),
+        # one comp record per computation step, in the engine's order.
         dc = DualCube(3)
         vals = rng.integers(0, 100, dc.num_nodes)
-        recs = []
-        for fn in (dual_prefix_vec, dual_prefix_columnar):
-            c = CostCounters(dc.num_nodes)
-            tl = TimelineRecorder(num_nodes=dc.num_nodes)
-            c.attach_timeline(tl)
-            fn(dc, vals, ADD, counters=c)
-            recs.append(tl.steps)
-        assert recs[0] == recs[1]
-        assert any(s.kind == "comm" for s in recs[1])
-        assert any(s.kind == "comp" for s in recs[1])
+        c = CostCounters(dc.num_nodes)
+        tl = TimelineRecorder(num_nodes=dc.num_nodes)
+        c.attach_timeline(tl)
+        dual_prefix_replay(dc, vals, ADD, counters=c)
+        _, res = dual_prefix_engine(dc, vals, ADD)
+        kinds = [s.kind for s in tl.steps]
+        assert kinds.count("comm") == res.counters.comm_steps
+        assert kinds.count("comp") == res.counters.comp_steps
+        assert kinds[:2] == ["comm", "comp"]
+        assert get_prefix_plan(dc).comm_steps == res.counters.comm_steps

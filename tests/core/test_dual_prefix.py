@@ -11,7 +11,7 @@ from repro.analysis.complexity import (
     theorem1_comm_bound,
     theorem1_comp_bound,
 )
-from repro.core.dual_prefix import dual_prefix, dual_prefix_engine, dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
 from repro.core.ops import ADD, CONCAT, MATMUL2, MAX
 from repro.core.verify import check_prefix
 from repro.simulator import CostCounters, TraceRecorder
@@ -43,11 +43,11 @@ class TestCorrectness:
 
     def test_vectorized_add_matches_cumsum(self, dc, rng):
         vals = rng.integers(-100, 100, dc.num_nodes)
-        assert list(dual_prefix_vec(dc, vals, ADD)) == list(np.cumsum(vals))
+        assert list(dual_prefix(dc, vals, ADD)) == list(np.cumsum(vals))
 
     def test_vectorized_diminished(self, dc, rng):
         vals = rng.integers(0, 100, dc.num_nodes)
-        got = dual_prefix_vec(dc, vals, ADD, inclusive=False)
+        got = dual_prefix(dc, vals, ADD, inclusive=False)
         assert list(got) == [0] + list(np.cumsum(vals[:-1]))
 
     def test_vectorized_matmul(self, rng):
@@ -56,30 +56,30 @@ class TestCorrectness:
         mats[:] = [
             tuple(int(x) for x in rng.integers(-2, 3, 4)) for _ in range(32)
         ]
-        pre = dual_prefix_vec(dc, mats, MATMUL2)
+        pre = dual_prefix(dc, mats, MATMUL2)
         check_prefix(list(mats), pre, MATMUL2)
 
     def test_running_max(self, rng):
         dc = DualCube(3)
         vals = rng.integers(-1000, 1000, 32)
-        got = dual_prefix_vec(dc, vals, MAX)
+        got = dual_prefix(dc, vals, MAX)
         assert list(got) == list(np.maximum.accumulate(vals))
 
     def test_engine_vec_identical_results(self, dc, rng):
         vals = tuple_values(dc.num_nodes, rng)
         a, _ = dual_prefix_engine(dc, vals, CONCAT)
-        b = dual_prefix_vec(dc, vals, CONCAT)
+        b = dual_prefix(dc, vals, CONCAT)
         assert list(a) == list(b)
 
     def test_shape_validation(self):
         dc = DualCube(2)
         with pytest.raises(ValueError):
-            dual_prefix_vec(dc, np.arange(5), ADD)
+            dual_prefix(dc, np.arange(5), ADD)
 
     def test_backend_dispatch(self, rng):
         dc = DualCube(2)
         vals = rng.integers(0, 10, 8)
-        v = dual_prefix(dc, vals, ADD, backend="vectorized")
+        v = dual_prefix(dc, vals, ADD, backend="replay")
         e, _ = dual_prefix(dc, vals.astype(object), ADD, backend="engine")
         assert list(v) == list(e)
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestTheorem1Costs:
     def test_vec_counters_equal_engine_formulas(self, n, paper_literal, rng):
         dc = DualCube(n)
         c = CostCounters(dc.num_nodes)
-        dual_prefix_vec(
+        dual_prefix(
             dc,
             rng.integers(0, 10, dc.num_nodes),
             ADD,
@@ -120,7 +120,7 @@ class TestTheorem1Costs:
         vals = tuple_values(dc.num_nodes, rng)
         _, res = dual_prefix_engine(dc, vals, CONCAT)
         c = CostCounters(dc.num_nodes)
-        dual_prefix_vec(dc, vals, CONCAT, counters=c)
+        dual_prefix(dc, vals, CONCAT, counters=c)
         assert c.comm_steps == res.comm_steps
         assert c.comp_steps == res.comp_steps
         assert c.messages == res.counters.messages
@@ -136,7 +136,7 @@ class TestTraces:
     def test_trace_has_six_figure3_panels(self, rng):
         dc = DualCube(3)
         trace = TraceRecorder()
-        dual_prefix_vec(dc, np.arange(1, 33), ADD, trace=trace)
+        dual_prefix(dc, np.arange(1, 33), ADD, trace=trace)
         labels = trace.labels()
         for tag in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)"):
             assert any(lbl.startswith(tag) for lbl in labels), tag
@@ -146,7 +146,7 @@ class TestTraces:
         vals = tuple_values(8, rng)
         t1, t2 = TraceRecorder(), TraceRecorder()
         dual_prefix_engine(dc, vals, CONCAT, trace=t1)
-        dual_prefix_vec(dc, vals, CONCAT, trace=t2)
+        dual_prefix(dc, vals, CONCAT, trace=t2)
         for lbl in t2.labels():
             assert t1.snapshot(lbl, 8) == t2.snapshot(lbl, 8), lbl
 
@@ -159,7 +159,7 @@ class TestProperties:
     )
     def test_prefix_sum_any_ints(self, vals, inclusive):
         dc = DualCube(2)
-        got = dual_prefix_vec(
+        got = dual_prefix(
             dc, np.array(vals, dtype=np.int64), ADD, inclusive=inclusive
         )
         check_prefix(vals, got, ADD, inclusive=inclusive)
@@ -170,7 +170,7 @@ class TestProperties:
         dc = DualCube(n)
         rng = np.random.default_rng(n)
         vals = tuple_values(dc.num_nodes, rng)
-        got = dual_prefix_vec(
+        got = dual_prefix(
             dc, vals, CONCAT, inclusive=inclusive, paper_literal=paper_literal
         )
         check_prefix(list(vals), got, CONCAT, inclusive=inclusive)
@@ -179,7 +179,7 @@ class TestProperties:
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=32, max_size=32))
     def test_float_prefix_close_to_cumsum(self, vals):
         dc = DualCube(3)
-        got = dual_prefix_vec(dc, np.array(vals), ADD)
+        got = dual_prefix(dc, np.array(vals), ADD)
         # Tree order differs from serial order; allow float reassociation.
         np.testing.assert_allclose(got, np.cumsum(vals), rtol=1e-9, atol=1e-6)
 
@@ -226,6 +226,6 @@ class TestSuffixScan:
 
         dc = DualCube(3)
         vals = rng.integers(-50, 50, 32)
-        pre = dual_prefix_vec(dc, vals, ADD)
+        pre = dual_prefix(dc, vals, ADD)
         suf = dual_suffix_vec(dc, vals, ADD, inclusive=False)
         assert all(p + s == vals.sum() for p, s in zip(pre, suf))

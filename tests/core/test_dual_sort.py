@@ -17,7 +17,7 @@ from repro.core.dual_sort import (
     dual_sort,
     dual_sort_engine,
     dual_sort_schedule,
-    dual_sort_vec,
+    dual_sort,
     step_cycle_cost,
 )
 from repro.simulator import CostCounters, TraceRecorder
@@ -86,18 +86,18 @@ class TestCorrectness:
     def test_vec_sorts_permutations(self, n, rng):
         rdc = RecursiveDualCube(n)
         keys = rng.permutation(rdc.num_nodes)
-        assert list(dual_sort_vec(rdc, keys)) == list(range(rdc.num_nodes))
+        assert list(dual_sort(rdc, keys)) == list(range(rdc.num_nodes))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_vec_sorts_duplicates(self, n, rng):
         rdc = RecursiveDualCube(n)
         keys = rng.integers(0, 3, rdc.num_nodes)
-        assert list(dual_sort_vec(rdc, keys)) == sorted(keys)
+        assert list(dual_sort(rdc, keys)) == sorted(keys)
 
     def test_vec_descending(self, rng):
         rdc = RecursiveDualCube(3)
         keys = rng.integers(0, 100, 32)
-        assert list(dual_sort_vec(rdc, keys, descending=True)) == sorted(
+        assert list(dual_sort(rdc, keys, descending=True)) == sorted(
             keys, reverse=True
         )
 
@@ -117,32 +117,32 @@ class TestCorrectness:
 
     def test_all_equal(self):
         rdc = RecursiveDualCube(2)
-        assert list(dual_sort_vec(rdc, np.full(8, 5))) == [5] * 8
+        assert list(dual_sort(rdc, np.full(8, 5))) == [5] * 8
 
     def test_already_sorted_and_reversed(self):
         rdc = RecursiveDualCube(3)
-        assert list(dual_sort_vec(rdc, np.arange(32))) == list(range(32))
-        assert list(dual_sort_vec(rdc, np.arange(31, -1, -1))) == list(range(32))
+        assert list(dual_sort(rdc, np.arange(32))) == list(range(32))
+        assert list(dual_sort(rdc, np.arange(31, -1, -1))) == list(range(32))
 
     def test_negative_and_float_keys(self, rng):
         rdc = RecursiveDualCube(3)
         keys = rng.normal(size=32)
-        out = dual_sort_vec(rdc, keys)
+        out = dual_sort(rdc, keys)
         assert list(out) == sorted(keys)
 
     def test_shape_and_policy_validation(self, rng):
         rdc = RecursiveDualCube(2)
         with pytest.raises(ValueError):
-            dual_sort_vec(rdc, np.arange(7))
+            dual_sort(rdc, np.arange(7))
         with pytest.raises(ValueError):
-            dual_sort_vec(rdc, np.arange(8), payload_policy="gift-wrapped")
+            dual_sort(rdc, np.arange(8), payload_policy="gift-wrapped")
         with pytest.raises(ValueError):
             dual_sort(rdc, np.arange(8), backend="sundial")
 
     def test_backend_dispatch(self, rng):
         rdc = RecursiveDualCube(2)
         keys = rng.integers(0, 50, 8)
-        v = dual_sort(rdc, keys, backend="vectorized")
+        v = dual_sort(rdc, keys, backend="replay")
         e, _ = dual_sort(rdc, [int(k) for k in keys], backend="engine")
         assert list(v) == e
 
@@ -167,7 +167,7 @@ class TestTheorem2Costs:
         rdc = RecursiveDualCube(n)
         for policy in ("packed", "single"):
             c = CostCounters(rdc.num_nodes)
-            dual_sort_vec(
+            dual_sort(
                 rdc, rng.integers(0, 50, rdc.num_nodes), counters=c, payload_policy=policy
             )
             assert c.comm_steps == dual_sort_comm_exact(n, payload_policy=policy)
@@ -179,7 +179,7 @@ class TestTheorem2Costs:
         for policy in ("packed", "single"):
             _, res = dual_sort_engine(rdc, keys, payload_policy=policy)
             c = CostCounters(8)
-            dual_sort_vec(rdc, np.array(keys), counters=c, payload_policy=policy)
+            dual_sort(rdc, np.array(keys), counters=c, payload_policy=policy)
             assert c.comm_steps == res.comm_steps
             assert c.messages == res.counters.messages
             assert c.payload_items == res.counters.payload_items
@@ -209,14 +209,14 @@ class TestTraces:
     def test_trace_records_every_step(self, rng):
         rdc = RecursiveDualCube(2)
         trace = TraceRecorder()
-        dual_sort_vec(rdc, rng.integers(0, 50, 8), trace=trace)
+        dual_sort(rdc, rng.integers(0, 50, 8), trace=trace)
         # input + one label per schedule step
         assert len(trace.labels()) == 1 + len(dual_sort_schedule(2))
 
     def test_phases_appear_in_labels(self, rng):
         rdc = RecursiveDualCube(3)
         trace = TraceRecorder()
-        dual_sort_vec(rdc, rng.integers(0, 50, 32), trace=trace)
+        dual_sort(rdc, rng.integers(0, 50, 32), trace=trace)
         labels = " ".join(trace.labels())
         assert "base D_1" in labels
         assert "half-merge D_2" in labels
@@ -228,17 +228,17 @@ class TestProperties:
     @given(st.lists(st.integers(-(10**6), 10**6), min_size=8, max_size=8))
     def test_sorts_any_input_n2(self, keys):
         rdc = RecursiveDualCube(2)
-        assert list(dual_sort_vec(rdc, np.array(keys))) == sorted(keys)
+        assert list(dual_sort(rdc, np.array(keys))) == sorted(keys)
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.integers(0, 7), min_size=32, max_size=32), st.booleans())
     def test_sorts_heavy_duplicates_n3(self, keys, descending):
         rdc = RecursiveDualCube(3)
-        out = dual_sort_vec(rdc, np.array(keys), descending=descending)
+        out = dual_sort(rdc, np.array(keys), descending=descending)
         assert list(out) == sorted(keys, reverse=descending)
 
     @settings(max_examples=10, deadline=None)
     @given(st.permutations(list(range(32))))
     def test_zero_one_principle_spirit_n3(self, keys):
         rdc = RecursiveDualCube(3)
-        assert list(dual_sort_vec(rdc, np.array(keys))) == list(range(32))
+        assert list(dual_sort(rdc, np.array(keys))) == list(range(32))

@@ -12,7 +12,7 @@ from repro.analysis.static.extract import extract_schedule
 from repro.core.dual_prefix import (
     dual_prefix_engine,
     dual_prefix_program,
-    dual_prefix_vec,
+    dual_prefix,
 )
 from repro.core.dual_sort import (
     dual_sort_engine,
@@ -142,7 +142,7 @@ class TestVectorizedWiring:
         counters = CostCounters(dc.num_nodes)
         t = TimelineRecorder(num_nodes=dc.num_nodes)
         counters.attach_timeline(t)
-        dual_prefix_vec(dc, list(range(dc.num_nodes)), ADD, counters=counters)
+        dual_prefix(dc, list(range(dc.num_nodes)), ADD, counters=counters)
         comm = [s for s in t.steps if s.kind == "comm"]
         comp = [s for s in t.steps if s.kind == "comp"]
         assert len(comm) == counters.comm_steps

@@ -36,12 +36,12 @@ class TestRunBench:
     def test_covers_every_suite_member(self, smoke_payload):
         benches = {(r["bench"], r["backend"]) for r in smoke_payload["records"]}
         assert benches == {
-            ("dual_prefix", "vectorized"),
+            ("dual_prefix", "replay"),
             ("dual_prefix", "engine"),
-            ("dual_sort", "vectorized"),
+            ("dual_sort", "replay"),
             ("dual_sort", "engine"),
-            ("large_prefix_b8", "vectorized"),
-            ("large_sort_b8", "vectorized"),
+            ("large_prefix_b8", "replay"),
+            ("large_sort_b8", "replay"),
             ("run_traffic", "router"),
             ("fault_prefix", "degraded-node"),
             ("fault_prefix", "degraded-link"),
@@ -76,7 +76,7 @@ class TestRunBench:
         by_key = {(r["bench"], r["backend"]): r for r in smoke_payload["records"]}
         for bench in ("dual_prefix", "dual_sort"):
             eng = by_key[(bench, "engine")]
-            vec = by_key[(bench, "vectorized")]
+            vec = by_key[(bench, "replay")]
             assert eng["comm_steps"] == vec["comm_steps"]
 
     def test_fault_traffic_hop_ledgers_reconcile(self, smoke_payload):
@@ -88,11 +88,14 @@ class TestRunBench:
 
     def test_vectorized_records_carry_phase_timings(self, smoke_payload):
         by_key = {(r["bench"], r["backend"]): r for r in smoke_payload["records"]}
-        phases = by_key[("large_prefix_b8", "vectorized")]["phases"]
+        phases = by_key[("large_prefix_b8", "replay")]["phases"]
         assert set(phases) == {"local-prefix", "network", "fold"}
         assert all(v >= 0 for v in phases.values())
-        assert by_key[("large_sort_b8", "vectorized")]["phases"]
-        assert by_key[("dual_sort", "vectorized")]["phases"]
+        assert by_key[("large_sort_b8", "replay")]["phases"]
+        assert by_key[("dual_sort", "replay")]["phases"]
+        assert set(by_key[("dual_prefix", "replay")]["phases"]) == {
+            "cluster-prefix", "cross", "block-prefix", "fold",
+        }
         # Engine benchmarks have no profiler hook; their dict stays empty.
         assert by_key[("dual_sort", "engine")]["phases"] == {}
 
@@ -226,44 +229,49 @@ class TestCli:
 
 
 class TestColumnarBench:
+    """The large-network rows of the array-backend family (formerly the
+    separate columnar family): dual_prefix/dual_sort only, above the
+    blocked sizes."""
+
     @pytest.fixture(scope="class")
     def columnar_payload(self):
-        from repro.perf import run_bench_columnar
+        from repro.perf import run_bench_replay
 
-        return run_bench_columnar(smoke=True, max_n=2)
+        return run_bench_replay(smoke=True, max_n=4, shards=2)
 
     def test_smoke_runs_single_size(self, columnar_payload):
-        assert columnar_payload["suite"] == "columnar"
+        assert columnar_payload["suite"] == "replay"
         assert columnar_payload["schema"] == SCHEMA_VERSION
-        assert {r["n"] for r in columnar_payload["records"]} == {2}
-        assert {r["backend"] for r in columnar_payload["records"]} == {"columnar"}
-        assert {r["bench"] for r in columnar_payload["records"]} == {
-            "dual_prefix",
-            "dual_sort",
-        }
+        big = [r for r in columnar_payload["records"] if r["n"] == 4]
+        assert {r["backend"] for r in big} == {"replay"}
+        assert {r["bench"] for r in big} == {"dual_prefix", "dual_sort"}
+        assert {r["n"] for r in columnar_payload["records"]} == {2, 3, 4}
 
     def test_records_carry_peak_memory(self, columnar_payload):
         for r in columnar_payload["records"]:
             assert r["peak_mem_mb"] > 0
 
     def test_counters_match_core_suite(self, columnar_payload, smoke_payload):
-        # The columnar records must be cost-identical to the vectorized
+        # The suite's records must be cost-identical to the array-backend
         # rows of the core suite at the same (bench, n).
         core = {
             (r["bench"], r["n"]): r
             for r in smoke_payload["records"]
-            if r["backend"] == "vectorized"
+            if r["backend"] == "replay"
         }
-        for r in columnar_payload["records"]:
+        shared = [r for r in columnar_payload["records"]
+                  if (r["bench"], r["n"]) in core]
+        assert shared
+        for r in shared:
             base = core[(r["bench"], r["n"])]
             for f in _EXACT_FIELDS:
                 assert r[f] == base[f], (r["bench"], f)
 
     def test_max_n_validated(self):
-        from repro.perf import run_bench_columnar
+        from repro.perf import run_bench_replay
 
         with pytest.raises(ValueError, match="max_n"):
-            run_bench_columnar(max_n=1)
+            run_bench_replay(max_n=1, smoke=True)
 
 
 class TestCompareBenchDetailed:
@@ -333,11 +341,11 @@ class TestReplayBench:
 
     def test_counters_match_core_suite(self, replay_payload, smoke_payload):
         # Replay rows (sharded included) must be cost-identical to the
-        # vectorized rows of the core suite at the same (bench, n).
+        # array-backend rows of the core suite at the same (bench, n).
         core = {
             (r["bench"], r["n"]): r
             for r in smoke_payload["records"]
-            if r["backend"] == "vectorized"
+            if r["backend"] == "replay"
         }
         for r in replay_payload["records"]:
             base = core[(r["bench"], r["n"])]
@@ -401,10 +409,12 @@ class TestMergeBench:
 
 
 class TestColumnarCli:
+    """The retired ``--backend columnar`` family folded into ``replay``."""
+
     def test_bench_backend_columnar_smoke(self, tmp_path, capsys):
         out = tmp_path / "bc.json"
         rc = main(
-            ["bench", "--backend", "columnar", "--smoke", "--max-n", "2",
+            ["bench", "--backend", "replay", "--smoke", "--max-n", "2",
              "--out", str(out), "--compare", str(out)]
         )
         # --compare pointing at a not-yet-existing baseline is a first
@@ -416,15 +426,18 @@ class TestColumnarCli:
     def test_compare_loads_baseline_before_overwriting(self, tmp_path):
         out = tmp_path / "bc.json"
         assert main(
-            ["bench", "--backend", "columnar", "--smoke", "--max-n", "2",
+            ["bench", "--backend", "replay", "--smoke", "--max-n", "2",
              "--out", str(out)]
         ) == 0
         # Second run compares against the file it is about to overwrite;
         # counters are deterministic, so this must gate clean.
         assert main(
-            ["bench", "--backend", "columnar", "--smoke", "--max-n", "2",
+            ["bench", "--backend", "replay", "--smoke", "--max-n", "2",
              "--out", str(out), "--compare", str(out), "--wall-factor", "50"]
         ) == 0
 
     def test_faults_flag_rejected_for_columnar(self):
-        assert main(["bench", "--backend", "columnar", "--faults"]) == 2
+        # "columnar" is no longer a bench family: argparse rejects it.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--backend", "columnar", "--faults"])
+        assert exc.value.code == 2

@@ -217,7 +217,7 @@ class TestDistance:
 
 
 class TestArithmeticQueries:
-    """The columnar backend's address-arithmetic neighbor API must agree
+    """The array backend's address-arithmetic neighbor API must agree
     with the scalar topology methods it replaces."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
