@@ -1,13 +1,19 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke bench bench-replay bench-serving bench-campaign
+.PHONY: check test serving-slow lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke bench bench-replay bench-serving bench-campaign
 
-## check: tier-1 tests + static analysis + timeline/bench smoke runs (what CI gates on)
-check: test lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke
+## check: tier-1 tests + the serving_slow acceptance sweep + static analysis +
+## timeline/bench smoke runs (what CI gates on)
+check: test serving-slow lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+## serving-slow: the tests tier-1 deselects by marker — the E18
+## acceptance sweep (D_3 vs Q_5 vs MC(2,1) saturation knees, ~6 s)
+serving-slow:
+	$(PYTHON) -m pytest -q -m serving_slow
 
 ## lint: repo-wide AST lint (REP001-REP007) over src/, tests/ and
 ## benchmarks/ — per-path rule profiles relax asserts in tests and

@@ -9,33 +9,16 @@ realizes the closed-form distance, which the tests verify against BFS.
 
 from __future__ import annotations
 
-from repro._bits import bit, flip_bit
 from repro.topology.dualcube import DualCube
 
 __all__ = ["dimension_order_route", "route", "route_length"]
 
 
-def _fix_field(dc: DualCube, u: int, target_bits: int, lo: int) -> list[int]:
-    """Greedy dimension-order walk equalizing the width-m field at ``lo``.
-
-    Returns the intermediate nodes visited (excluding ``u`` itself); the
-    walk flips the differing bits of the field low-to-high, staying inside
-    ``u``'s cluster (the field must be the node-ID field of ``u``'s class).
-    """
-    m = dc.cluster_dim
-    walk = []
-    cur = u
-    for i in range(m):
-        if bit(cur >> lo, i) != bit(target_bits, i):
-            cur = flip_bit(cur, lo + i)
-            walk.append(cur)
-    return walk
-
-
 def dimension_order_route(dc: DualCube, u: int, v: int) -> list[int]:
     """A shortest path from ``u`` to ``v`` as the full node sequence.
 
-    Strategy (each leg is dimension-order within a cluster):
+    Strategy (each leg is dimension-order within a cluster, flipping the
+    differing bits of one width-(n-1) field low to high):
 
     * same cluster — fix the node-ID field;
     * different classes — fix ``u``'s node-ID field to match the bits it
@@ -44,62 +27,50 @@ def dimension_order_route(dc: DualCube, u: int, v: int) -> list[int]:
       *cluster*-determining bits, cross, fix the other field (now the
       node-ID field of the other class), cross back.
     """
-    dc.check_node(u)
-    dc.check_node(v)
-    if u == v:
-        return [u]
+    if (u | v) >> dc.num_dimensions:  # a negative or too-large node
+        dc.check_node(u)
+        dc.check_node(v)
     m = dc.cluster_dim
-    cls_u, cls_v = dc.class_of(u), dc.class_of(v)
+    cross = 1 << dc.class_dimension
+    own = ((1 << m) - 1) << (m if u & cross else 0)  # u's node-ID field
+    diff = u ^ v
     path = [u]
     cur = u
-
-    if cls_u == cls_v and dc.cluster_id(u) == dc.cluster_id(v):
-        # Intra-cluster: node IDs differ only.
-        lo = 0 if cls_u == 0 else m
-        path.extend(_fix_field(dc, cur, (v >> lo), lo))
-        return path
-
-    if cls_u != cls_v:
-        # One cross-edge: equalize the bits the cross-edge preserves.
-        # u's node-ID field must match v's same-position field first.
-        lo_u = 0 if cls_u == 0 else m
-        path.extend(_fix_field(dc, cur, v >> lo_u, lo_u))
-        cur = path[-1]
-        cur = dc.cross_partner(cur)
+    todo = diff & own
+    while todo:
+        low = todo & -todo
+        cur ^= low
         path.append(cur)
-        lo_v = 0 if cls_v == 0 else m
-        # Remaining difference lies in v's node-ID field.
-        path.extend(_fix_field(dc, cur, v >> lo_v, lo_v))
-        return path
-
-    # Same class, different clusters: two cross-edges.
-    lo_u = 0 if cls_u == 0 else m
-    path.extend(_fix_field(dc, cur, v >> lo_u, lo_u))
-    cur = path[-1]
-    cur = dc.cross_partner(cur)
+        todo ^= low
+    if not diff & ~own:
+        return path  # same cluster: node IDs differed only
+    cur ^= cross
     path.append(cur)
-    lo_mid = 0 if dc.class_of(cur) == 0 else m
-    path.extend(_fix_field(dc, cur, v >> lo_mid, lo_mid))
-    cur = path[-1]
-    cur = dc.cross_partner(cur)
-    path.append(cur)
+    todo = diff & ~own & ~cross  # the other field, now cur's node-ID field
+    while todo:
+        low = todo & -todo
+        cur ^= low
+        path.append(cur)
+        todo ^= low
+    if not diff & cross:
+        path.append(cur ^ cross)  # same class: cross back
     return path
 
 
-def route(dc: DualCube, u: int, v: int, *, validate: bool = True) -> list[int]:
-    """Shortest path from ``u`` to ``v``; optionally re-checks every hop."""
+def route(dc: DualCube, u: int, v: int) -> list[int]:
+    """Shortest path from ``u`` to ``v``; checks every hop and the length."""
     path = dimension_order_route(dc, u, v)
-    if validate:
-        for a, b in zip(path, path[1:]):
-            if not dc.has_edge(a, b):
-                raise AssertionError(
-                    f"routing bug: {a} -> {b} is not an edge of {dc.name}"
-                )
-        if len(path) - 1 != dc.distance(u, v):
+    has_edge = dc.has_edge
+    for a, b in zip(path, path[1:]):
+        if not has_edge(a, b):
             raise AssertionError(
-                f"routing bug: path length {len(path) - 1} != "
-                f"distance {dc.distance(u, v)} for ({u}, {v})"
+                f"routing bug: {a} -> {b} is not an edge of {dc.name}"
             )
+    if len(path) - 1 != dc.distance(u, v):
+        raise AssertionError(
+            f"routing bug: path length {len(path) - 1} != "
+            f"distance {dc.distance(u, v)} for ({u}, {v})"
+        )
     return path
 
 

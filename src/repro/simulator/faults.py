@@ -252,6 +252,8 @@ class FaultPlan:
 
     def down(self, rank: int, cycle: int) -> bool:
         """Whether ``rank`` is unavailable at ``cycle`` (crashed *or* offline)."""
+        if rank not in self.node_crashes and rank not in self.downtimes:
+            return False
         if self.crashed(rank, cycle):
             return True
         for start, end in self.downtimes.get(rank, ()):
@@ -270,7 +272,7 @@ class FaultPlan:
 
     def dropped(self, src: int, dst: int, cycle: int) -> bool:
         """Whether the message ``src -> dst`` completing at ``cycle`` is lost."""
-        if (src, dst, cycle) in self.drops:
+        if self.drops and (src, dst, cycle) in self.drops:
             return True
         if self.drop_rate == 0.0:
             return False

@@ -41,15 +41,16 @@ compares the dual-cube's knee against the hypercube's and metacube's).
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.simulator.faults import FaultPlan
+from repro.simulator.traffic import _validated_path, random_pairs
 from repro.topology.base import Topology
 
 __all__ = [
@@ -167,8 +168,6 @@ def open_loop_pairs(
     topo: Topology, num: int, seed: int = 0
 ) -> list[tuple[int, int]]:
     """``num`` uniform self-excluding (src, dst) pairs for a workload."""
-    from repro.simulator.traffic import random_pairs
-
     rng = np.random.default_rng(seed)
     return random_pairs(topo.num_nodes, num, rng)
 
@@ -312,7 +311,9 @@ class ServingStats:
     ``link_loads`` aggregates service attempts per *undirected* link in
     :func:`run_traffic`'s key convention, so a closed-batch run is
     directly comparable to the batch router (the cross-validation test
-    pins them equal); ``occupancy`` keeps the *directed* per-queue view.
+    pins them equal); ``occupancy`` keeps the *directed* per-queue view,
+    and each ``link_loads`` entry is the sum of its two directions'
+    ``served``.
     """
 
     topology: str
@@ -416,14 +417,16 @@ class _Request:
 
 
 class _LinkQ:
-    """One directed link: a single deterministic server plus FIFO buffer."""
+    """Directed link ``a -> b``: one deterministic server plus FIFO buffer."""
 
     __slots__ = (
-        "queue", "current", "served", "busy_since", "busy_time",
+        "a", "b", "queue", "current", "served", "busy_since", "busy_time",
         "q_area", "q_last_t", "max_queue",
     )
 
-    def __init__(self):
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
         self.queue: deque = deque()
         self.current: _Request | None = None
         self.served = 0
@@ -436,26 +439,6 @@ class _LinkQ:
     def note_queue_change(self, t: float) -> None:
         self.q_area += len(self.queue) * (t - self.q_last_t)
         self.q_last_t = t
-
-
-def _validated_path(topo: Topology, router: Router, req_src, req_dst) -> tuple:
-    router_name = getattr(router, "__name__", repr(router))
-    raw = router(req_src, req_dst)
-    path = tuple(raw) if raw is not None else ()
-    if not path:
-        raise ValueError(
-            f"router {router_name} returned an empty path for pair "
-            f"({req_src}, {req_dst}) on {topo.name}; every pair must be "
-            f"routable (got {raw!r})"
-        )
-    if path[0] != req_src or path[-1] != req_dst:
-        raise ValueError(
-            f"router returned bad endpoints for ({req_src}, {req_dst})"
-        )
-    for a, b in zip(path, path[1:]):
-        if not topo.has_edge(a, b):
-            raise ValueError(f"router used non-edge ({a}, {b}) on {topo.name}")
-    return path
 
 
 def run_serving(
@@ -473,7 +456,9 @@ def run_serving(
     ``arrivals`` is a non-decreasing array of request arrival times and
     ``pairs`` the same-length sequence of (src, dst) pairs; request ``i``
     arrives at ``arrivals[i]`` and is routed once by ``router`` (paths
-    are validated hop by hop, as in :func:`run_traffic`).
+    are validated hop by hop, as in :func:`run_traffic`).  A
+    ``fault_plan`` naming a node or link outside ``topo`` is rejected
+    with :class:`ValueError` before anything runs.
 
     With a ``fault_plan``, each completed hop crossing is subject to the
     plan's deterministic drop schedule keyed by a global attempt counter
@@ -512,24 +497,38 @@ def run_serving(
         )
     service = cfg.service_time
     capacity = cfg.queue_capacity
+    horizon = cfg.horizon
     blocking = cfg.policy == "block"
-    if blocking and capacity is not None and cfg.horizon is None:
+    if blocking and capacity is not None and horizon is None:
         raise ValueError(
             "policy='block' with finite queue_capacity requires a horizon: "
             "cyclic backpressure can hold messages forever"
         )
+    # Which fault classes the plan has is fixed for the run, so a plan
+    # query that can only answer "no" (or 0) is never made.
+    structural = drops = delays = False
+    if fault_plan is not None:
+        fault_plan.validate_for(topo)
+        structural = bool(
+            fault_plan.node_crashes
+            or fault_plan.link_cuts
+            or fault_plan.downtimes
+        )
+        drops = bool(fault_plan.drop_rate or fault_plan.drops)
+        delays = bool(fault_plan.delay_rate or fault_plan.delays)
 
-    links: dict[tuple[int, int], _LinkQ] = {}
-    load: Counter = Counter()
+    num_nodes = topo.num_nodes
+    links: dict[int, _LinkQ] = {}  # keyed by a * num_nodes + b
 
     # Aggregate counters.
     n_arrivals = n_completions = n_drops = n_misses = 0
+    # hops_served also numbers the crossing attempts: the drop schedule's
+    # cycle key.
     hops_served = path_hops = retransmissions = blocked_retries = 0
-    attempt = 0  # global crossing-attempt index: the fault plan's cycle key
     sojourns: list[float] = []
     checkpoints: list[Checkpoint] = []
     next_checkpoint = (
-        cfg.checkpoint_every if cfg.checkpoint_every is not None else None
+        cfg.checkpoint_every if cfg.checkpoint_every is not None else math.inf
     )
 
     heap: list = []
@@ -537,13 +536,13 @@ def run_serving(
 
     def push(t: float, kind: int, payload) -> None:
         nonlocal seq
-        heapq.heappush(heap, (t, kind, seq, payload))
+        heappush(heap, (t, kind, seq, payload))
         seq += 1
 
     # Pre-route each request lazily at arrival (routers may be stateful
     # caches); requests beyond the horizon never arrive at all.
     for i, t in enumerate(times):
-        if cfg.horizon is not None and t > cfg.horizon:
+        if horizon is not None and t > horizon:
             break
         push(float(t), _ARRIVE, i)
 
@@ -559,19 +558,14 @@ def run_serving(
     def link_of(req: _Request) -> tuple[int, int]:
         return (req.path[req.hop], req.path[req.hop + 1])
 
-    def get_link(key: tuple[int, int]) -> _LinkQ:
-        lq = links.get(key)
-        if lq is None:
-            lq = links[key] = _LinkQ()
-        return lq
-
-    def start_service(key: tuple[int, int], lq: _LinkQ, req: _Request, t: float):
+    def start_service(lq: _LinkQ, req: _Request, t: float):
         lq.current = req
         lq.busy_since = t
-        dt = service
-        if fault_plan is not None:
-            dt += fault_plan.issue_delay(req.path[req.hop], cycle_of(t)) * service
-        push(t + dt, _DEPART, key)
+        if delays:
+            delay = fault_plan.issue_delay(lq.a, cycle_of(t))
+            push(t + (service + delay * service), _DEPART, lq)
+        else:
+            push(t + service, _DEPART, lq)
 
     def finish_request(req: _Request, t: float) -> None:
         nonlocal n_completions, n_misses
@@ -585,10 +579,14 @@ def run_serving(
 
     def offer(req: _Request, t: float) -> bool:
         """Try to place ``req`` on its current link; False when full."""
-        key = link_of(req)
-        lq = get_link(key)
+        a = req.path[req.hop]
+        b = req.path[req.hop + 1]
+        key = a * num_nodes + b
+        lq = links.get(key)
+        if lq is None:
+            lq = links[key] = _LinkQ(a, b)
         if lq.current is None:
-            start_service(key, lq, req, t)
+            start_service(lq, req, t)
             return True
         if capacity is not None and len(lq.queue) >= capacity:
             return False
@@ -598,13 +596,13 @@ def run_serving(
             lq.max_queue = len(lq.queue)
         return True
 
-    def free_server(key: tuple[int, int], lq: _LinkQ, t: float) -> None:
+    def free_server(lq: _LinkQ, t: float) -> None:
         lq.busy_time += t - lq.busy_since
         lq.current = None
         if lq.queue:
             lq.note_queue_change(t)
             nxt = lq.queue.popleft()
-            start_service(key, lq, nxt, t)
+            start_service(lq, nxt, t)
 
     def drop_request(req: _Request, t: float, a: int, b: int) -> None:
         nonlocal n_drops
@@ -613,10 +611,8 @@ def run_serving(
 
     def take_checkpoint(upto: float) -> None:
         nonlocal next_checkpoint
-        if next_checkpoint is None:
-            return
         while next_checkpoint <= upto and (
-            cfg.horizon is None or next_checkpoint <= cfg.horizon
+            horizon is None or next_checkpoint <= horizon
         ):
             in_flight = n_arrivals - n_completions - n_drops - n_misses
             checkpoints.append(
@@ -633,10 +629,11 @@ def run_serving(
 
     last_t = 0.0
     while heap:
-        t, kind, _, payload = heapq.heappop(heap)
-        if cfg.horizon is not None and t > cfg.horizon:
+        t, kind, _, payload = heappop(heap)
+        if horizon is not None and t > horizon:
             break
-        take_checkpoint(t)
+        if next_checkpoint <= t:
+            take_checkpoint(t)
         last_t = t
 
         if kind == _ARRIVE or kind == _RETRY_INJECT:
@@ -649,9 +646,7 @@ def run_serving(
                     t + cfg.deadline if cfg.deadline is not None else None
                 )
                 req = _Request(i, t, src, dst, path, deadline)
-                if fault_plan is not None and fault_plan.down(
-                    src, cycle_of(t)
-                ):
+                if structural and fault_plan.down(src, cycle_of(t)):
                     # The ingress node is crashed or offline (downtime):
                     # the request is refused at admission and counts as a
                     # drop — the availability SLO's numerator.
@@ -672,33 +667,30 @@ def run_serving(
             continue
 
         # _DEPART: the link finished one service period.
-        key = payload
-        lq = links[key]
+        lq = payload
         req = lq.current
-        a, b = key
 
         if not req.crossed:
             # This completion is a genuine crossing attempt.
-            attempt += 1
-            load[(min(a, b), max(a, b))] += 1
+            a = lq.a
+            b = lq.b
             lq.served += 1
             hops_served += 1
-            if fault_plan is not None and (
-                fault_plan.dropped(a, b, attempt)
+            if (drops and fault_plan.dropped(a, b, hops_served)) or (
                 # A cut link or a down endpoint (crash/downtime) loses the
                 # crossing exactly like a transient drop: the attempt
                 # counter advanced, so drop-schedule verdicts for plans
                 # without structural faults are unchanged bit-for-bit.
-                or not fault_plan.link_up(a, b, cycle_of(t))
+                structural and not fault_plan.link_up(a, b, cycle_of(t))
             ):
                 retransmissions += 1
                 req.tries += 1
                 record_fault(t, "drop", req, a, b)
                 if req.tries > fault_plan.max_retries:
                     drop_request(req, t, a, b)
-                    free_server(key, lq, t)
+                    free_server(lq, t)
                 else:
-                    start_service(key, lq, req, t)  # retransmit in place
+                    start_service(lq, req, t)  # retransmit in place
                 continue
             path_hops += 1
             req.crossed = True
@@ -707,7 +699,7 @@ def run_serving(
 
         if req.hop + 2 >= len(req.path):
             finish_request(req, t)
-            free_server(key, lq, t)
+            free_server(lq, t)
             continue
 
         # Hand off to the next link on the path.
@@ -715,24 +707,24 @@ def run_serving(
         req.tries = 0
         req.crossed = False
         if offer(req, t):
-            free_server(key, lq, t)
+            free_server(lq, t)
         elif blocking:
             # Hold the server and re-offer downstream after a service time.
             blocked_retries += 1
             req.hop -= 1
             req.crossed = True
-            push(t + service, _DEPART, key)
+            push(t + service, _DEPART, lq)
         else:
-            nk = link_of(req)
-            drop_request(req, t, nk[0], nk[1])
-            free_server(key, lq, t)
+            a, b = link_of(req)
+            drop_request(req, t, a, b)
+            free_server(lq, t)
 
     # The observation window is the *full* configured horizon: the run is
     # open-loop, so a drained event heap just means the tail of the window
     # was idle — idle time still counts toward utilization/goodput, and
     # checkpoints scheduled after the last event must still be emitted.
     # (Without a horizon the window ends at the last event, as before.)
-    elapsed = cfg.horizon if cfg.horizon is not None else last_t
+    elapsed = horizon if horizon is not None else last_t
     take_checkpoint(elapsed)
     if timeline is not None and elapsed > 0:
         timeline.set_cycles(int(math.ceil(elapsed)))
@@ -740,16 +732,21 @@ def run_serving(
     in_flight = n_arrivals - n_completions - n_drops - n_misses
     sojourns.sort()
     occupancy = {}
-    for key, lq in sorted(links.items()):
+    link_loads: dict[tuple[int, int], int] = {}
+    for _, lq in sorted(links.items()):
         if lq.current is not None:  # still busy at the horizon
             lq.busy_time += max(0.0, elapsed - lq.busy_since)
         lq.q_area += len(lq.queue) * max(0.0, elapsed - lq.q_last_t)
-        occupancy[key] = LinkOccupancy(
+        occupancy[(lq.a, lq.b)] = LinkOccupancy(
             utilization=(lq.busy_time / elapsed) if elapsed > 0 else 0.0,
             mean_queue=(lq.q_area / elapsed) if elapsed > 0 else 0.0,
             max_queue=lq.max_queue,
             served=lq.served,
         )
+        if lq.served:
+            # An undirected link's load counts both directions' attempts.
+            edge = (min(lq.a, lq.b), max(lq.a, lq.b))
+            link_loads[edge] = link_loads.get(edge, 0) + lq.served
 
     return ServingStats(
         topology=topo.name,
@@ -770,7 +767,7 @@ def run_serving(
         path_hops=path_hops,
         retransmissions=retransmissions,
         blocked_retries=blocked_retries,
-        link_loads=dict(load),
+        link_loads=link_loads,
         occupancy=occupancy,
         checkpoints=tuple(checkpoints),
     )

@@ -140,6 +140,31 @@ def random_pairs(
     return out
 
 
+def _validated_path(topo: Topology, router: Router, u: int, v: int) -> tuple:
+    """``router(u, v)`` as a tuple, checked to run from ``u`` to ``v``
+    over edges of ``topo`` only; raises :class:`ValueError` otherwise.
+
+    The one router-output check of :func:`run_traffic` and
+    :func:`~repro.simulator.serving.run_serving`.
+    """
+    raw = router(u, v)
+    path = tuple(raw) if raw is not None else ()
+    if not path:
+        router_name = getattr(router, "__name__", repr(router))
+        raise ValueError(
+            f"router {router_name} returned an empty path for pair "
+            f"({u}, {v}) on {topo.name}; every pair must be routable "
+            f"(got {raw!r})"
+        )
+    if path[0] != u or path[-1] != v:
+        raise ValueError(f"router returned bad endpoints for ({u}, {v})")
+    has_edge = topo.has_edge
+    for a, b in zip(path, path[1:]):
+        if not has_edge(a, b):
+            raise ValueError(f"router used non-edge ({a}, {b}) on {topo.name}")
+    return path
+
+
 def run_traffic(
     topo: Topology,
     router: Router,
@@ -157,30 +182,19 @@ def run_traffic(
     given plan reproduces the same retransmissions bit-for-bit); a dropped
     crossing is retransmitted — the failed attempt still loads the link
     and counts toward ``total_hops`` but not ``path_hops`` — bounded per
-    hop by the plan's ``max_retries``.
+    hop by the plan's ``max_retries``.  A plan naming a node or link
+    outside ``topo`` is rejected with :class:`ValueError`.
     """
+    if fault_plan is not None:
+        fault_plan.validate_for(topo)
     load: Counter = Counter()
     total_hops = 0
     path_hops = 0
     retransmissions = 0
     attempt = 0  # global attempt index: the "cycle" key for drop verdicts
-    router_name = getattr(router, "__name__", repr(router))
     for u, v in pairs:
-        raw = router(u, v)
-        path = list(raw) if raw is not None else []
-        if not path:
-            raise ValueError(
-                f"router {router_name} returned an empty path for pair "
-                f"({u}, {v}) on {topo.name}; every pair must be routable "
-                f"(got {raw!r})"
-            )
-        if path[0] != u or path[-1] != v:
-            raise ValueError(f"router returned bad endpoints for ({u}, {v})")
+        path = _validated_path(topo, router, u, v)
         for a, b in zip(path, path[1:]):
-            if not topo.has_edge(a, b):
-                raise ValueError(
-                    f"router used non-edge ({a}, {b}) on {topo.name}"
-                )
             link = (min(a, b), max(a, b))
             path_hops += 1
             tries = 0

@@ -178,17 +178,17 @@ class DualCube(DimensionedTopology):
         return tuple(nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        self.check_node(u)
-        self.check_node(v)
+        if (u | v) >> self._bits:  # a negative or too-large node
+            self.check_node(u)
+            self.check_node(v)
         diff = u ^ v
-        if diff == 0 or (diff & (diff - 1)) != 0:
+        if diff == 0 or diff & (diff - 1):
             return False  # not exactly one differing bit
-        i = diff.bit_length() - 1
-        if i == self._class_bit:
-            return True
-        if i <= self._m - 1:
-            return bit(u, self._class_bit) == 0
-        return bit(u, self._class_bit) == 1
+        if diff >> self._class_bit:
+            return True  # the cross-edge
+        # An intra-cluster edge flips a bit of u's node-ID field: part I
+        # (below bit n-1) in class 0, part II in class 1.
+        return (diff >> self._m == 0) == (u >> self._class_bit == 0)
 
     def has_dimension_link(self, u: int, d: int) -> bool:
         self.check_node(u)
@@ -209,16 +209,18 @@ class DualCube(DimensionedTopology):
         distinct clusters of the same class (one hop to enter the other
         class and one to leave it).
         """
-        self.check_node(u)
-        self.check_node(v)
-        if u == v:
-            return 0
+        if (u | v) >> self._bits:  # a negative or too-large node
+            self.check_node(u)
+            self.check_node(v)
+        diff = u ^ v
         h = hamming(u, v)
-        if self.class_of(u) != self.class_of(v):
-            return h
-        if self.cluster_id(u) == self.cluster_id(v):
-            return h
-        return h + 2
+        if diff >> self._class_bit:
+            return h  # distinct classes
+        if u >> self._class_bit:
+            cluster_diff = diff & ((1 << self._m) - 1)  # class 1: part I
+        else:
+            cluster_diff = diff >> self._m  # class 0: part II
+        return h + 2 if cluster_diff else h
 
     def diameter(self) -> int:
         """Closed-form diameter: 2n for n >= 2, 1 for the degenerate D_1."""

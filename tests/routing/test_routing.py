@@ -1,20 +1,84 @@
 """Tests for dual-cube shortest-path routing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._bits import bit, flip_bit
 from repro.routing import route, route_length
 from repro.routing.dualcube_routing import dimension_order_route
 from repro.topology import DualCube
 from repro.topology.metrics import bfs_distances
 
 
+def _fix_field(dc, u, target_bits, lo):
+    """Reference walk: flip the differing bits of the width-(n-1) field
+    at ``lo`` low to high, one bit test per position."""
+    walk = []
+    cur = u
+    for i in range(dc.cluster_dim):
+        if bit(cur >> lo, i) != bit(target_bits, i):
+            cur = flip_bit(cur, lo + i)
+            walk.append(cur)
+    return walk
+
+
+def _reference_route(dc, u, v):
+    """The field-by-field dimension-order walk the router was first
+    written as, kept branch for branch.
+
+    ``link_loads``, ``occupancy`` and every serving percentile depend on
+    *which* shortest path the router returns, not only on its length, so
+    the optimized router is pinned to this walk node for node.
+    """
+    if u == v:
+        return [u]
+    m = dc.cluster_dim
+    cls_u, cls_v = dc.class_of(u), dc.class_of(v)
+    lo_u = 0 if cls_u == 0 else m
+    path = [u]
+    if cls_u == cls_v and dc.cluster_id(u) == dc.cluster_id(v):
+        path.extend(_fix_field(dc, u, v >> lo_u, lo_u))
+        return path
+    if cls_u != cls_v:
+        path.extend(_fix_field(dc, u, v >> lo_u, lo_u))
+        cur = dc.cross_partner(path[-1])
+        path.append(cur)
+        lo_v = 0 if cls_v == 0 else m
+        path.extend(_fix_field(dc, cur, v >> lo_v, lo_v))
+        return path
+    path.extend(_fix_field(dc, u, v >> lo_u, lo_u))
+    cur = dc.cross_partner(path[-1])
+    path.append(cur)
+    lo_mid = 0 if dc.class_of(cur) == 0 else m
+    path.extend(_fix_field(dc, cur, v >> lo_mid, lo_mid))
+    path.append(dc.cross_partner(path[-1]))
+    return path
+
+
+class TestRouteIsPinned:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_matches_reference_walk(self, n):
+        dc = DualCube(n)
+        for u in dc.nodes():
+            for v in dc.nodes():
+                assert route(dc, u, v) == _reference_route(dc, u, v), (u, v)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_seeded_pairs_match_reference_walk(self, n):
+        dc = DualCube(n)
+        rng = np.random.default_rng(n)
+        pairs = rng.integers(0, dc.num_nodes, size=(3000, 2))
+        for u, v in pairs.tolist():
+            assert route(dc, u, v) == _reference_route(dc, u, v), (u, v)
+
+
 class TestRouteValidity:
     def test_exhaustive_small(self, dc):
         for u in dc.nodes():
             for v in dc.nodes():
-                path = route(dc, u, v)  # validate=True checks hops + length
+                path = route(dc, u, v)  # route() checks hops + length
                 assert path[0] == u and path[-1] == v
 
     def test_route_is_shortest_vs_bfs(self):

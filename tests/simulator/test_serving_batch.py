@@ -107,6 +107,58 @@ class TestClosedBatchEquivalence:
         assert generic.path_hops == closed.path_hops
 
 
+class TestRouterOutputChecks:
+    """``run_serving`` checks router output with the helper
+    ``run_traffic`` uses, so the messages match its tests."""
+
+    def test_empty_path_names_router_and_pair(self):
+        def broken_router(u, v):
+            return []
+
+        with pytest.raises(ValueError) as exc:
+            _closed_batch(Hypercube(2), broken_router, [(1, 2)])
+        msg = str(exc.value)
+        assert "broken_router" in msg and "(1, 2)" in msg and "Q_2" in msg
+
+    def test_none_path_treated_as_unroutable(self):
+        with pytest.raises(ValueError, match="empty path"):
+            _closed_batch(Hypercube(2), lambda u, v: None, [(0, 1)])
+
+    def test_bad_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="endpoints"):
+            _closed_batch(Hypercube(2), lambda u, v: [u, u ^ 1], [(0, 3)])
+
+    def test_non_edge_hop_rejected(self):
+        with pytest.raises(ValueError, match=r"non-edge \(0, 3\) on Q_2"):
+            _closed_batch(Hypercube(2), lambda u, v: [u, v], [(0, 3)])
+
+
+def _traffic_batch(topo, router, pairs, *, plan=None):
+    return run_traffic(topo, router, pairs, fault_plan=plan)
+
+
+@pytest.mark.parametrize(
+    "simulate", [_closed_batch, _traffic_batch], ids=["serving", "traffic"]
+)
+@pytest.mark.parametrize(
+    "plan, match",
+    [
+        (lambda: FaultPlan(node_crashes={999: 1}), "out of range"),
+        (lambda: FaultPlan(link_cuts={(0, 3): 1}), "not an edge"),
+        (lambda: FaultPlan(downtimes=[(-5, 1, 4)]), "out of range"),
+        (lambda: FaultPlan(drops=[(100, 200, 3)]), "out of range"),
+    ],
+    ids=["crash", "cut", "downtime", "drop"],
+)
+def test_plan_outside_topology_rejected(simulate, plan, match):
+    """Regression: both simulators used to ignore these plans silently,
+    so the run equalled the fault-free one and a mistyped rank passed."""
+    dc = DualCube(2)
+    pairs = open_loop_pairs(dc, 20, seed=1)
+    with pytest.raises(ValueError, match=match):
+        simulate(dc, lambda u, v: route(dc, u, v), pairs, plan=plan())
+
+
 class TestServingCore:
     def test_capacity_zero_drops_everything_queued(self):
         """capacity=0: only the in-service slot exists; a second

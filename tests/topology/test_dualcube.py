@@ -169,6 +169,22 @@ class TestAdjacency:
             with pytest.raises(ValueError):
                 dc.local_to_global_dim(u, dc.cluster_dim)
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -3), (32, 0), (5, 99)])
+    def test_out_of_range_nodes_rejected(self, u, v):
+        dc = DualCube(3)
+        with pytest.raises(ValueError, match="out of range"):
+            dc.has_edge(u, v)
+        with pytest.raises(ValueError, match="out of range"):
+            dc.distance(u, v)
+
+    def test_numpy_ints_accepted(self):
+        dc = DualCube(3)
+        for u in dc.nodes():
+            for v in dc.nodes():
+                nu, nv = np.int64(u), np.int64(v)
+                assert dc.has_edge(nu, nv) == dc.has_edge(u, v)
+                assert dc.distance(nu, nv) == dc.distance(u, v)
+
     def test_has_dimension_link(self, dc):
         for u in dc.nodes():
             for d in dc.dimensions():
