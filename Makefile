@@ -1,5 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
+# Smoke-gate runs land here (gitignored) and are compared against the
+# committed BENCH_*smoke.json baselines, which a run never rewrites.
+# Refresh a baseline on purpose by copying the run over it.
+BENCH_OUT := bench-out
 
 .PHONY: check test serving-slow lint check-schedule check-faults-smoke timeline-smoke bench-smoke bench-faults-smoke bench-replay-smoke bench-serving-smoke bench-campaign-smoke campaign-smoke bench bench-replay bench-serving bench-campaign
 
@@ -40,13 +44,13 @@ timeline-smoke:
 ## (wide wall factor — only the deterministic counters gate on CI machines)
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke \
-		--out BENCH_smoke.json --compare BENCH_smoke.json \
+		--out $(BENCH_OUT)/BENCH_smoke.json --compare BENCH_smoke.json \
 		--wall-factor 20
 
 ## bench-faults-smoke: the fault scenario family alone, gated likewise
 bench-faults-smoke:
 	$(PYTHON) -m repro bench --faults --smoke \
-		--out BENCH_faults_smoke.json --compare BENCH_faults_smoke.json \
+		--out $(BENCH_OUT)/BENCH_faults_smoke.json --compare BENCH_faults_smoke.json \
 		--wall-factor 20
 
 ## bench-replay-smoke: the array backend at n<=3, at n=9 (131072 nodes) and
@@ -54,7 +58,7 @@ bench-faults-smoke:
 ## baseline (wide wall factor — only the counters gate on CI machines)
 bench-replay-smoke:
 	$(PYTHON) -m repro bench --backend replay --smoke \
-		--out BENCH_replay_smoke.json --compare BENCH_replay_smoke.json \
+		--out $(BENCH_OUT)/BENCH_replay_smoke.json --compare BENCH_replay_smoke.json \
 		--wall-factor 20
 
 ## bench-serving-smoke: open-loop queueing scenarios at n=2, deterministic
@@ -62,14 +66,14 @@ bench-replay-smoke:
 ## wall factor — only the counters are meaningful gates on CI machines)
 bench-serving-smoke:
 	$(PYTHON) -m repro bench --backend serving --smoke \
-		--out BENCH_serving_smoke.json --compare BENCH_serving_smoke.json \
+		--out $(BENCH_OUT)/BENCH_serving_smoke.json --compare BENCH_serving_smoke.json \
 		--wall-factor 20
 
 ## bench-campaign-smoke: randomized SLO fault campaign at n=2, deterministic
 ## search fingerprint regression-gated against the committed baseline
 bench-campaign-smoke:
 	$(PYTHON) -m repro bench --backend campaign --smoke \
-		--out BENCH_campaign_smoke.json --compare BENCH_campaign_smoke.json \
+		--out $(BENCH_OUT)/BENCH_campaign_smoke.json --compare BENCH_campaign_smoke.json \
 		--wall-factor 20
 
 ## campaign-smoke: run the D_2 campaign end to end and validate the report

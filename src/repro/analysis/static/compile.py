@@ -21,6 +21,10 @@ Two plan shapes cover the core algorithms:
   direction (an address bit above it, or a constant), and whether every
   pair has a direct link (which decides the counter charge).
 
+Each plan also carries its cost :class:`~repro.simulator.counters.Ledger`
+(one per payload policy for a schedule), recorded here once so a call
+charges its counters in one call.
+
 Compilation is structural and costs microseconds, so it never calls the
 record-only extractor.  :func:`plan_comm_schedule` reconstructs the
 :class:`CommSchedule` a plan predicts and :func:`check_plan` compares it
@@ -40,13 +44,14 @@ forked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.static.extract import extract_schedule
 from repro.analysis.static.schedule import CommEvent, CommSchedule
+from repro.simulator.counters import Ledger, charge_exchange_step
 
 __all__ = [
     "PlanError",
@@ -56,6 +61,7 @@ __all__ = [
     "ScheduleDescriptor",
     "compile_prefix_plan",
     "compile_schedule_plan",
+    "schedule_ledger",
     "plan_comm_schedule",
     "check_plan",
     "WriteSpan",
@@ -82,7 +88,8 @@ class PrefixDescriptor:
     ``rounds`` are the address bits the ``m`` cluster ascend rounds pair
     (both `Cube_prefix` phases replay them); the cross-edge exchanges
     and the class-1 fold follow from the layout.  ``comm_steps`` is 2n,
-    or 2n+1 paper-literal.
+    or 2n+1 paper-literal.  ``ledger`` is the cost of every all-rank
+    round, in order; only the class-1 fold is charged apart.
     """
 
     topology: str
@@ -90,6 +97,7 @@ class PrefixDescriptor:
     num_nodes: int
     paper_literal: bool
     rounds: tuple
+    ledger: Ledger = field(compare=False, repr=False)
 
     @property
     def comm_steps(self) -> int:
@@ -129,24 +137,36 @@ class StepDescriptor:
 
 @dataclass(frozen=True)
 class ScheduleDescriptor:
-    """One compare-exchange schedule on one topology."""
+    """One compare-exchange schedule on one topology; ``ledgers`` maps
+    each payload policy to the cost of the whole schedule."""
 
     topology: str
     kind: str
     num_nodes: int
     descending: bool
     steps: tuple
+    ledgers: dict[str, Ledger] = field(compare=False, repr=False)
 
 
 def compile_prefix_plan(dc, *, paper_literal: bool = False
                         ) -> PrefixDescriptor:
     """Compile `D_prefix` on ``dc`` into a :class:`PrefixDescriptor`."""
+    n, rounds = dc.num_nodes, tuple(range(dc.cluster_dim))
+    ledger = Ledger()
+    for _phase in range(2):  # both Cube_prefix phases, then a cross exchange
+        for _ in rounds:
+            charge_exchange_step(ledger, n, True, ops_each=2)
+        ledger.record_comm_step(n)
+    ledger.record_comp_step(1)  # the s' fold
+    if paper_literal:
+        ledger.record_comm_step(n)
     return PrefixDescriptor(
         topology=dc.name,
         n=dc.n,
-        num_nodes=dc.num_nodes,
+        num_nodes=n,
         paper_literal=paper_literal,
-        rounds=tuple(range(dc.cluster_dim)),
+        rounds=rounds,
+        ledger=ledger,
     )
 
 
@@ -194,7 +214,20 @@ def compile_schedule_plan(topo, schedule: Sequence, *, kind: str,
         num_nodes=n,
         descending=descending,
         steps=tuple(steps),
+        ledgers={p: schedule_ledger(steps, n, p) for p in ("packed", "single")},
     )
+
+
+def schedule_ledger(steps: Sequence, num_nodes: int, payload_policy: str, *,
+                    block: int = 1, ops_each: int = 1) -> Ledger:
+    """The cost of compare-exchange ``steps`` with ``block``-key messages
+    and ``ops_each`` operations per rank and step."""
+    ledger = Ledger()
+    for st in steps:
+        charge_exchange_step(ledger, num_nodes, st.direct,
+                             payload_policy=payload_policy, block=block,
+                             ops_each=ops_each)
+    return ledger
 
 
 def plan_comm_schedule(plan, topo, *, payload_policy: str = "packed"

@@ -281,9 +281,9 @@ def _cmd_bench(args) -> int:
     out = args.out or default_out
 
     # Load the comparison baseline *before* writing: --compare pointed at
-    # the output path itself (the usual CI idiom) must gate against the
-    # committed baseline, not the file this run just overwrote.  A missing
-    # baseline is a first run, not a regression.
+    # the output path itself must gate against the saved baseline, not
+    # the file this run just overwrote.  A missing baseline is a first
+    # run, not a regression.
     previous = None
     if args.compare:
         if Path(args.compare).exists():

@@ -29,6 +29,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.core.dual_sort import _dim_mode, step_cycle_cost
 from repro.core.ops import AssocOp, combine_arrays
 from repro.simulator import (
     CostCounters,
@@ -40,6 +41,7 @@ from repro.simulator import (
     TraceRecorder,
     run_spmd,
 )
+from repro.simulator.counters import charge_exchange_step
 from repro.topology.base import DimensionedTopology
 from repro.topology.hypercube import Hypercube
 from repro.topology.recursive import RecursiveDualCube
@@ -75,9 +77,7 @@ def exchange_value_program(
     """
     u = ctx.rank
     partner = u ^ (1 << dim)
-    probes = (0, 1) if topo.num_nodes > 1 else (0,)
-    uniform = all(topo.has_dimension_link(p, dim) for p in probes)
-    if uniform:
+    if _dim_mode(topo, dim) == "direct":
         got = yield SendRecv(partner, value)
         return got
     if topo.has_dimension_link(u, dim):
@@ -165,21 +165,11 @@ def run_exchange_algorithm_vec(
             f"expected {n} states for {topo.name}, got shape {states.shape}"
         )
     idx = np.arange(n, dtype=np.int64)
-    probes = (0, 1) if n > 1 else (0,)
     for dim, outgoing, update in rounds:
         out_vals = outgoing(states)
         received = out_vals[idx ^ (1 << dim)]
         if counters is not None:
-            if all(topo.has_dimension_link(p, dim) for p in probes):
-                counters.record_comm_step(messages=n)
-            else:
-                half = n // 2
-                counters.record_comm_step(messages=half)
-                counters.record_comm_step(
-                    messages=half, payload_items=2 * half, max_payload=2
-                )
-                counters.record_comm_step(messages=half)
-            counters.record_comp_step(ops_each=1)
+            charge_exchange_step(counters, n, _dim_mode(topo, dim) == "direct")
         states = update(states, received, idx)
     return states
 
@@ -244,21 +234,12 @@ def emulated_cube_prefix_vec(
     idx = np.arange(n, dtype=np.int64)
     t = vals.copy()
     s = vals.copy() if inclusive else op.identity_array(n)
-    probes = (0, 1) if n > 1 else (0,)
     for i in range(q):
         temp = t[idx ^ (1 << i)]
         upper = (idx >> i) & 1 == 1
         if counters is not None:
-            if all(topo.has_dimension_link(p, i) for p in probes):
-                counters.record_comm_step(messages=n)
-            else:
-                half = n // 2
-                counters.record_comm_step(messages=half)
-                counters.record_comm_step(
-                    messages=half, payload_items=2 * half, max_payload=2
-                )
-                counters.record_comm_step(messages=half)
-            counters.record_comp_step(ops_each=2)
+            direct = _dim_mode(topo, i) == "direct"
+            charge_exchange_step(counters, n, direct, ops_each=2)
         t = np.where(upper, combine_arrays(op, temp, t), combine_arrays(op, t, temp))
         s = np.where(upper, combine_arrays(op, temp, s), s)
     return t, s
@@ -266,9 +247,4 @@ def emulated_cube_prefix_vec(
 
 def emulation_comm_steps(topo: DimensionedTopology, dims: Sequence[int]) -> int:
     """Closed-form cycles for an exchange sequence under packed emulation."""
-    probes = (0, 1) if topo.num_nodes > 1 else (0,)
-    total = 0
-    for d in dims:
-        uniform = all(topo.has_dimension_link(p, d) for p in probes)
-        total += 1 if uniform else 3
-    return total
+    return sum(step_cycle_cost(topo, d) for d in dims)

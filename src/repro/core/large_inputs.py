@@ -142,37 +142,6 @@ def large_prefix_engine(
     return out, result
 
 
-def _count_block_step(
-    counters: CostCounters,
-    direct: bool,
-    n: int,
-    b: int,
-    payload_policy: str,
-) -> None:
-    """Cycle/message accounting for one merge-split round with B-key
-    blocks (``direct``: every pair at the step's dimension has a link)."""
-    if direct:
-        counters.record_comm_step(messages=n, payload_items=n * b, max_payload=b)
-        counters.record_comp_step(ops_each=2 * b)
-        return
-    half = n // 2
-    counters.record_comm_step(messages=half, payload_items=half * b, max_payload=b)
-    if payload_policy == "packed":
-        counters.record_comm_step(
-            messages=half, payload_items=2 * half * b, max_payload=2 * b
-        )
-    else:
-        counters.record_comm_step(
-            messages=half, payload_items=half * b, max_payload=b
-        )
-    counters.record_comm_step(messages=half, payload_items=half * b, max_payload=b)
-    if payload_policy == "single":
-        counters.record_comm_step(
-            messages=half, payload_items=half * b, max_payload=b
-        )
-    counters.record_comp_step(ops_each=2 * b)
-
-
 def large_sort(
     rdc: RecursiveDualCube,
     keys,

@@ -27,13 +27,14 @@ paper_literal)`` or ``("schedule", topology, kind, descending)``;
 :func:`registry_from_plan_cache` feeds them into a
 :class:`~repro.obs.metrics.MetricsRegistry` as ``repro_replay_*`` series.
 
-Cost accounting is call-for-call the ledger the engine measures (the same
-``record_comm_step``/``record_comp_step`` sequence), so step counts,
-message/payload tallies, per-rank computation arrays and attached
-timelines agree exactly with the engine and the static
-:class:`CommSchedule`.  ``trace=`` snapshots carry the engine's labels in
-node order, and ``profiler=`` records the same phase spans on every
-entry point.
+Cost accounting is the ledger the engine measures, recorded once per plan
+at compile time and charged in one call (the `D_prefix` class-1 fold is
+the one separate charge), so step counts, message/payload tallies,
+per-rank computation arrays and attached timelines agree exactly with the
+engine and the static :class:`CommSchedule`.  Counters sized for another
+network are rejected with a ``ValueError``.  ``trace=`` snapshots carry
+the engine's labels in node order, and ``profiler=`` records the same
+phase spans on every entry point.
 
 **Sharding** (`D_prefix` family only): the two `Cube_prefix` phases touch
 no cross-class edge, so ``shards=k`` runs them with blocks of cluster
@@ -54,6 +55,7 @@ from repro.analysis.static.compile import (
     check_shard_plan,
     compile_prefix_plan,
     compile_schedule_plan,
+    schedule_ledger,
 )
 from repro.core.arrangement import arranged_index_v
 from repro.core.ops import AssocOp, combine_arrays, combine_into
@@ -244,6 +246,24 @@ def _check_values(topo, vals: np.ndarray, what: str) -> None:
         )
 
 
+def _check_counters(topo, counters: CostCounters | None) -> None:
+    if counters is not None and counters.num_nodes != topo.num_nodes:
+        raise ValueError(
+            f"counters are sized for {counters.num_nodes} nodes, but "
+            f"{topo.name} has {topo.num_nodes}"
+        )
+
+
+def _accumulation_dtype(dtype: np.dtype, op: AssocOp) -> np.dtype:
+    """The dtype a prefix of ``dtype`` values accumulates in: bool and
+    integers narrower than 64 bits widen to the identity's dtype (numpy's
+    ``add`` is a logical or on bool, and narrow integers wrap); any other
+    dtype, or an operation without a numeric identity, keeps its own."""
+    ident = op.identity_array(1).dtype
+    narrow = dtype == bool or (dtype.kind in "iu" and dtype.itemsize < 8)
+    return ident if narrow and ident != object else dtype
+
+
 def dual_prefix_replay(
     dc,
     values,
@@ -258,18 +278,20 @@ def dual_prefix_replay(
 ) -> np.ndarray:
     """Algorithm 2 from its cached plan; returns prefixes in input order.
 
-    Results, dtypes and the counter call sequence are those of the
-    engine-mirroring whole-array algorithm: ``t``/``t'`` keep the input
-    dtype, ``s``/``s'`` widen to the identity's dtype where it takes
-    part, and the folds combine in the wider of the two.  ``trace``
-    records the engine's snapshot labels in node order; ``profiler``
-    records ``cluster-prefix`` (step 1), ``cross`` (the cross-edge
-    exchanges), ``block-prefix`` (step 3) and ``fold`` (steps 4-5)
-    spans.  ``shards=k`` (k >= 2) runs the cluster-local ascend phases
-    on ``k`` forked workers (numeric ufunc operations only).
+    Results and the ledger are those of the engine-mirroring whole-array
+    algorithm: ``t``/``t'`` keep the input dtype (bool and narrow
+    integers widen, see :func:`_accumulation_dtype`), ``s``/``s'`` widen
+    to the identity's dtype where it takes part, and the folds combine in
+    the wider of the two.  ``trace`` records the engine's snapshot labels
+    in node order; ``profiler`` records ``cluster-prefix`` (step 1),
+    ``cross`` (the cross-edge exchanges), ``block-prefix`` (step 3) and
+    ``fold`` (steps 4-5) spans.  ``shards=k`` (k >= 2) runs the
+    cluster-local ascend phases on ``k`` forked workers (numeric ufunc
+    operations only).
     """
     vals = np.asarray(values)
     _check_values(dc, vals, "values")
+    _check_counters(dc, counters)
     if shards is not None and shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     plan = get_prefix_plan(dc, paper_literal=paper_literal)
@@ -280,7 +302,7 @@ def dual_prefix_replay(
     ident = op.identity_array(n)
     numeric = (op.ufunc is not None and vals.dtype != object
                and ident.dtype != object)
-    dt_t = vals.dtype if numeric else np.dtype(object)
+    dt_t = _accumulation_dtype(vals.dtype, op) if numeric else np.dtype(object)
     dt_s2 = np.result_type(dt_t, ident.dtype)
     dt_s = dt_t if inclusive else dt_s2
     pool = None
@@ -291,12 +313,6 @@ def dual_prefix_replay(
     def record(label, state):
         if trace is not None:
             trace.record_array(label, state[arranged_index_v(dc)])
-
-    def charge_rounds():
-        if counters is not None:
-            for _ in plan.rounds:
-                counters.record_comm_step(messages=n)
-                counters.record_comp_step(ops_each=2)
 
     if numeric:
         def combine(a, b, out):
@@ -321,15 +337,12 @@ def dual_prefix_replay(
                 pool.ascend(0)
             else:
                 _ascend(t, s, plan.rounds, combine)
-            charge_rounds()
         record("(b) cluster prefix s", s)
         record("(b) cluster total t", t)
 
         # Step 2: block totals cross the class boundary.
         with prof.span("cross"):
             _cross(t, t2)
-            if counters is not None:
-                counters.record_comm_step(messages=n)
         record("(c) cross total temp", t2)
 
         # Step 3: diminished prefix of the other class's block totals.
@@ -339,7 +352,6 @@ def dual_prefix_replay(
                 pool.ascend(1)
             else:
                 _ascend(t2, s2, plan.rounds, combine)
-            charge_rounds()
         record("(d) block-prefix s'", s2)
         record("(d) half total t'", t2)
 
@@ -347,22 +359,19 @@ def dual_prefix_replay(
         # and pre-folds into s.
         with prof.span("cross"):
             got = _cross(s2, np.empty_like(s2))
-            if counters is not None:
-                counters.record_comm_step(messages=n)
-                counters.record_comp_step(ops_each=1)
         with prof.span("fold"):
             out = s.astype(np.result_type(dt_s2, dt_s))
             combine(got, out, out)
         record("(e) after s' fold", out)
 
-        # Step 5 (paper-literal: one redundant cross exchange, counted
-        # only — see the dual_prefix module docstring), then the class-1
-        # pre-fold of the first-half total, which is class 1's own t'.
+        # Step 5 (paper-literal: one redundant cross exchange, in the
+        # plan's ledger only — see the dual_prefix module docstring), then
+        # the class-1 pre-fold of the first-half total, which is class 1's
+        # own t'.
         with prof.span("fold"):
-            if paper_literal and counters is not None:
-                counters.record_comm_step(messages=n)
             combine(t2[half:], out[half:], out[half:])
             if counters is not None:
+                counters.charge(plan.ledger)
                 counters.record_comp_step(ops_each=1, ranks=range(half, n))
         record("(f) final prefix", out)
         return out
@@ -464,31 +473,6 @@ class _ShardPool:
 # -- compare-exchange schedules ------------------------------------------------
 
 
-def _count_step(counters: CostCounters, direct: bool, n: int,
-                payload_policy: str) -> None:
-    """Charge the counters exactly what the engine measures for one
-    compare-exchange step."""
-    if direct:
-        counters.record_comm_step(messages=n)
-    else:
-        half = n // 2
-        # cycle 1: unsupported -> supported over cross-edges
-        counters.record_comm_step(messages=half)
-        if payload_policy == "packed":
-            # cycle 2: supported pairs exchange (relayed key, own key)
-            counters.record_comm_step(
-                messages=half, payload_items=2 * half, max_payload=2
-            )
-        else:
-            counters.record_comm_step(messages=half)
-        # cycle 3: supported -> unsupported over cross-edges
-        counters.record_comm_step(messages=half)
-        if payload_policy == "single":
-            # cycle 4: supported pairs exchange their own keys
-            counters.record_comm_step(messages=half)
-    counters.record_comp_step(ops_each=1)
-
-
 def execute_schedule_replay(
     topo,
     keys,
@@ -510,7 +494,7 @@ def execute_schedule_replay(
     _check_policy(payload_policy)
     arr = np.asarray(keys)
     _check_values(topo, arr, "keys")
-    n = topo.num_nodes
+    _check_counters(topo, counters)
     src = arr.copy()
     dst = np.empty_like(src)
     if trace is not None:
@@ -522,11 +506,11 @@ def execute_schedule_replay(
             with profiler.span(st.phase, step=st.index, dim=st.dim):
                 _compare_exchange(src, dst, st)
         src, dst = dst, src
-        if counters is not None:
-            _count_step(counters, st.direct, n, payload_policy)
         if trace is not None:
             trace.record_array(
                 f"step {st.index:03d} dim {st.dim} [{st.phase}]", src)
+    if counters is not None:
+        counters.charge(plan.ledgers[payload_policy])
     return src
 
 
@@ -600,12 +584,13 @@ def large_prefix_replay(
     from repro.core.large_inputs import _blocked
 
     blocks, b = _blocked(values, dc.num_nodes)
+    _check_counters(dc, counters)
     prof = profiler if profiler is not None else NULL_PROFILER
 
-    # A copy of an object-dtype input is already object dtype, so no
-    # dtype coercion is needed; the CONCAT regression test pins that.
+    # An object-dtype input stays object dtype (the CONCAT regression
+    # test pins that); bool and narrow integers widen like D_prefix's.
     with prof.span("local-prefix", block=b):
-        local = blocks.copy()
+        local = blocks.astype(_accumulation_dtype(blocks.dtype, op))
         for k in range(1, b):
             local[:, k] = combine_arrays(op, local[:, k - 1], local[:, k])
         if counters is not None and b > 1:
@@ -639,19 +624,15 @@ def large_sort_replay(
     with every compare-exchange replaced by a merge-split — a
     ``local-sort`` span, then one span per step named by its phase."""
     from repro.core.dual_sort import _check_policy
-    from repro.core.large_inputs import (
-        _blocked,
-        _count_block_step,
-        _local_sort_ops,
-    )
+    from repro.core.large_inputs import _blocked, _local_sort_ops
 
     _check_policy(payload_policy)
     blocks, b = _blocked(keys, rdc.num_nodes)
+    _check_counters(rdc, counters)
     if blocks.dtype == object:
         raise TypeError("large_sort supports numeric keys only")
     prof = profiler if profiler is not None else NULL_PROFILER
     plan = _dual_sort_plan(rdc, descending)
-    n = rdc.num_nodes
     with prof.span("local-sort", block=b):
         src = np.sort(blocks, axis=1)
         if counters is not None:
@@ -661,8 +642,9 @@ def large_sort_replay(
         with prof.span(st.phase, step=st.index, dim=st.dim):
             _merge_split(src, dst, st, b)
             src, dst = dst, src
-            if counters is not None:
-                _count_block_step(counters, st.direct, n, b, payload_policy)
+    if counters is not None:
+        counters.charge(schedule_ledger(
+            plan.steps, rdc.num_nodes, payload_policy, block=b, ops_each=2 * b))
     if descending:
         # Blocks end internally ascending; flatten each high-to-low for a
         # descending global order (local, no messages).

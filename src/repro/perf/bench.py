@@ -723,8 +723,10 @@ def merge_bench(base: dict, new: dict) -> dict:
 
 
 def write_bench(payload: dict, path: str | Path) -> Path:
-    """Write a bench payload as pretty JSON; returns the path."""
+    """Write a bench payload as pretty JSON (creating missing parent
+    directories); returns the path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -12,7 +12,8 @@ model:
   claim itself is checkable.
 
 Both execution backends feed the same :class:`CostCounters` so benchmark
-rows are directly comparable.
+rows are directly comparable; a compiled plan's :class:`Ledger` is charged
+in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["CostCounters", "Packed", "payload_size"]
+__all__ = ["CostCounters", "Ledger", "Packed", "charge_exchange_step",
+           "payload_size"]
 
 
 class Packed:
@@ -61,8 +63,77 @@ def payload_size(payload: Any) -> int:
     return 1
 
 
-class CostCounters:
+class Ledger:
+    """Scalar totals of lockstep rounds every rank takes (computation as
+    ``shared_calls`` rounds of ``shared_ops`` operations per rank), with
+    the bulk hooks of :class:`CostCounters` and the ordered ``steps``."""
+
+    # Every total starts at zero; the hooks rebind them per instance.
+    cycles = active_cycles = messages = payload_items = 0
+    max_message_payload = shared_calls = shared_ops = 0
+
+    def __init__(self):
+        self.steps: list[tuple] = []
+
+    def _step(self, kind: str, *args) -> None:
+        self.steps.append((kind, *args))
+
+    def record_comm_step(
+        self, messages: int, payload_items: int | None = None, max_payload: int = 1
+    ) -> None:
+        """One lockstep communication round performed in bulk.
+
+        ``messages`` is the number of point-to-point messages in the round;
+        ``payload_items`` defaults to one item per message.
+        """
+        self.cycles += 1
+        if messages:
+            self.active_cycles += 1
+        self.messages += messages
+        self.payload_items += (
+            messages if payload_items is None else payload_items
+        )
+        if messages and max_payload > self.max_message_payload:
+            self.max_message_payload = max_payload
+        self._step("comm", messages, payload_items, max_payload)
+
+    def record_comp_step(self, ops_each: int = 1) -> None:
+        """One lockstep computation round of ``ops_each`` operations at
+        every rank."""
+        self.shared_calls += 1
+        self.shared_ops += ops_each
+        self._step("comp", ops_each)
+
+
+def charge_exchange_step(counters, num_nodes: int, direct: bool, *,
+                         payload_policy: str = "packed", block: int = 1,
+                         ops_each: int = 1) -> None:
+    """Charge ``counters`` (a :class:`CostCounters` or :class:`Ledger`)
+    what the engine measures for one dimension-exchange step: one round
+    if ``direct``, else the supported half relays — cross-edge in, the
+    pair exchange (relayed and own key in one ``"packed"`` message),
+    cross-edge out, and a fourth round of own keys if ``"single"``.  Each
+    key is a ``block`` of keys; then ``ops_each`` operations per rank."""
+    b = block
+    if direct:
+        counters.record_comm_step(num_nodes, num_nodes * b, b)
+    else:
+        half = num_nodes // 2
+        k = 2 if payload_policy == "packed" else 1
+        counters.record_comm_step(half, half * b, b)
+        counters.record_comm_step(half, k * half * b, k * b)
+        counters.record_comm_step(half, half * b, b)
+        if payload_policy == "single":
+            counters.record_comm_step(half, half * b, b)
+    counters.record_comp_step(ops_each)
+
+
+class CostCounters(Ledger):
     """Mutable cost ledger for one algorithm run.
+
+    Rounds every rank takes stay :class:`Ledger` scalars; the per-rank
+    arrays take only :meth:`record_compute` and ``ranks=`` charges, and
+    :attr:`comp_calls` / :attr:`comp_ops` add the two on read.
 
     Parameters
     ----------
@@ -71,14 +142,10 @@ class CostCounters:
     """
 
     def __init__(self, num_nodes: int):
+        # No Ledger.__init__: step records go to the timeline, if attached.
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         self.num_nodes = num_nodes
-        self.cycles = 0
-        self.active_cycles = 0
-        self.messages = 0
-        self.payload_items = 0
-        self.max_message_payload = 0
         self.messages_dropped = 0
         self.retries = 0
         self.timeouts = 0
@@ -92,13 +159,15 @@ class CostCounters:
     def attach_timeline(self, recorder) -> None:
         """Mirror bulk lockstep rounds into a timeline recorder.
 
-        The vectorized backends have no engine cycles — their unit of
-        progress is the bulk round recorded through
-        :meth:`record_comm_step`/:meth:`record_comp_step`.  With a
-        recorder attached (duck-typed: anything with ``record_comm_step``
-        and ``record_comp_step``, normally a
+        The array backend has no engine cycles — its unit of progress is
+        the bulk round recorded through
+        :meth:`record_comm_step`/:meth:`record_comp_step` or charged as a
+        plan's :class:`Ledger` (:meth:`charge`).  With a recorder attached
+        (duck-typed: anything with ``record_comm_step`` and
+        ``record_comp_step``, normally a
         :class:`~repro.obs.timeline.TimelineRecorder`), each bulk round
-        also emits one coarse per-step timeline record.  Pass ``None`` to
+        also emits one coarse per-step timeline record, in order — a
+        charged ledger replays its step records.  Pass ``None`` to
         detach.
         """
         if recorder is not None and not hasattr(recorder, "record_comm_step"):
@@ -146,29 +215,11 @@ class CostCounters:
         self._comp_calls[rank] += 1
         self._comp_ops[rank] += ops
 
-    # -- vectorized-backend hooks ---------------------------------------------
+    # -- bulk (array-backend) hooks --------------------------------------------
 
-    def record_comm_step(
-        self, messages: int, payload_items: int | None = None, max_payload: int = 1
-    ) -> None:
-        """One lockstep communication round performed in bulk.
-
-        ``messages`` is the number of point-to-point messages in the round;
-        ``payload_items`` defaults to one item per message.
-        """
-        self.cycles += 1
-        if messages:
-            self.active_cycles += 1
-        self.messages += messages
-        self.payload_items += (
-            messages if payload_items is None else payload_items
-        )
-        if messages and max_payload > self.max_message_payload:
-            self.max_message_payload = max_payload
+    def _step(self, kind: str, *args) -> None:
         if self._timeline is not None:
-            self._timeline.record_comm_step(
-                messages, payload_items, max_payload
-            )
+            getattr(self._timeline, f"record_{kind}_step")(*args)
 
     def record_comp_step(self, ops_each: int = 1, ranks=None) -> None:
         """One lockstep computation round performed in bulk.
@@ -181,17 +232,27 @@ class CostCounters:
         array backend's class-1 fold) never materialize an index array.
         """
         if ranks is None:
-            self._comp_calls += 1
-            self._comp_ops += ops_each
-        elif isinstance(ranks, range) and ranks.step == 1:
+            return super().record_comp_step(ops_each)
+        if isinstance(ranks, range) and ranks.step == 1:
             self._comp_calls[ranks.start : ranks.stop] += 1
             self._comp_ops[ranks.start : ranks.stop] += ops_each
         else:
             idx = np.asarray(ranks, dtype=np.int64)
             np.add.at(self._comp_calls, idx, 1)
             np.add.at(self._comp_ops, idx, ops_each)
+        self._step("comp", ops_each)
+
+    def charge(self, ledger: Ledger) -> None:
+        """Add a recorded :class:`Ledger` in one call; an attached timeline
+        still receives each of its step records, in order."""
+        for name in ("cycles", "active_cycles", "messages", "payload_items",
+                     "shared_calls", "shared_ops"):
+            setattr(self, name, getattr(self, name) + getattr(ledger, name))
+        self.max_message_payload = max(self.max_message_payload,
+                                       ledger.max_message_payload)
         if self._timeline is not None:
-            self._timeline.record_comp_step(ops_each)
+            for record in ledger.steps:
+                self._step(*record)
 
     def record_bulk(
         self,
@@ -227,19 +288,29 @@ class CostCounters:
         return self.cycles
 
     @property
+    def comp_calls(self) -> np.ndarray:
+        """Computation rounds per node (a fresh array)."""
+        return self._comp_calls + self.shared_calls
+
+    @property
+    def comp_ops(self) -> np.ndarray:
+        """Primitive local operations per node (a fresh array)."""
+        return self._comp_ops + self.shared_ops
+
+    @property
     def comp_steps(self) -> int:
         """Parallel computation steps: the longest per-node chain of rounds."""
-        return int(self._comp_calls.max(initial=0))
+        return self.shared_calls + int(self._comp_calls.max(initial=0))
 
     @property
     def max_node_ops(self) -> int:
         """Largest number of primitive local operations any node performed."""
-        return int(self._comp_ops.max(initial=0))
+        return self.shared_ops + int(self._comp_ops.max(initial=0))
 
     @property
     def total_ops(self) -> int:
         """Total primitive local operations across all nodes."""
-        return int(self._comp_ops.sum())
+        return self.shared_ops * self.num_nodes + int(self._comp_ops.sum())
 
     def summary(self) -> dict:
         """Compact dict for benchmark tables."""

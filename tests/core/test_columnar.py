@@ -57,7 +57,7 @@ def _obj(items):
 def _ledger(c):
     """The bulk ledger both backends keep: totals plus the per-rank
     computation arrays (per-rank send/recv tallies are engine-only)."""
-    return c.summary(), c._comp_calls.tolist(), c._comp_ops.tolist()
+    return c.summary(), c.comp_calls.tolist(), c.comp_ops.tolist()
 
 
 class TestPairViews:

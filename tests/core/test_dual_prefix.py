@@ -229,3 +229,50 @@ class TestSuffixScan:
         pre = dual_prefix(dc, vals, ADD)
         suf = dual_suffix_vec(dc, vals, ADD, inclusive=False)
         assert all(p + s == vals.sum() for p, s in zip(pre, suf))
+
+
+class TestNarrowDtypes:
+    """Bool and integers narrower than 64 bits accumulate in the
+    identity's dtype (int64 for ``ADD``); in their own dtype ``np.add``
+    is a logical or on bool and narrow integers wrap."""
+
+    NARROW = [np.bool_, np.int8, np.int16, np.int32,
+              np.uint8, np.uint16, np.uint32]
+
+    @staticmethod
+    def _values(dtype, num):
+        if dtype is np.bool_:
+            return np.ones(num, dtype=bool)
+        return np.full(num, np.iinfo(dtype).max, dtype=dtype)
+
+    def test_alive_flags_compact_like_cumsum(self):
+        # Stream compaction: the prefix sum of 0/1 "alive" flags.
+        dc = DualCube(3)
+        alive = np.random.default_rng(5).random(dc.num_nodes) < 0.5
+        got = dual_prefix(dc, alive, ADD)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.cumsum(alive).tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", NARROW)
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_matches_cumsum(self, n, dtype, inclusive):
+        dc = DualCube(n)
+        vals = self._values(dtype, dc.num_nodes)
+        want = np.cumsum(vals, dtype=np.int64)
+        if not inclusive:
+            want = np.concatenate([[0], want[:-1]])
+        got = dual_prefix(dc, vals, ADD, inclusive=inclusive)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("dtype", NARROW)
+    def test_large_prefix_matches_cumsum(self, n, dtype):
+        from repro.core.large_inputs import large_prefix
+
+        dc = DualCube(n)
+        vals = self._values(dtype, 3 * dc.num_nodes)
+        got = large_prefix(dc, vals, ADD)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.cumsum(vals, dtype=np.int64).tolist()

@@ -206,6 +206,41 @@ class TestPlanValidation:
         assert (s["misses"], s["hits"]) == (2, 2)
 
 
+class TestCountersSize:
+    """Counters sized for another network are rejected on every replay
+    entry point; a ledger of the wrong length used to report silently
+    wrong ``comp_steps`` and ``total_ops``."""
+
+    @staticmethod
+    def _calls(n):
+        from repro.core.large_inputs import large_prefix, large_sort
+
+        dc, rdc = DualCube(n), RecursiveDualCube(n)
+        num = dc.num_nodes
+        return {
+            "dual_prefix": lambda c: dual_prefix(
+                dc, np.arange(num), ADD, counters=c),
+            "dual_sort": lambda c: dual_sort(
+                rdc, np.arange(num)[::-1], counters=c),
+            "large_prefix": lambda c: large_prefix(
+                dc, np.arange(2 * num), ADD, counters=c),
+            "large_sort": lambda c: large_sort(
+                rdc, np.arange(2 * num)[::-1], counters=c),
+            "bitonic": lambda c: hypercube_bitonic_sort(
+                np.arange(num)[::-1], counters=c),
+        }
+
+    @pytest.mark.parametrize("entry", ["dual_prefix", "dual_sort",
+                                       "large_prefix", "large_sort",
+                                       "bitonic"])
+    @pytest.mark.parametrize("size", [4, 31, 33, 1000])
+    def test_wrong_size_rejected(self, entry, size):
+        c = CostCounters(size)
+        with pytest.raises(ValueError, match="counters are sized for"):
+            self._calls(3)[entry](c)
+        assert c.summary() == CostCounters(size).summary()
+
+
 class TestTraceAndTimeline:
     """``trace=`` snapshots equal the engine's record for record, and the
     engine's timeline cross-validates against every plan's schedule."""
@@ -343,7 +378,7 @@ class TestShardedReplay:
         assert out.tolist() == one.tolist() == np.cumsum(vals).tolist()
         # The cost ledger is data-independent: sharding must not change it.
         assert c_sh.summary() == c_one.summary()
-        assert c_sh._comp_ops.tolist() == c_one._comp_ops.tolist()
+        assert c_sh.comp_ops.tolist() == c_one.comp_ops.tolist()
 
     def test_exclusive_scan_sharded(self, rng):
         dc = DualCube(3)

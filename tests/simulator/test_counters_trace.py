@@ -3,7 +3,8 @@
 import pytest
 
 from repro.simulator import CostCounters, Packed, TraceRecorder
-from repro.simulator.counters import payload_size
+from repro.obs import TimelineRecorder
+from repro.simulator.counters import Ledger, charge_exchange_step, payload_size
 
 
 class TestPayloadSize:
@@ -163,6 +164,67 @@ class TestCostCounters:
 
     def test_repr_contains_summary(self):
         assert "comm_steps=0" in repr(CostCounters(2))
+
+
+class TestLedger:
+    """A :class:`Ledger` charged in one call leaves the counters and an
+    attached timeline exactly as recording its steps one by one does."""
+
+    @staticmethod
+    def _record(target):
+        target.record_comm_step(messages=8)
+        target.record_comp_step(ops_each=2)
+        charge_exchange_step(target, 8, False, payload_policy="single",
+                             block=3, ops_each=6)
+        target.record_comm_step(messages=0)
+
+    def test_ledger_keeps_scalars_and_ordered_steps(self):
+        led = Ledger()
+        self._record(led)
+        assert (led.cycles, led.active_cycles) == (6, 5)
+        assert (led.messages, led.payload_items) == (24, 56)
+        assert led.max_message_payload == 3
+        assert (led.shared_calls, led.shared_ops) == (2, 8)
+        assert [s[0] for s in led.steps] == [
+            "comm", "comp", "comm", "comm", "comm", "comm", "comp", "comm"]
+
+    def test_charge_equals_step_by_step_recording(self):
+        led = Ledger()
+        self._record(led)
+        one, each = CostCounters(8), CostCounters(8)
+        tl_one, tl_each = TimelineRecorder(8), TimelineRecorder(8)
+        one.attach_timeline(tl_one)
+        each.attach_timeline(tl_each)
+        for c in (one, each):
+            c.record_comp_step(ops_each=1, ranks=range(4, 8))
+        one.charge(led)
+        self._record(each)
+        assert one.summary() == each.summary()
+        assert one.comp_calls.tolist() == each.comp_calls.tolist()
+        assert one.comp_ops.tolist() == each.comp_ops.tolist()
+        assert tl_one.steps == tl_each.steps
+        assert len(tl_one.steps) == 9
+
+    def test_per_rank_arrays_add_shared_and_subset_charges(self):
+        c = CostCounters(4)
+        c.record_comp_step(ops_each=3)
+        c.record_comp_step(ops_each=1, ranks=range(2, 4))
+        c.record_compute(0, 5)
+        assert c.comp_calls.tolist() == [2, 1, 2, 2]
+        assert c.comp_ops.tolist() == [8, 3, 4, 4]
+        assert (c.comp_steps, c.max_node_ops, c.total_ops) == (2, 8, 19)
+
+    def test_exchange_step_charges(self):
+        for policy, cycles, items in (("packed", 3, 16), ("single", 4, 16)):
+            led = Ledger()
+            charge_exchange_step(led, 8, False, payload_policy=policy)
+            assert (led.cycles, led.messages) == (cycles, 4 * cycles)
+            assert led.payload_items == items
+            assert led.max_message_payload == (2 if policy == "packed" else 1)
+        led = Ledger()
+        charge_exchange_step(led, 8, True, block=4, ops_each=8)
+        assert (led.cycles, led.messages, led.payload_items) == (1, 8, 32)
+        assert (led.max_message_payload, led.shared_ops) == (4, 8)
 
 
 class TestTraceRecorder:
