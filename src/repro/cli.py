@@ -198,123 +198,6 @@ def _cmd_collectives(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.perf.bench import (
-        compare_bench,
-        load_bench,
-        merge_bench,
-        run_bench,
-        run_bench_campaign,
-        run_bench_replay,
-        run_bench_serving,
-        write_bench,
-    )
-
-    backend = args.backend
-    if backend in ("replay", "serving", "campaign") and args.faults:
-        print("--faults is the core suite only (engine-backed scenarios)")
-        return 2
-    suites = {
-        "replay": lambda: run_bench_replay(
-            max_n=args.max_n if args.max_n is not None else 11,
-            repeats=args.repeats,
-            smoke=args.smoke,
-            seed=args.seed,
-        ),
-        "serving": lambda: run_bench_serving(
-            max_n=args.max_n if args.max_n is not None else 4,
-            repeats=args.repeats,
-            smoke=args.smoke,
-            seed=args.seed,
-        ),
-        "campaign": lambda: run_bench_campaign(
-            max_n=args.max_n if args.max_n is not None else 3,
-            repeats=args.repeats,
-            smoke=args.smoke,
-            seed=args.seed,
-        ),
-        "core": lambda: run_bench(
-            max_n=args.max_n if args.max_n is not None else 5,
-            repeats=args.repeats,
-            smoke=args.smoke,
-            seed=args.seed,
-            faults_only=args.faults,
-        ),
-    }
-    payload = suites[backend]()
-    rows = [
-        (
-            r["bench"],
-            r["backend"],
-            r["n"],
-            r["num_nodes"],
-            f"{r['wall_s'] * 1000:.3f}",
-            r["comm_steps"],
-            r["comp_steps"],
-            r["messages"],
-            r["max_message_payload"],
-            r.get("messages_dropped", 0),
-            f"{r.get('peak_mem_mb', 0.0):.1f}",
-        )
-        for r in payload["records"]
-    ]
-    print(
-        format_table(
-            ["bench", "backend", "n", "nodes", "wall ms", "comm", "comp", "msgs", "peak payload", "drops", "peak MB"],
-            rows,
-            title="repro bench" + (" (smoke)" if args.smoke else ""),
-        )
-    )
-    if args.faults:
-        default_out = "BENCH_faults_smoke.json" if args.smoke else "BENCH_faults.json"
-    elif args.smoke:
-        default_out = {
-            "replay": "BENCH_replay_smoke.json",
-            "serving": "BENCH_serving_smoke.json",
-            "campaign": "BENCH_campaign_smoke.json",
-            "core": "BENCH_smoke.json",
-        }[backend]
-    else:
-        default_out = "BENCH_core.json"
-    out = args.out or default_out
-
-    # Load the comparison baseline *before* writing: --compare pointed at
-    # the output path itself must gate against the saved baseline, not
-    # the file this run just overwrote.  A missing baseline is a first
-    # run, not a regression.
-    previous = None
-    if args.compare:
-        if Path(args.compare).exists():
-            previous = load_bench(args.compare)
-        else:
-            print(f"no baseline at {args.compare}; recording a fresh one")
-
-    if (
-        backend in ("replay", "serving", "campaign")
-        and not args.smoke
-        and Path(out).exists()
-    ):
-        # A full replay, serving or campaign sweep lands next to
-        # the core suite's records instead of clobbering them.
-        payload = merge_bench(load_bench(out), payload)
-    path = write_bench(payload, out)
-    print(f"wrote {path} ({len(payload['records'])} records)")
-
-    if previous is not None:
-        problems = compare_bench(
-            payload, previous, wall_factor=args.wall_factor
-        )
-        if problems:
-            print(f"\nREGRESSIONS vs {args.compare}:")
-            for p in problems:
-                print(f"  - {p}")
-            return 1
-        print(f"no regressions vs {args.compare}")
-    return 0
-
-
 def _serve_workload(topo, arrival: str, rate: float, requests: int, seed: int):
     from repro.simulator.serving import (
         deterministic_arrivals,
@@ -1017,47 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("collectives", help="cycle-accurate collective costs")
     sp.add_argument("-n", type=int, default=3)
     sp.set_defaults(fn=_cmd_collectives)
-
-    sp = sub.add_parser(
-        "bench", help="timed core benchmarks -> BENCH_core.json (+ regression check)"
-    )
-    sp.add_argument(
-        "--max-n", type=int, default=None,
-        help="largest dual-cube n, from 2 (default: 5 core, 11 replay)",
-    )
-    sp.add_argument("--repeats", type=int, default=3, help="wallclock best-of repeats")
-    sp.add_argument(
-        "--backend",
-        choices=["core", "replay", "serving", "campaign"],
-        default="core",
-        help="core = array backend + engine suite; replay = array-backend "
-             "sweep to D_11 plus one sharded row; serving = open-loop "
-             "queueing scenarios; "
-             "campaign = randomized SLO fault-campaign sweep "
-             "(full runs merge into BENCH_core.json)",
-    )
-    sp.add_argument(
-        "--smoke", action="store_true",
-        help="quick wiring check (core: n<=3, replay: n<=3 plus n=9, "
-             "serving: n=2, 1 repeat)",
-    )
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--faults", action="store_true",
-        help="run only the fault-injection scenario family (degraded node/link, seeded drop+retry)",
-    )
-    sp.add_argument(
-        "--out", default=None, help="output path (default BENCH_core.json; smoke: BENCH_smoke.json)"
-    )
-    sp.add_argument(
-        "--compare", default=None, metavar="PREV_JSON",
-        help="regression-check against a previous bench file (exit 1 on regression)",
-    )
-    sp.add_argument(
-        "--wall-factor", type=float, default=1.5,
-        help="allowed wallclock slowdown factor for --compare",
-    )
-    sp.set_defaults(fn=_cmd_bench)
 
     sp = sub.add_parser(
         "timeline",

@@ -281,8 +281,9 @@ def dual_prefix_replay(
     Results and the ledger are those of the engine-mirroring whole-array
     algorithm: ``t``/``t'`` keep the input dtype (bool and narrow
     integers widen, see :func:`_accumulation_dtype`), ``s``/``s'`` widen
-    to the identity's dtype where it takes part, and the folds combine in
-    the wider of the two.  ``trace`` records the engine's snapshot labels
+    to the identity's dtype where it takes part (an integer identity
+    takes uint64 input's dtype), and the folds combine in the wider of
+    the two.  ``trace`` records the engine's snapshot labels
     in node order; ``profiler`` records ``cluster-prefix`` (step 1),
     ``cross`` (the cross-edge exchanges), ``block-prefix`` (step 3) and
     ``fold`` (steps 4-5) spans.  ``shards=k`` (k >= 2) runs the
@@ -303,6 +304,10 @@ def dual_prefix_replay(
     numeric = (op.ufunc is not None and vals.dtype != object
                and ident.dtype != object)
     dt_t = _accumulation_dtype(vals.dtype, op) if numeric else np.dtype(object)
+    if dt_t.kind == "u" and ident.dtype.kind == "i":
+        # uint64 against an int64 identity promotes to float64 and rounds
+        # above 2**53; ADD's 0 and MUL's 1 are uint64 values too.
+        ident = ident.astype(dt_t)
     dt_s2 = np.result_type(dt_t, ident.dtype)
     dt_s = dt_t if inclusive else dt_s2
     pool = None

@@ -12,7 +12,8 @@ answers "what happened *when*":
   gauges and histograms fed by :class:`~repro.simulator.counters.CostCounters`
   and the recorder, exporting JSON lines and Prometheus text format;
 * :mod:`repro.obs.profile` — :class:`PhaseProfiler` wallclock spans for
-  algorithm phases, surfaced in ``repro bench`` records.
+  algorithm phases, read by perfbench's traced runs as the
+  ``kernel.<backend>.<op>.<phase>_s`` layer metrics.
 
 The ``repro timeline`` CLI command renders a recorded run as an ASCII
 link-utilization heatmap; see ``docs/observability.md`` for the tour.

@@ -12,7 +12,7 @@ from repro.analysis.complexity import (
     theorem1_comp_bound,
 )
 from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
-from repro.core.ops import ADD, CONCAT, MATMUL2, MAX
+from repro.core.ops import ADD, CONCAT, MATMUL2, MAX, MUL
 from repro.core.verify import check_prefix
 from repro.simulator import CostCounters, TraceRecorder
 from repro.topology import DualCube
@@ -234,16 +234,22 @@ class TestSuffixScan:
 class TestNarrowDtypes:
     """Bool and integers narrower than 64 bits accumulate in the
     identity's dtype (int64 for ``ADD``); in their own dtype ``np.add``
-    is a logical or on bool and narrow integers wrap."""
+    is a logical or on bool and narrow integers wrap.  uint64 keeps its
+    own dtype, like ``np.cumsum``: against the int64 identity it would
+    promote to float64 and round."""
 
-    NARROW = [np.bool_, np.int8, np.int16, np.int32,
-              np.uint8, np.uint16, np.uint32]
+    DTYPES = [np.bool_, np.int8, np.int16, np.int32,
+              np.uint8, np.uint16, np.uint32, np.uint64]
 
     @staticmethod
     def _values(dtype, num):
         if dtype is np.bool_:
             return np.ones(num, dtype=bool)
         return np.full(num, np.iinfo(dtype).max, dtype=dtype)
+
+    @staticmethod
+    def _acc(dtype):
+        return np.dtype(np.uint64 if dtype is np.uint64 else np.int64)
 
     def test_alive_flags_compact_like_cumsum(self):
         # Stream compaction: the prefix sum of 0/1 "alive" flags.
@@ -254,25 +260,38 @@ class TestNarrowDtypes:
         assert got.tolist() == np.cumsum(alive).tolist()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("dtype", NARROW)
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("inclusive", [True, False])
     def test_matches_cumsum(self, n, dtype, inclusive):
         dc = DualCube(n)
         vals = self._values(dtype, dc.num_nodes)
-        want = np.cumsum(vals, dtype=np.int64)
+        acc = self._acc(dtype)
+        want = np.cumsum(vals, dtype=acc)
         if not inclusive:
-            want = np.concatenate([[0], want[:-1]])
+            want = np.concatenate([np.zeros(1, acc), want[:-1]])
         got = dual_prefix(dc, vals, ADD, inclusive=inclusive)
-        assert got.dtype == np.int64
+        assert got.dtype == acc
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_uint64_product_matches_cumprod(self, inclusive):
+        dc = DualCube(3)
+        vals = np.full(dc.num_nodes, 3, dtype=np.uint64)
+        want = np.cumprod(vals)
+        if not inclusive:
+            want = np.concatenate([np.ones(1, np.uint64), want[:-1]])
+        got = dual_prefix(dc, vals, MUL, inclusive=inclusive)
+        assert got.dtype == np.uint64
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("dtype", NARROW)
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_large_prefix_matches_cumsum(self, n, dtype):
         from repro.core.large_inputs import large_prefix
 
         dc = DualCube(n)
         vals = self._values(dtype, 3 * dc.num_nodes)
+        acc = self._acc(dtype)
         got = large_prefix(dc, vals, ADD)
-        assert got.dtype == np.int64
-        assert got.tolist() == np.cumsum(vals, dtype=np.int64).tolist()
+        assert got.dtype == acc
+        assert got.tolist() == np.cumsum(vals, dtype=acc).tolist()
