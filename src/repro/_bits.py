@@ -3,8 +3,8 @@
 Every topology in this library addresses nodes as unsigned integers whose
 binary representation is split into *fields* (class bit, cluster ID, node
 ID, …).  This module provides the scalar primitives plus NumPy-vectorized
-equivalents used by the fast execution backend, so that the field algebra
-lives in exactly one place.
+equivalents used by the array backend, so that the field algebra lives in
+exactly one place.
 
 Scalar functions accept and return Python ``int``; vectorized functions
 (suffixed ``_v``) accept anything ``numpy.asarray`` can digest and return
@@ -41,8 +41,6 @@ __all__ = [
     "extract_field_v",
     "insert_field_v",
     "swap_fields_v",
-    "popcount_v",
-    "hamming_v",
     "iter_neighbors_xor",
 ]
 
@@ -176,9 +174,9 @@ def iter_neighbors_xor(x: int, dims: Iterable[int]) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized equivalents.  These operate on whole node-index arrays at once;
-# the fast backend keeps the entire network state in NumPy arrays and uses
-# these to compute exchange permutations without Python-level loops.
+# Vectorized equivalents.  These operate on whole node-index arrays at once,
+# for the arrangement and plan-compile index arithmetic, without
+# Python-level loops.
 # ---------------------------------------------------------------------------
 
 
@@ -225,18 +223,3 @@ def swap_fields_v(x, lo_a: int, lo_b: int, width: int) -> np.ndarray:
     b = extract_field_v(arr, lo_b, width)
     out = insert_field_v(arr, lo_a, width, b)
     return insert_field_v(out, lo_b, width, a)
-
-
-def popcount_v(x) -> np.ndarray:
-    """Vectorized :func:`popcount` (64-bit inputs)."""
-    arr = _as_int_array(x).astype(np.uint64)
-    out = np.zeros(arr.shape, dtype=np.int64)
-    while arr.any():
-        out += (arr & np.uint64(1)).astype(np.int64)
-        arr >>= np.uint64(1)
-    return out
-
-
-def hamming_v(u, v) -> np.ndarray:
-    """Vectorized :func:`hamming`."""
-    return popcount_v(_as_int_array(u) ^ _as_int_array(v))

@@ -46,7 +46,7 @@ from repro.core.dual_prefix import (
     dual_prefix,
     dual_prefix_program,
     dual_prefix_engine,
-    dual_suffix_vec,
+    dual_suffix,
 )
 from repro.core.backends import (
     BackendSpec,
@@ -136,7 +136,7 @@ __all__ = [
     "dual_prefix",
     "dual_prefix_program",
     "dual_prefix_engine",
-    "dual_suffix_vec",
+    "dual_suffix",
     "BackendSpec",
     "backend_names",
     "backend_spec",

@@ -17,7 +17,7 @@ Three entry points share the logic:
   (``yield from`` it inside larger algorithms such as `D_prefix`);
 * :func:`cube_prefix` — standalone engine run on a
   :class:`~repro.topology.hypercube.Hypercube`;
-* :func:`cube_prefix_vec` — vectorized backend on a value array.
+* :func:`cube_prefix_vec` — the array backend on a value array.
 
 All return/produce the pair ``(t, s)``: the cube-wide total and the
 (inclusive or diminished) prefix, exactly Algorithm 1's outputs.
@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.ops import AssocOp, combine_arrays
+from repro.core.ops import AssocOp
 from repro.simulator import CostCounters, SendRecv, TraceRecorder, run_spmd
 from repro.simulator.node import NodeCtx
 from repro.topology.hypercube import Hypercube
@@ -38,7 +38,6 @@ __all__ = [
     "cube_prefix_program",
     "cube_prefix",
     "cube_prefix_vec",
-    "ascend_rounds_vec",
 ]
 
 
@@ -130,35 +129,6 @@ def cube_prefix(
     return t_list, s_list, result
 
 
-def ascend_rounds_vec(
-    t: np.ndarray,
-    s: np.ndarray,
-    q: int,
-    partner_index_fn,
-    upper_mask_fn,
-    op: AssocOp,
-    counters: CostCounters | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The q ascend rounds on whole-network arrays (vectorized backend core).
-
-    ``partner_index_fn(i)`` maps local round ``i`` to the partner-index
-    array; ``upper_mask_fn(i)`` to the boolean "upper half" mask.  Shared
-    by the standalone hypercube prefix (trivial embeddings) and by
-    `D_prefix` (per-class embeddings), so the exchange arithmetic exists
-    once.
-    """
-    for i in range(q):
-        partners = partner_index_fn(i)
-        upper = upper_mask_fn(i)
-        temp = t[partners]
-        t = np.where(upper, combine_arrays(op, temp, t), combine_arrays(op, t, temp))
-        s = np.where(upper, combine_arrays(op, temp, s), s)
-        if counters is not None:
-            counters.record_comm_step(messages=len(t))
-            counters.record_comp_step(ops_each=2)
-    return t, s
-
-
 def cube_prefix_vec(
     values,
     op: AssocOp,
@@ -166,21 +136,19 @@ def cube_prefix_vec(
     inclusive: bool = True,
     counters: CostCounters | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Algorithm 1 over ``2**q`` values; returns ``(t, s)`` arrays."""
+    """Algorithm 1 over ``2**q`` values on the array backend's in-place
+    ascend (:func:`~repro.core.replay.ascend_prefix`); returns ``(t, s)``
+    arrays."""
+    from repro.core.replay import ascend_prefix
+
     vals = np.asarray(values)
     n = len(vals)
     if n == 0 or n & (n - 1):
         raise ValueError(f"value count must be a power of two, got {n}")
     q = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    t = vals.copy()
-    s = vals.copy() if inclusive else op.identity_array(n)
-    return ascend_rounds_vec(
-        t,
-        s,
-        q,
-        lambda i: idx ^ (1 << i),
-        lambda i: (idx >> i) & 1 == 1,
-        op,
-        counters,
-    )
+    t, s = ascend_prefix(vals, op, range(q), inclusive=inclusive)
+    if counters is not None:
+        for _ in range(q):
+            counters.record_comm_step(messages=n)
+            counters.record_comp_step(ops_each=2)
+    return t, s

@@ -43,7 +43,7 @@ __all__ = [
     "dual_prefix_program",
     "dual_prefix_engine",
     "dual_prefix",
-    "dual_suffix_vec",
+    "dual_suffix",
 ]
 
 
@@ -210,7 +210,7 @@ def dual_prefix(
     )
 
 
-def dual_suffix_vec(
+def dual_suffix(
     dc: DualCube,
     values,
     op: AssocOp,

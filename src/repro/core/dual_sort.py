@@ -89,12 +89,6 @@ class ScheduleStep:
             return bool(self.dir_val)
         return (u >> self.dir_val) & 1 == 1
 
-    def descending_mask(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`descending`."""
-        if self.dir_kind == "const":
-            return np.full(len(idx), bool(self.dir_val))
-        return (idx >> self.dir_val) & 1 == 1
-
 
 def dual_sort_schedule(n: int, *, descending: bool = False) -> list[ScheduleStep]:
     """Unroll ``D_sort(D_n, tag)`` into its 2n² - n compare-exchange steps."""

@@ -29,8 +29,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.core.cube_prefix import cube_prefix_vec
 from repro.core.dual_sort import _dim_mode, step_cycle_cost
-from repro.core.ops import AssocOp, combine_arrays
+from repro.core.ops import AssocOp
 from repro.simulator import (
     CostCounters,
     Idle,
@@ -223,25 +224,23 @@ def emulated_cube_prefix_vec(
     inclusive: bool = True,
     counters: CostCounters | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`emulated_cube_prefix`; returns ``(t, s)`` arrays."""
+    """Array :func:`emulated_cube_prefix`; returns ``(t, s)`` arrays.
+
+    The values are :func:`~repro.core.cube_prefix.cube_prefix_vec`'s;
+    the ledger charges every round as a dimension exchange on ``topo``
+    (3-hop emulated where the dimension is unsupported).
+    """
     vals = np.asarray(values)
     n = topo.num_nodes
     if vals.shape != (n,):
         raise ValueError(f"expected {n} values, got shape {vals.shape}")
     if n & (n - 1):
         raise ValueError("node count must be a power of two")
-    q = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    t = vals.copy()
-    s = vals.copy() if inclusive else op.identity_array(n)
-    for i in range(q):
-        temp = t[idx ^ (1 << i)]
-        upper = (idx >> i) & 1 == 1
-        if counters is not None:
+    t, s = cube_prefix_vec(vals, op, inclusive=inclusive)
+    if counters is not None:
+        for i in range(n.bit_length() - 1):
             direct = _dim_mode(topo, i) == "direct"
             charge_exchange_step(counters, n, direct, ops_each=2)
-        t = np.where(upper, combine_arrays(op, temp, t), combine_arrays(op, t, temp))
-        s = np.where(upper, combine_arrays(op, temp, s), s)
     return t, s
 
 

@@ -21,6 +21,11 @@ in-place numpy operation per step over reshape views:
   views, then the two columns swap roles — two ufunc calls per direction
   and no copy.
 
+The ascend is also the array side of `Cube_prefix`, the dual-cube
+allreduce and the emulation technique: :func:`ascend_prefix` runs it over
+any set of address bits, and one helper decides the accumulation dtype,
+the identity column and the combine for every prefix here.
+
 Plans live in a module-level cache keyed by ``("prefix", topology,
 paper_literal)`` or ``("schedule", topology, kind, descending)``;
 :func:`plan_cache_stats` exposes hit/miss/compile-time counters and
@@ -61,9 +66,11 @@ from repro.core.arrangement import arranged_index_v
 from repro.core.ops import AssocOp, combine_arrays, combine_into
 from repro.obs.profile import NULL_PROFILER
 from repro.simulator import CostCounters, TraceRecorder
-from repro.simulator.columnar import bit_pair_views, dir_bit_views
 
 __all__ = [
+    "bit_pair_views",
+    "dir_bit_views",
+    "ascend_prefix",
     "clear_plan_cache",
     "plan_cache_stats",
     "registry_from_plan_cache",
@@ -166,6 +173,81 @@ def get_schedule_plan(topo, schedule_factory, *, kind: str,
 
 
 # -- view kernels --------------------------------------------------------------
+#
+# A dimension-``b`` exchange on a whole-network column needs no gather
+# permutation: the nodes with bit ``b`` clear and the nodes with bit ``b``
+# set alternate in runs of ``2**b``, so reshaping a length-``L`` column to
+# ``(L >> (b+1), 2, 1 << b)`` puts the two sides of every dimension-``b``
+# edge on axis 1.  Reshaping a C-contiguous column is always a view; for
+# any other column the views are verified with ``np.shares_memory``, so a
+# silent copy (which would discard the in-place update) is impossible.
+
+
+def _reshaped_view(col: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reshape ``col`` asserting the result still aliases its memory."""
+    view = col.reshape(shape)
+    if col.flags.c_contiguous:
+        return view
+    if not np.shares_memory(view, col):
+        raise ValueError(
+            f"reshape to {shape} copied a columnar view (dtype {col.dtype}, "
+            f"strides {col.strides}); in-place steps would be lost"
+        )
+    return view
+
+
+def bit_pair_views(col: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split a column into the two sides of every dimension-``b`` edge.
+
+    ``col`` has length ``L`` along axis 0 (a power of two > ``2**b``);
+    trailing axes (e.g. a block axis) ride along.  Returns ``(lo, hi)``
+    views — ``lo[r]`` is the node with bit ``b`` clear of pair ``r``,
+    ``hi[r]`` its bit-``b`` partner — so one batched in-place combine on
+    the pair realizes the whole exchange round with no gathers.
+    """
+    length = col.shape[0]
+    if b < 0 or (1 << (b + 1)) > length:
+        raise ValueError(
+            f"bit {b} out of range for a length-{length} column"
+        )
+    view = _reshaped_view(
+        col, (length >> (b + 1), 2, 1 << b) + col.shape[1:]
+    )
+    return view[:, 0], view[:, 1]
+
+
+def dir_bit_views(
+    col: np.ndarray, dir_bit: int, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a column by direction bit ``dir_bit`` *and* pair bit ``dim``.
+
+    Requires ``dir_bit > dim`` (which every generated compare-exchange
+    schedule satisfies: merge direction bits sit above the dimensions
+    they direct).  Returns ``(asc_lo, asc_hi, desc_lo, desc_hi)`` views:
+    the ascending (bit ``dir_bit`` clear) and descending (set) pair
+    sides, each split as in :func:`bit_pair_views`.
+    """
+    length = col.shape[0]
+    if dir_bit <= dim:
+        raise ValueError(
+            f"dir_bit {dir_bit} must exceed the pair dimension {dim}"
+        )
+    if (1 << (dir_bit + 1)) > length:
+        raise ValueError(
+            f"direction bit {dir_bit} out of range for a length-{length} column"
+        )
+    view = _reshaped_view(
+        col,
+        (
+            length >> (dir_bit + 1),
+            2,
+            1 << (dir_bit - dim - 1),
+            2,
+            1 << dim,
+        )
+        + col.shape[1:],
+    )
+    return view[:, 0, :, 0], view[:, 0, :, 1], view[:, 1, :, 0], view[:, 1, :, 1]
 
 
 def _ascend(t: np.ndarray, s: np.ndarray, bits, combine) -> None:
@@ -254,14 +336,51 @@ def _check_counters(topo, counters: CostCounters | None) -> None:
         )
 
 
-def _accumulation_dtype(dtype: np.dtype, op: AssocOp) -> np.dtype:
-    """The dtype a prefix of ``dtype`` values accumulates in: bool and
-    integers narrower than 64 bits widen to the identity's dtype (numpy's
-    ``add`` is a logical or on bool, and narrow integers wrap); any other
-    dtype, or an operation without a numeric identity, keeps its own."""
-    ident = op.identity_array(1).dtype
+def _accumulation(dtype: np.dtype, op: AssocOp, n: int):
+    """How a prefix of ``n`` values of ``dtype`` accumulates under ``op``.
+
+    Returns ``(acc, ident, combine)``: the dtype ``t`` accumulates in, a
+    length-``n`` identity column and the in-place ``combine(a, b, out)``
+    (operand order preserved).  Bool and integers narrower than 64 bits
+    widen to an integer identity's dtype (numpy's ``add`` is a logical or
+    on bool, and narrow integers wrap; ``MIN``/``MAX`` never leave the
+    input's range).  An integer identity takes uint64's dtype (against
+    int64 it would promote to float64 and round above 2**53; ``ADD``'s 0
+    and ``MUL``'s 1 are uint64 values too).  Object values, or an
+    operation without a ufunc or a numeric identity, accumulate as
+    objects through :func:`~repro.core.ops.combine_into`.
+    """
+    ident = op.identity_array(n)
+    if op.ufunc is None or dtype == object or ident.dtype == object:
+        return (np.dtype(object), ident,
+                lambda a, b, out: combine_into(op, a, b, out))
+    acc = dtype
     narrow = dtype == bool or (dtype.kind in "iu" and dtype.itemsize < 8)
-    return ident if narrow and ident != object else dtype
+    if narrow and ident.dtype.kind == "i":
+        acc = ident.dtype
+    elif dtype.kind == "u" and ident.dtype.kind == "i":
+        ident = ident.astype(dtype)
+    ufunc = op.ufunc
+    return acc, ident, lambda a, b, out: ufunc(a, b, out=out)
+
+
+def ascend_prefix(values, op: AssocOp, bits, *, inclusive: bool = True):
+    """Algorithm 1's ascend over the address bits ``bits`` of ``values``.
+
+    Every subcube the bits span (one per setting of the other address
+    bits) runs one `Cube_prefix` instance, in place (:func:`_ascend`).
+    Returns ``(t, s)``: the subcube totals and the inclusive (or
+    diminished) prefixes.  ``t`` accumulates as :func:`_accumulation`
+    decides; a diminished ``s`` starts from the identity column, in the
+    wider of that dtype and the identity's.
+    """
+    vals = np.asarray(values)
+    acc, ident, combine = _accumulation(vals.dtype, op, len(vals))
+    t = vals.astype(acc)
+    s = t.copy() if inclusive else ident.astype(
+        np.result_type(acc, ident.dtype))
+    _ascend(t, s, bits, combine)
+    return t, s
 
 
 def dual_prefix_replay(
@@ -279,11 +398,9 @@ def dual_prefix_replay(
     """Algorithm 2 from its cached plan; returns prefixes in input order.
 
     Results and the ledger are those of the engine-mirroring whole-array
-    algorithm: ``t``/``t'`` keep the input dtype (bool and narrow
-    integers widen, see :func:`_accumulation_dtype`), ``s``/``s'`` widen
-    to the identity's dtype where it takes part (an integer identity
-    takes uint64 input's dtype), and the folds combine in the wider of
-    the two.  ``trace`` records the engine's snapshot labels
+    algorithm: ``t``/``t'`` accumulate as :func:`_accumulation` decides,
+    ``s``/``s'`` widen to the identity's dtype where it takes part, and
+    the folds combine in the wider of the two.  ``trace`` records the engine's snapshot labels
     in node order; ``profiler`` records ``cluster-prefix`` (step 1),
     ``cross`` (the cross-edge exchanges), ``block-prefix`` (step 3) and
     ``fold`` (steps 4-5) spans.  ``shards=k`` (k >= 2) runs the
@@ -300,14 +417,7 @@ def dual_prefix_replay(
     half = n >> 1
     prof = profiler if profiler is not None else NULL_PROFILER
 
-    ident = op.identity_array(n)
-    numeric = (op.ufunc is not None and vals.dtype != object
-               and ident.dtype != object)
-    dt_t = _accumulation_dtype(vals.dtype, op) if numeric else np.dtype(object)
-    if dt_t.kind == "u" and ident.dtype.kind == "i":
-        # uint64 against an int64 identity promotes to float64 and rounds
-        # above 2**53; ADD's 0 and MUL's 1 are uint64 values too.
-        ident = ident.astype(dt_t)
+    dt_t, ident, combine = _accumulation(vals.dtype, op, n)
     dt_s2 = np.result_type(dt_t, ident.dtype)
     dt_s = dt_t if inclusive else dt_s2
     pool = None
@@ -318,13 +428,6 @@ def dual_prefix_replay(
     def record(label, state):
         if trace is not None:
             trace.record_array(label, state[arranged_index_v(dc)])
-
-    if numeric:
-        def combine(a, b, out):
-            op.ufunc(a, b, out=out)
-    else:
-        def combine(a, b, out):
-            combine_into(op, a, b, out)
 
     try:
         if pool is not None:
@@ -595,7 +698,7 @@ def large_prefix_replay(
     # An object-dtype input stays object dtype (the CONCAT regression
     # test pins that); bool and narrow integers widen like D_prefix's.
     with prof.span("local-prefix", block=b):
-        local = blocks.astype(_accumulation_dtype(blocks.dtype, op))
+        local = blocks.astype(_accumulation(blocks.dtype, op, 1)[0])
         for k in range(1, b):
             local[:, k] = combine_arrays(op, local[:, k - 1], local[:, k])
         if counters is not None and b > 1:

@@ -4,9 +4,8 @@ The simulator's ledgers answer "how much did the run cost"; this package
 answers "what happened *when*":
 
 * :mod:`repro.obs.timeline` — per-cycle :class:`TimelineRecorder` of
-  link/message/fault events from the engine (both matchers and the fast
-  bookkeeping path) plus coarse per-round records from the vectorized
-  backends, with :func:`cross_validate_timeline` checking the recording
+  link/message/fault events from the engine (both matchers) plus coarse
+  per-round records from the array backend, with :func:`cross_validate_timeline` checking the recording
   against the static analyzer's extracted schedule;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and histograms fed by :class:`~repro.simulator.counters.CostCounters`

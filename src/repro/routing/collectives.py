@@ -77,41 +77,42 @@ def allreduce_vec(
     *,
     counters: CostCounters | None = None,
 ) -> np.ndarray:
-    """Vectorized allreduce; returns the per-node totals array."""
-    from repro.core.cube_prefix import ascend_rounds_vec
+    """Array allreduce; returns the per-node totals array.
+
+    Class-0 clusters span address bits ``0..m-1`` of the lower half and
+    class-1 clusters bits ``m..2m-1`` of the upper half, so each phase is
+    :func:`~repro.core.replay.ascend_prefix` over one half, and the cross
+    exchange (``u ↔ u ^ 2**(2m)``) swaps the halves.
+    """
+    from repro.core.replay import ascend_prefix
 
     vals = np.asarray(values)
     if vals.shape != (dc.num_nodes,):
         raise ValueError(
             f"expected {dc.num_nodes} values for {dc.name}, got shape {vals.shape}"
         )
-    m = dc.cluster_dim
-    idx = dc.all_nodes_array()
-    cls1 = dc.class_of_v(idx) == 1
-    nid = dc.node_id_v(idx)
-    cross = idx ^ (1 << dc.class_dimension)
-    step = np.where(cls1, 1 << m, 1).astype(np.int64)
+    n, m = dc.num_nodes, dc.cluster_dim
+    half = n >> 1
 
-    def partner(i):
-        return idx ^ (step << i)
+    def cluster_totals(lo, hi):
+        if counters is not None:
+            for _ in range(m):
+                counters.record_comm_step(messages=n)
+                counters.record_comp_step(ops_each=2)
+        return (ascend_prefix(lo, op, range(m))[0],
+                ascend_prefix(hi, op, range(m, 2 * m))[0])
 
-    def upper(i):
-        return (nid >> i) & 1 == 1
-
-    t = vals.copy()
-    t, _ = ascend_rounds_vec(t, t.copy(), m, partner, upper, op, counters)
-    temp = t[cross]
+    t0, t1 = cluster_totals(vals[:half], vals[half:])
     if counters is not None:
-        counters.record_comm_step(messages=dc.num_nodes)
-    t2 = temp.copy()
-    t2, _ = ascend_rounds_vec(t2, t2.copy(), m, partner, upper, op, counters)
-    own_half = t2[cross]
+        counters.record_comm_step(messages=n)
+    # Each class now holds the other's cluster totals, so t2 is the other
+    # half's total; the last exchange brings every node its own half's.
+    t2_0, t2_1 = cluster_totals(t1, t0)
     if counters is not None:
-        counters.record_comm_step(messages=dc.num_nodes)
+        counters.record_comm_step(messages=n)
         counters.record_comp_step(ops_each=1)
-    first_then_second = combine_arrays(op, own_half, t2)
-    second_after_first = combine_arrays(op, t2, own_half)
-    return np.where(cls1, second_after_first, first_then_second)
+    total = combine_arrays(op, t2_1, t2_0)
+    return np.concatenate([total, total])
 
 
 def reduce_engine(dc: DualCube, values, op: AssocOp, root: int):

@@ -27,10 +27,6 @@ from repro.simulator.errors import (
 )
 from repro.simulator.requests import Send, Recv, SendRecv, Shift, Idle
 from repro.simulator.counters import CostCounters, Packed
-from repro.simulator.columnar import (
-    bit_pair_views,
-    dir_bit_views,
-)
 from repro.simulator.faults import FAULTED, FaultPlan
 from repro.simulator.message import Message
 from repro.simulator.serving import (
@@ -82,8 +78,6 @@ __all__ = [
     "Idle",
     "CostCounters",
     "Packed",
-    "bit_pair_views",
-    "dir_bit_views",
     "Message",
     "NodeCtx",
     "TraceRecorder",

@@ -1,4 +1,4 @@
-"""Cost accounting shared by the cycle-accurate engine and the vectorized backend.
+"""Cost accounting shared by the cycle-accurate engine and the array backend.
 
 The paper's theorems count two quantities under the synchronous 1-port
 model:
@@ -265,11 +265,11 @@ class CostCounters(Ledger):
         sends,
         recvs,
     ) -> None:
-        """Flush tallies accumulated outside the ledger (engine fast mode).
+        """Flush tallies accumulated outside the ledger.
 
-        The engine's fast path counts deliveries in plain Python scalars
-        and per-node lists, then merges them here in one shot; the final
-        ledger state is identical to per-event recording.
+        The engine's indexed matcher counts deliveries in plain Python
+        scalars and per-node lists, then merges them here in one shot; the
+        final ledger state is identical to per-event recording.
         """
         self.cycles += cycles
         self.active_cycles += active_cycles

@@ -41,12 +41,11 @@ Two interchangeable matchers realize step 3 (see ``docs/model.md``):
 Both matchers compute the same greatest fixed point and produce identical
 results, cycle counts, and cost ledgers.
 
-The indexed matcher additionally has a *fast* bookkeeping mode
-(``fast=True``, or the default ``fast=None`` which enables it whenever
-neither a trace nor a message log was requested): per-delivery ledger
-updates are accumulated in plain Python scalars/lists and flushed to the
-:class:`CostCounters` arrays once at the end of the run.  The final
-counter state is identical either way.
+The indexed matcher tallies deliveries in plain Python scalars and
+lists, and buffers timeline link events with their cycle numbers; both
+are flushed once when the run ends (fault counters are charged as they
+happen).  The final counter and timeline state equals per-delivery
+recording.
 """
 
 from __future__ import annotations
@@ -207,12 +206,6 @@ class Engine:
         Request matcher: ``"indexed"`` (counterpart-indexed worklist, the
         default) or ``"legacy"`` (whole-snapshot rescan, the reference
         implementation).  ``None`` uses the :func:`use_matching` default.
-    fast:
-        Skip per-delivery trace/message-log bookkeeping and flush cost
-        tallies in bulk (indexed matcher only).  ``None`` (default) means
-        auto: fast whenever neither ``trace`` nor ``log_messages`` nor an
-        active fault plan was requested.  Passing ``fast=True`` together
-        with a trace, a message log, or an active fault plan is an error.
     fault_plan:
         Optional :class:`~repro.simulator.faults.FaultPlan` consulted
         during matching (crashes, link cuts, drops, delays) with the
@@ -222,10 +215,8 @@ class Engine:
     timeline:
         Optional per-cycle :class:`~repro.obs.timeline.TimelineRecorder`
         receiving one link event per delivered message and one fault
-        event per drop/timeout/crash.  Works with both matchers *and*
-        with ``fast=True`` (the fast path buffers events with their cycle
-        numbers and bulk-flushes per-cycle records at the end).  ``None``
-        uses the :func:`use_timeline` default (normally no recorder).
+        event per drop/timeout/crash, from both matchers.  ``None`` uses
+        the :func:`use_timeline` default (normally no recorder).
     """
 
     def __init__(
@@ -237,7 +228,6 @@ class Engine:
         log_messages: bool = False,
         max_cycles: int = 1_000_000,
         matching: str | None = None,
-        fast: bool | None = None,
         fault_plan: FaultPlan | None = None,
         timeline=None,
     ):
@@ -266,20 +256,6 @@ class Engine:
             if fault_plan is not None and not fault_plan.is_empty
             else None
         )
-        wants_bookkeeping = trace is not None or log_messages
-        if fast is None:
-            fast = not wants_bookkeeping and self._fp is None
-        elif fast and wants_bookkeeping:
-            raise ValueError(
-                "fast=True skips trace/message-log bookkeeping; drop the "
-                "trace/log_messages arguments or pass fast=False"
-            )
-        elif fast and self._fp is not None:
-            raise ValueError(
-                "fast=True skips per-delivery bookkeeping, which fault "
-                "injection needs; drop fast=True or the fault plan"
-            )
-        self.fast = fast
         self._ok_endpoints: set[int] = set()
 
     def run(self) -> EngineResult:
@@ -305,11 +281,10 @@ class Engine:
         topo = self.topo
         n = topo.num_nodes
         counters = CostCounters(n)
-        fast = self.fast
         fp = self._fp
         tl = self.timeline
-        # Fast-mode timeline buffer: (cycle, src, dst, size, kind) tuples,
-        # bulk-flushed so per-cycle resolution survives the fast path.
+        # Timeline buffer: (cycle, src, dst, size, kind) tuples, flushed
+        # once at the end with each event's own cycle.
         tl_buffer: list[tuple[int, int, int, int, str]] = []
         message_log: list[Message] | None = [] if self.log_messages else None
 
@@ -472,8 +447,8 @@ class Engine:
                     return False
             return True
 
-        # Fast-mode ledger tallies, flushed to ``counters`` in one shot.
-        f_cycles = f_active = f_messages = f_payload = f_maxp = 0
+        # Delivery tallies, flushed to ``counters`` in one shot.
+        f_cycles = f_active = f_payload = f_maxp = 0
         f_sends = [0] * n
         f_recvs = [0] * n
 
@@ -597,32 +572,22 @@ class Engine:
                     st = send_to[rank]
                     if st >= 0:
                         payload = payloads[rank]
+                        size = payload_size(payload)
                         deliveries += 1
-                        if fast:
-                            size = payload_size(payload)
-                            f_messages += 1
-                            f_payload += size
-                            if size > f_maxp:
-                                f_maxp = size
-                            f_sends[rank] += 1
-                            f_recvs[st] += 1
-                            if tl is not None:
-                                tl_buffer.append(
-                                    (cycle, rank, st, size,
-                                     _KIND_NAMES[kind[rank]])
-                                )
-                        else:
-                            counters.record_delivery(rank, st, payload)
-                            if tl is not None:
-                                tl.record_message(
-                                    cycle, rank, st,
-                                    payload_size(payload),
-                                    _KIND_NAMES[kind[rank]],
-                                )
-                            if message_log is not None:
-                                message_log.append(
-                                    Message(rank, st, payload, cycle)
-                                )
+                        f_payload += size
+                        if size > f_maxp:
+                            f_maxp = size
+                        f_sends[rank] += 1
+                        f_recvs[st] += 1
+                        if tl is not None:
+                            tl_buffer.append(
+                                (cycle, rank, st, size,
+                                 _KIND_NAMES[kind[rank]])
+                            )
+                        if message_log is not None:
+                            message_log.append(
+                                Message(rank, st, payload, cycle)
+                            )
                     rf = recv_from[rank]
                     incoming[rank] = payloads[rf] if rf >= 0 else None
                     completed.append(rank)
@@ -663,12 +628,9 @@ class Engine:
                         raise DeadlockError(
                             cycle, self._blocked_dict(has_req, reqs)
                         )
-                if fast:
-                    f_cycles += 1
-                    if deliveries:
-                        f_active += 1
-                else:
-                    counters.record_cycle(deliveries)
+                f_cycles += 1
+                if deliveries:
+                    f_active += 1
                 completed.sort()
                 npending -= len(completed)
                 for rank in completed:
@@ -676,16 +638,15 @@ class Engine:
                 for rank in completed:
                     advance(rank, incoming[rank])
         finally:
-            if fast:
-                counters.record_bulk(
-                    cycles=f_cycles,
-                    active_cycles=f_active,
-                    messages=f_messages,
-                    payload_items=f_payload,
-                    max_message_payload=f_maxp,
-                    sends=f_sends,
-                    recvs=f_recvs,
-                )
+            counters.record_bulk(
+                cycles=f_cycles,
+                active_cycles=f_active,
+                messages=sum(f_sends),
+                payload_items=f_payload,
+                max_message_payload=f_maxp,
+                sends=f_sends,
+                recvs=f_recvs,
+            )
             if tl is not None:
                 if tl_buffer:
                     tl.bulk_load_messages(tl_buffer)
@@ -1038,7 +999,6 @@ def run_spmd(
     log_messages: bool = False,
     max_cycles: int = 1_000_000,
     matching: str | None = None,
-    fast: bool | None = None,
     fault_plan: FaultPlan | None = None,
     timeline=None,
 ) -> EngineResult:
@@ -1050,7 +1010,6 @@ def run_spmd(
         log_messages=log_messages,
         max_cycles=max_cycles,
         matching=matching,
-        fast=fast,
         fault_plan=fault_plan,
         timeline=timeline,
     ).run()

@@ -25,11 +25,9 @@ from repro._bits import (
     bit,
     bit_v,
     extract_field,
-    extract_field_v,
     flip_bit,
     flip_bit_v,
     hamming,
-    mask,
 )
 from repro.topology.base import DimensionedTopology
 
@@ -242,26 +240,6 @@ class DualCube(DimensionedTopology):
         """Vectorized :meth:`class_of`."""
         return bit_v(u, self._class_bit)
 
-    def node_id_v(self, u) -> np.ndarray:
-        """Vectorized :meth:`node_id`."""
-        u = np.asarray(u)
-        cls = bit_v(u, self._class_bit)
-        lo = extract_field_v(u, 0, self._m)
-        hi = extract_field_v(u, self._m, self._m)
-        return np.where(cls == 0, lo, hi)
-
-    def cluster_id_v(self, u) -> np.ndarray:
-        """Vectorized :meth:`cluster_id`."""
-        u = np.asarray(u)
-        cls = bit_v(u, self._class_bit)
-        lo = extract_field_v(u, 0, self._m)
-        hi = extract_field_v(u, self._m, self._m)
-        return np.where(cls == 0, hi, lo)
-
-    def node_mask(self) -> int:
-        """Mask of the low (n-1)-bit field."""
-        return mask(self._m)
-
     # -- arithmetic neighbor queries (array backend) -------------------------
     #
     # The array backend never materializes edge lists; these helpers
@@ -289,29 +267,3 @@ class DualCube(DimensionedTopology):
             bit_v(u, self._class_bit) == 1, 1 << self._m, 1
         ).astype(np.int64)
         return u ^ (step << local_dim)
-
-    def local_round_bit(self, cls: int, local_dim: int) -> int:
-        """Address bit that cluster-local dimension ``local_dim`` flips in class ``cls``.
-
-        Class-uniform companion of :meth:`local_to_global_dim`: every node
-        of one class flips the same address bit at ascend round
-        ``local_dim``, which is what lets the array backend run a whole
-        class's round as one reshape-view combine.
-        """
-        if cls not in (0, 1):
-            raise ValueError(f"class must be 0 or 1, got {cls}")
-        if not 0 <= local_dim < self._m:
-            raise ValueError(
-                f"local dimension {local_dim} out of range [0, {self._m})"
-            )
-        return local_dim if cls == 0 else self._m + local_dim
-
-    def class_slices(self) -> tuple[slice, slice]:
-        """``(class-0, class-1)`` node-index slices.
-
-        The class bit is the *top* address bit, so each class occupies a
-        contiguous half of the index space, so the cross-edge exchange
-        maps one half onto the other.
-        """
-        half = self.num_nodes >> 1
-        return slice(0, half), slice(half, self.num_nodes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._bits import flip_bit, flip_bit_v, hamming
+from repro._bits import flip_bit, hamming
 from repro.topology.base import DimensionedTopology
 
 __all__ = ["Hypercube"]
@@ -81,13 +81,3 @@ class Hypercube(DimensionedTopology):
     def all_nodes_array(self) -> np.ndarray:
         """All node indices as an int64 array."""
         return np.arange(self.num_nodes, dtype=np.int64)
-
-    def partner_v(self, u, d: int) -> np.ndarray:
-        """Vectorized :meth:`~repro.topology.base.DimensionedTopology.partner`:
-        ``u ^ (1 << d)`` over a whole index array.
-
-        Every hypercube dimension is a direct link, so this answers all
-        neighbor queries an array executor makes — no edge lists.
-        """
-        self.check_dimension(d)
-        return flip_bit_v(np.asarray(u, dtype=np.int64), d)

@@ -208,16 +208,12 @@ class TestRep006PerRankLoop:
         assert "REP006" in LINT_RULES
 
     def test_marked_repo_files_stay_clean(self):
-        # The real view-kernel modules carry the marker; the rule must
-        # hold on them, not only on synthetic snippets.
-        marked = [
-            os.path.join(SRC, "repro", "simulator", "columnar.py"),
-            os.path.join(SRC, "repro", "core", "replay.py"),
-        ]
-        for path in marked:
-            with open(path, encoding="utf-8") as fh:
-                assert "# repro: columnar-hot-path" in fh.read()
-            assert lint_file(path) == []
+        # The view-kernel module carries the marker; the rule must hold
+        # on it, not only on synthetic snippets.
+        path = os.path.join(SRC, "repro", "core", "replay.py")
+        with open(path, encoding="utf-8") as fh:
+            assert "# repro: columnar-hot-path" in fh.read()
+        assert lint_file(path) == []
 
 
 class TestRep007BackendCompare:

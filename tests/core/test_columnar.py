@@ -32,6 +32,8 @@ from repro.core.dual_sort import (
 )
 from repro.core.large_inputs import large_prefix_engine
 from repro.core.replay import (
+    bit_pair_views,
+    dir_bit_views,
     dual_prefix_replay,
     dual_sort_replay,
     get_prefix_plan,
@@ -39,12 +41,7 @@ from repro.core.replay import (
     large_sort_replay,
 )
 from repro.obs.timeline import TimelineRecorder
-from repro.simulator import (
-    CostCounters,
-    bit_pair_views,
-    dir_bit_views,
-    use_matching,
-)
+from repro.simulator import CostCounters, use_matching
 from repro.topology import DualCube, RecursiveDualCube
 
 

@@ -11,11 +11,14 @@ from repro.analysis.complexity import (
     theorem1_comm_bound,
     theorem1_comp_bound,
 )
+from repro.core.cube_prefix import cube_prefix_vec
 from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
-from repro.core.ops import ADD, CONCAT, MATMUL2, MAX, MUL
+from repro.core.emulation import emulated_cube_prefix_vec
+from repro.core.ops import ADD, CONCAT, MATMUL2, MAX, MIN, MUL
 from repro.core.verify import check_prefix
+from repro.routing import allreduce_vec
 from repro.simulator import CostCounters, TraceRecorder
-from repro.topology import DualCube
+from repro.topology import DualCube, RecursiveDualCube
 
 
 def tuple_values(n, rng):
@@ -186,48 +189,48 @@ class TestProperties:
 
 class TestSuffixScan:
     def test_suffix_sum(self, rng):
-        from repro.core.dual_prefix import dual_suffix_vec
+        from repro.core.dual_prefix import dual_suffix
 
         dc = DualCube(3)
         vals = rng.integers(-100, 100, 32)
-        suf = dual_suffix_vec(dc, vals, ADD)
+        suf = dual_suffix(dc, vals, ADD)
         assert list(suf) == list(np.cumsum(vals[::-1])[::-1])
 
     def test_suffix_non_commutative_order(self):
-        from repro.core.dual_prefix import dual_suffix_vec
+        from repro.core.dual_prefix import dual_suffix
 
         dc = DualCube(2)
         vals = np.empty(8, dtype=object)
         vals[:] = [(k,) for k in range(8)]
-        suf = dual_suffix_vec(dc, vals, CONCAT)
+        suf = dual_suffix(dc, vals, CONCAT)
         for k in range(8):
             assert suf[k] == tuple(range(k, 8))
 
     def test_suffix_diminished(self, rng):
-        from repro.core.dual_prefix import dual_suffix_vec
+        from repro.core.dual_prefix import dual_suffix
 
         dc = DualCube(2)
         vals = rng.integers(0, 50, 8)
-        suf = dual_suffix_vec(dc, vals, ADD, inclusive=False)
+        suf = dual_suffix(dc, vals, ADD, inclusive=False)
         expect = list(np.cumsum(vals[::-1])[::-1])[1:] + [0]
         assert list(suf) == expect
 
     def test_suffix_costs_match_prefix(self, rng):
-        from repro.core.dual_prefix import dual_suffix_vec
+        from repro.core.dual_prefix import dual_suffix
 
         dc = DualCube(3)
         c = CostCounters(32)
-        dual_suffix_vec(dc, rng.integers(0, 9, 32), ADD, counters=c)
+        dual_suffix(dc, rng.integers(0, 9, 32), ADD, counters=c)
         assert c.comm_steps == 6
 
     def test_prefix_plus_suffix_identity(self, rng):
         """inclusive prefix[k] + diminished suffix[k+1...] == total."""
-        from repro.core.dual_prefix import dual_suffix_vec
+        from repro.core.dual_prefix import dual_suffix
 
         dc = DualCube(3)
         vals = rng.integers(-50, 50, 32)
         pre = dual_prefix(dc, vals, ADD)
-        suf = dual_suffix_vec(dc, vals, ADD, inclusive=False)
+        suf = dual_suffix(dc, vals, ADD, inclusive=False)
         assert all(p + s == vals.sum() for p, s in zip(pre, suf))
 
 
@@ -295,3 +298,67 @@ class TestNarrowDtypes:
         got = large_prefix(dc, vals, ADD)
         assert got.dtype == acc
         assert got.tolist() == np.cumsum(vals, dtype=acc).tolist()
+
+    ASCEND_PATHS = {
+        "cube_prefix_vec": lambda n, vals, op, inclusive: cube_prefix_vec(
+            vals, op, inclusive=inclusive),
+        "emulated_cube_prefix_vec": lambda n, vals, op, inclusive:
+            emulated_cube_prefix_vec(
+                RecursiveDualCube(n), vals, op, inclusive=inclusive),
+    }
+
+    @pytest.mark.parametrize("path", list(ASCEND_PATHS))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_ascend_paths_match_cumsum(self, path, n, dtype, inclusive):
+        num = DualCube(n).num_nodes
+        vals = self._values(dtype, num)
+        acc = self._acc(dtype)
+        want = np.cumsum(vals, dtype=acc)
+        total = want[-1]
+        if not inclusive:
+            want = np.concatenate([np.zeros(1, acc), want[:-1]])
+        t, s = self.ASCEND_PATHS[path](n, vals, ADD, inclusive)
+        assert (t.dtype, s.dtype) == (acc, acc)
+        assert s.tolist() == want.tolist()
+        assert t.tolist() == [total] * num
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_allreduce_matches_total(self, n, dtype):
+        dc = DualCube(n)
+        vals = self._values(dtype, dc.num_nodes)
+        acc = self._acc(dtype)
+        got = allreduce_vec(dc, vals, ADD)
+        assert got.dtype == acc
+        assert got.tolist() == [np.sum(vals, dtype=acc)] * dc.num_nodes
+
+    @pytest.mark.parametrize("path", list(ASCEND_PATHS))
+    def test_exclusive_python_int_product_is_exact(self, path):
+        # Regression: the diminished s used to start from the int64
+        # identity column, so the products overflowed int64 and raised.
+        vals = np.empty(32, dtype=object)
+        vals[:] = list(range(2, 34))
+        _, s = self.ASCEND_PATHS[path](3, vals, MUL, False)
+        want, acc = [], 1
+        for v in range(2, 34):
+            want.append(acc)
+            acc *= v
+        assert s.tolist() == want
+        assert all(type(x) is int for x in s)
+
+    @pytest.mark.parametrize("op", [MIN, MAX], ids=["min", "max"])
+    def test_min_max_keep_the_narrow_dtype(self, op):
+        # MIN/MAX never leave the input's range, so only ADD/MUL widen.
+        from repro.core.large_inputs import large_prefix
+
+        dc = DualCube(3)
+        vals = np.random.default_rng(7).integers(
+            -128, 128, 3 * dc.num_nodes).astype(np.int8)
+        _, s = cube_prefix_vec(vals[:dc.num_nodes], op)
+        got = large_prefix(dc, vals, op)
+        for arr, want in ((s, op.ufunc.accumulate(vals[:dc.num_nodes])),
+                          (got, op.ufunc.accumulate(vals))):
+            assert arr.dtype == np.int8
+            assert arr.tolist() == want.tolist()

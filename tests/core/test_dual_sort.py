@@ -60,12 +60,6 @@ class TestScheduleStructure:
         const_step = ScheduleStep(0, "const", 1)
         assert const_step.descending(0) and const_step.descending(7)
 
-    def test_descending_mask_matches_scalar(self):
-        idx = np.arange(32)
-        for step in dual_sort_schedule(3):
-            mask = step.descending_mask(idx)
-            assert list(mask) == [step.descending(int(u)) for u in idx]
-
     def test_bad_step_params_rejected(self):
         with pytest.raises(ValueError):
             ScheduleStep(0, "sideways", 0)

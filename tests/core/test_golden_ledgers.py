@@ -10,6 +10,8 @@ exactly over every plan the plan validation covers:
 * `D_sort` on D_1..D_5, ascending and descending, packed and single
   payloads;
 * Batcher's network on Q_1..Q_9, both directions;
+* `Cube_prefix` on Q_1..Q_5, inclusive and exclusive, and the dual-cube
+  allreduce on D_1..D_4;
 * the blocked ``large_prefix`` / ``large_sort`` with blocks 1, 2, 3 and 8
   on D_2 and D_3;
 * both dimension-exchange emulation executors;
@@ -33,6 +35,7 @@ import pytest
 
 from repro.core import (
     ADD,
+    cube_prefix_vec,
     dual_prefix,
     dual_sort,
     hypercube_bitonic_sort,
@@ -43,6 +46,7 @@ from repro.core.emulation import (
 )
 from repro.core.large_inputs import large_prefix, large_sort
 from repro.obs import TimelineRecorder
+from repro.routing import allreduce_vec
 from repro.simulator import CostCounters
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
 
@@ -66,6 +70,17 @@ def _sort(n, descending, policy):
 def _bitonic(q, descending):
     return 1 << q, lambda c: hypercube_bitonic_sort(
         np.arange(1 << q)[::-1], descending=descending, counters=c)
+
+
+def _cube_prefix(q, inclusive):
+    return 1 << q, lambda c: cube_prefix_vec(
+        np.arange(1 << q), ADD, inclusive=inclusive, counters=c)
+
+
+def _allreduce(n):
+    dc = DualCube(n)
+    return dc.num_nodes, lambda c: allreduce_vec(
+        dc, np.arange(dc.num_nodes), ADD, counters=c)
 
 
 def _large_prefix(n, b):
@@ -119,6 +134,12 @@ for _q in range(1, 10):
     for _desc in (False, True):
         CASES[f"bitonic-Q{_q}-{'desc' if _desc else 'asc'}"] = (
             _bitonic, (_q, _desc))
+for _q in range(1, 6):
+    for _inc in (True, False):
+        CASES[f"cube_prefix-Q{_q}-{'incl' if _inc else 'excl'}"] = (
+            _cube_prefix, (_q, _inc))
+for _n in range(1, 5):
+    CASES[f"allreduce-D{_n}"] = (_allreduce, (_n,))
 for _n in (2, 3):
     for _b in (1, 2, 3, 8):
         CASES[f"large_prefix-D{_n}-B{_b}"] = (_large_prefix, (_n, _b))

@@ -1,9 +1,9 @@
-"""Engine/vectorized wiring of the timeline recorder.
+"""Engine and array-backend wiring of the timeline recorder.
 
 The headline guarantee: a recorder attached to an engine run carries the
 *same* per-cycle event set as the static analyzer's extracted schedule —
-for both matchers and for the fast bookkeeping path (whose bulk flush
-must preserve per-cycle resolution, not collapse to one end-of-run blob).
+for both matchers (the indexed matcher's end-of-run flush must preserve
+per-cycle resolution, not collapse to one end-of-run blob).
 """
 
 import pytest
@@ -56,7 +56,7 @@ class TestEngineWiring:
         ]
 
     def test_fast_path_flush_keeps_cycle_resolution(self):
-        # Fault-free indexed runs take the fast bookkeeping path; the
+        # Indexed runs buffer link events and flush them at the end; the
         # recorder must still see every (cycle, src, dst) individually.
         dc = DualCube(2)
         vals = list(range(dc.num_nodes))
@@ -74,11 +74,10 @@ class TestEngineWiring:
         vals = list(range(dc.num_nodes))
         keys = {}
         for matching in MATCHERS:
-            for fast in (False, True):
-                t = TimelineRecorder(num_nodes=dc.num_nodes)
-                program = dual_prefix_program(dc, vals, ADD)
-                run_spmd(dc, program, timeline=t, matching=matching, fast=fast)
-                keys[(matching, fast)] = _timeline_key(t)
+            t = TimelineRecorder(num_nodes=dc.num_nodes)
+            program = dual_prefix_program(dc, vals, ADD)
+            run_spmd(dc, program, timeline=t, matching=matching)
+            keys[matching] = _timeline_key(t)
         first, *rest = keys.values()
         assert first and all(k == first for k in rest)
 

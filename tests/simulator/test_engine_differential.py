@@ -4,8 +4,7 @@ Every engine-backed core algorithm runs twice — once under
 ``matching="legacy"`` (the original whole-snapshot rescan, kept verbatim
 as the oracle) and once under ``matching="indexed"`` (the slot-array
 worklist matcher) — and must produce identical returns, communication
-steps, computation steps, and per-node send/receive tallies.  The fast
-bookkeeping mode is additionally checked against per-event recording.
+steps, computation steps, and per-node send/receive tallies.
 """
 
 import numpy as np
@@ -260,31 +259,11 @@ class TestStaggeredStress:
 
 
 class TestFastModeEquivalence:
-    def test_fast_and_slow_bookkeeping_agree(self, cube, rng):
-        if cube.num_nodes < 2:
-            pytest.skip("needs at least one dimension")
-        keys = [int(x) for x in rng.permutation(cube.num_nodes)]
-
-        def run(fast):
-            def program(ctx):
-                u = ctx.rank
-                key = keys[u]
-                for d in range(cube.q):
-                    got = yield SendRecv(u ^ (1 << d), key)
-                    ctx.compute(1)
-                    key = min(key, got) if u < u ^ (1 << d) else max(key, got)
-                return key
-
-            return run_spmd(cube, program, fast=fast)
-
-        assert _fingerprint(run(True)) == _fingerprint(run(False))
-
     def test_fast_mode_skips_message_log_only_when_unrequested(self):
         def program(ctx):
             yield SendRecv(ctx.rank ^ 1, ctx.rank)
 
-        with pytest.raises(ValueError, match="fast"):
-            run_spmd(Hypercube(1), program, fast=True, log_messages=True)
-        # Auto mode keeps the log when it is requested.
+        assert run_spmd(Hypercube(1), program).message_log is None
+        # The log is kept when it is requested.
         res = run_spmd(Hypercube(1), program, log_messages=True)
         assert len(res.message_log) == 2

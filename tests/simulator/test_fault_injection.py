@@ -145,20 +145,6 @@ class TestEmptyPlanDifferential:
                 _, planned = dual_sort_engine(rdc, keys)
         assert _fingerprint(planned) == _fingerprint(bare)
 
-    def test_empty_plan_keeps_fast_mode(self):
-        from repro.simulator.engine import Engine
-        dc = DualCube(1)
-        eng = Engine(dc, pairswap, fault_plan=FaultPlan())
-        assert eng.fast  # the pristine fast path stays eligible
-
-    def test_active_plan_disables_fast_mode(self):
-        from repro.simulator.engine import Engine
-        dc = DualCube(1)
-        eng = Engine(dc, pairswap, fault_plan=FaultPlan(drop_rate=0.1))
-        assert not eng.fast
-        with pytest.raises(ValueError, match="fast=True"):
-            Engine(dc, pairswap, fast=True, fault_plan=FaultPlan(drop_rate=0.1))
-
 
 class TestDropsAndRetries:
     @pytest.mark.parametrize("matching", MATCHERS)

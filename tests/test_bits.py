@@ -141,17 +141,6 @@ class TestVectorized:
         with pytest.raises(ValueError):
             B.swap_fields_v(np.arange(4), 0, 1, 3)
 
-    def test_popcount_v_matches_scalar(self):
-        xs = np.arange(512)
-        assert list(B.popcount_v(xs)) == [B.popcount(int(x)) for x in xs]
-
-    def test_hamming_v_matches_scalar(self):
-        xs = np.arange(128)
-        ys = xs[::-1].copy()
-        assert list(B.hamming_v(xs, ys)) == [
-            B.hamming(int(x), int(y)) for x, y in zip(xs, ys)
-        ]
-
     def test_non_integer_input_rejected(self):
         with pytest.raises(TypeError):
             B.bit_v(np.array([0.5, 1.5]), 0)

@@ -103,10 +103,6 @@ class TestAddressFields:
     def test_vectorized_fields_match_scalar(self, dc):
         idx = dc.all_nodes_array()
         assert list(dc.class_of_v(idx)) == [dc.class_of(u) for u in dc.nodes()]
-        assert list(dc.node_id_v(idx)) == [dc.node_id(u) for u in dc.nodes()]
-        assert list(dc.cluster_id_v(idx)) == [
-            dc.cluster_id(u) for u in dc.nodes()
-        ]
 
 
 class TestAdjacency:
@@ -264,30 +260,3 @@ class TestArithmeticQueries:
         dc = DualCube(3)
         with pytest.raises(ValueError, match="local dimension"):
             dc.intra_partner_v(dc.all_nodes_array(), 2)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_local_round_bit_is_class_uniform(self, n):
-        dc = DualCube(n)
-        for u in dc.nodes():
-            cls = dc.class_of(u)
-            for local_dim in range(n - 1):
-                assert (
-                    dc.local_round_bit(cls, local_dim)
-                    == dc.local_to_global_dim(u, local_dim)
-                )
-
-    def test_local_round_bit_validates_arguments(self):
-        dc = DualCube(3)
-        with pytest.raises(ValueError, match="class"):
-            dc.local_round_bit(2, 0)
-        with pytest.raises(ValueError, match="local dimension"):
-            dc.local_round_bit(0, 5)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_class_slices_partition_by_class(self, n):
-        dc = DualCube(n)
-        lo, hi = dc.class_slices()
-        nodes = list(dc.nodes())
-        assert nodes[lo] + nodes[hi] == nodes
-        assert all(dc.class_of(u) == 0 for u in nodes[lo])
-        assert all(dc.class_of(u) == 1 for u in nodes[hi])

@@ -95,16 +95,3 @@ class TestArithmeticQueries:
         arr = Hypercube(q).all_nodes_array()
         assert arr.dtype == np.int64
         assert arr.tolist() == list(range(1 << q))
-
-    @pytest.mark.parametrize("q", [1, 3, 5])
-    def test_partner_v_matches_scalar_partner(self, q):
-        cube = Hypercube(q)
-        nodes = cube.all_nodes_array()
-        for d in range(q):
-            vec = cube.partner_v(nodes, d)
-            for u in cube.nodes():
-                assert vec[u] == cube.partner(u, d)
-
-    def test_partner_v_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            Hypercube(3).partner_v(np.arange(8), 3)
