@@ -162,8 +162,8 @@ def extract_schedule(
         gens[rank] = gen
         advance(rank, None)
 
-    # Per-step scratch (see the engine's indexed matcher, which this
-    # mirrors minus validation, faults, and cost bookkeeping).
+    # Per-step scratch (see the engine's matcher, which this mirrors
+    # minus validation, faults, and cost bookkeeping).
     alive = bytearray(n)
     deps: list[list[int]] = [[] for _ in range(n)]
     incoming: list[Any] = [None] * n

@@ -23,7 +23,7 @@ Three analyses, all pure over the IR plus a
   membership by BFS reachability (``degraded``) or route existence
   (``reroute``) from ``root = min(healthy)``.  The differential suite
   asserts it matches the dynamic outcome for every single-node and
-  single-link fault on D_2..D_4 under both engine matchers.
+  single-link fault on D_2..D_4.
 
 * :func:`minimal_cut` and friends — the smallest fault set violating a
   correctness predicate.  The generic search is greedy (plus caller

@@ -222,13 +222,11 @@ def dual_suffix(
 
     Runs `D_prefix` on the reversed sequence under the order-flipped
     (still associative) operation, then reverses back — same 2n
-    communication steps, an exact mirror.
+    communication steps, an exact mirror.  A commutative op is its own
+    flip, so it keeps its ufunc and numeric dtype.
     """
-    flipped = AssocOp(
-        f"{op.name}-flipped",
-        lambda a, b: op.fn(b, a),
-        op.identity,
-        commutative=op.commutative,
+    flipped = op if op.commutative else AssocOp(
+        f"{op.name}-flipped", lambda a, b: op.fn(b, a), op.identity
     )
     from repro.core.replay import dual_prefix_replay
 

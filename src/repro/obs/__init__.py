@@ -4,9 +4,10 @@ The simulator's ledgers answer "how much did the run cost"; this package
 answers "what happened *when*":
 
 * :mod:`repro.obs.timeline` — per-cycle :class:`TimelineRecorder` of
-  link/message/fault events from the engine (both matchers) plus coarse
-  per-round records from the array backend, with :func:`cross_validate_timeline` checking the recording
-  against the static analyzer's extracted schedule;
+  link/message/fault events from the engine plus coarse per-round
+  records from the array backend, with :func:`cross_validate_timeline`
+  checking the recording against the static analyzer's extracted
+  schedule;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and histograms fed by :class:`~repro.simulator.counters.CostCounters`
   and the recorder, exporting JSON lines and Prometheus text format;

@@ -6,8 +6,8 @@ no record of **when** each link carried traffic or when a fault struck.
 The :class:`TimelineRecorder` is that record: an append-only log of
 
 * :class:`LinkEvent` — one delivered message (cycle, src, dst, payload
-  size, request kind), emitted per delivery by the legacy matcher and
-  flushed with its cycle number at the end of an indexed-matcher run;
+  size, request kind), buffered by the engine and flushed with its cycle
+  number when the run ends;
 * :class:`FaultEvent` — one fault-plan action (drop, timeout, crash)
   with the cycle it occurred in;
 * :class:`StepRecord` — one coarse lockstep round from the array backend
@@ -189,10 +189,10 @@ class TimelineRecorder:
     ) -> None:
         """Flush buffered ``(cycle, src, dst, size, kind)`` deliveries.
 
-        The engine's indexed matcher buffers deliveries in plain tuples
-        and flushes them here in one shot; each tuple keeps its own
-        cycle number, so the flushed timeline has the same per-cycle
-        resolution as per-event recording (not one end-of-run blob).
+        The engine buffers deliveries in plain tuples and flushes them
+        here in one shot; each tuple keeps its own cycle number, so the
+        flushed timeline has the same per-cycle resolution as per-event
+        recording (not one end-of-run blob).
         """
         self._events.extend(LinkEvent(*e) for e in events)
 

@@ -56,7 +56,9 @@ def allreduce_engine(dc: DualCube, values, op: AssocOp):
     ``totals[u]`` is the op-reduction of all inputs in *arranged* (global
     index) order — identical at every node.  ``result.comm_steps == 2n``.
     """
-    vals = list(values)
+    # Python scalars, as in `dual_prefix_program`: numpy bool ADD is a
+    # logical or and narrow ints wrap.
+    vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
     if len(vals) != dc.num_nodes:
         raise ValueError(
             f"expected {dc.num_nodes} values for {dc.name}, got {len(vals)}"

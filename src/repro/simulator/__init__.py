@@ -42,7 +42,6 @@ from repro.simulator.engine import (
     Engine,
     EngineResult,
     run_spmd,
-    use_matching,
     use_fault_plan,
     use_timeline,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Engine",
     "EngineResult",
     "run_spmd",
-    "use_matching",
     "use_fault_plan",
     "use_timeline",
     "SLO",

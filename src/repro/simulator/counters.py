@@ -179,22 +179,6 @@ class CostCounters(Ledger):
 
     # -- engine-side hooks ---------------------------------------------------
 
-    def record_cycle(self, deliveries: int) -> None:
-        """One engine clock tick with ``deliveries`` completed messages."""
-        self.cycles += 1
-        if deliveries:
-            self.active_cycles += 1
-
-    def record_delivery(self, src: int, dst: int, payload: Any) -> None:
-        """One message delivered ``src -> dst``."""
-        size = payload_size(payload)
-        self.messages += 1
-        self.payload_items += size
-        if size > self.max_message_payload:
-            self.max_message_payload = size
-        self.sends[src] += 1
-        self.recvs[dst] += 1
-
     def record_drop(self) -> None:
         """One in-flight message lost to fault injection (forces a retry)."""
         self.messages_dropped += 1
@@ -267,9 +251,8 @@ class CostCounters(Ledger):
     ) -> None:
         """Flush tallies accumulated outside the ledger.
 
-        The engine's indexed matcher counts deliveries in plain Python
-        scalars and per-node lists, then merges them here in one shot; the
-        final ledger state is identical to per-event recording.
+        The engine counts deliveries in plain Python scalars and per-node
+        lists, then merges them here in one shot when a run ends.
         """
         self.cycles += cycles
         self.active_cycles += active_cycles

@@ -25,27 +25,21 @@ pending raises :class:`DeadlockError`; asymmetric pairs (``Send`` facing
 every algorithm in the paper is lockstep-symmetric and such a mismatch is a
 program bug.
 
-Scheduling implementations
---------------------------
-Two interchangeable matchers realize step 3 (see ``docs/model.md``):
+Scheduling
+----------
+One matcher realizes step 3 (see ``docs/model.md``) by counterpart-indexed
+worklist pruning.  Requests live in per-rank slot arrays; when a request
+is pruned, only the requests whose legs reference it are rechecked, so
+each cycle's fixed point costs O(requests + prunes).  Link validation of
+repeated (rank, peer) endpoints is cached (the topology is fixed for the
+life of a run).  Its oracle is the static schedule extractor
+(:func:`repro.analysis.static.extract_schedule`), a separate
+implementation of the same matching rule: a timeline recorded from a run
+must equal the extracted schedule event for event.
 
-* ``matching="indexed"`` (default) — counterpart-indexed worklist pruning.
-  Requests live in per-rank slot arrays; when a request is pruned, only
-  the requests whose legs reference it are rechecked, so each cycle's
-  fixed point costs O(requests + prunes) instead of the legacy matcher's
-  O(active²) worst case.  Link validation of repeated (rank, peer)
-  endpoints is cached (the topology is fixed for the life of a run).
-* ``matching="legacy"`` — the original whole-snapshot rescan, kept
-  verbatim as the reference implementation for differential tests.
-
-Both matchers compute the same greatest fixed point and produce identical
-results, cycle counts, and cost ledgers.
-
-The indexed matcher tallies deliveries in plain Python scalars and
-lists, and buffers timeline link events with their cycle numbers; both
-are flushed once when the run ends (fault counters are charged as they
-happen).  The final counter and timeline state equals per-delivery
-recording.
+The engine tallies deliveries in plain Python scalars and lists, and
+buffers timeline link events with their cycle numbers; both are flushed
+once when the run ends (fault counters are charged as they happen).
 """
 
 from __future__ import annotations
@@ -73,15 +67,12 @@ __all__ = [
     "Engine",
     "EngineResult",
     "run_spmd",
-    "use_matching",
     "use_fault_plan",
     "use_timeline",
 ]
 
 Program = Callable[[NodeCtx], Generator[Request, Any, Any]]
 
-_MATCHINGS = ("indexed", "legacy")
-_DEFAULT_MATCHING = "indexed"
 _DEFAULT_FAULT_PLAN: FaultPlan | None = None
 _DEFAULT_TIMELINE = None
 
@@ -92,34 +83,11 @@ _KIND_NAMES = ("idle", "send", "recv", "sendrecv", "shift")
 
 
 @contextmanager
-def use_matching(mode: str):
-    """Temporarily change the default request matcher (``"indexed"``/``"legacy"``).
-
-    Algorithms call :func:`run_spmd` without exposing engine knobs; this
-    context manager lets differential tests (and curious benchmarks) route
-    those internal runs through either matcher::
-
-        with use_matching("legacy"):
-            prefixes, result = dual_prefix_engine(dc, values, ADD)
-    """
-    global _DEFAULT_MATCHING
-    if mode not in _MATCHINGS:
-        raise ValueError(f"matching must be one of {_MATCHINGS}, got {mode!r}")
-    previous = _DEFAULT_MATCHING
-    _DEFAULT_MATCHING = mode
-    try:
-        yield
-    finally:
-        _DEFAULT_MATCHING = previous
-
-
-@contextmanager
 def use_fault_plan(plan: FaultPlan | None):
     """Temporarily install a default :class:`FaultPlan` for nested runs.
 
-    Mirrors :func:`use_matching`: algorithms call :func:`run_spmd` without
-    exposing engine knobs, and this context manager routes those internal
-    runs through a fault schedule::
+    Algorithms call :func:`run_spmd` without exposing engine knobs; this
+    context manager routes those internal runs through a fault schedule::
 
         with use_fault_plan(FaultPlan(drop_rate=0.05, seed=7)):
             prefixes, result = dual_prefix_engine(dc, values, ADD)
@@ -135,28 +103,40 @@ def use_fault_plan(plan: FaultPlan | None):
         _DEFAULT_FAULT_PLAN = previous
 
 
+# The recorder methods the engine calls.
+_TIMELINE_HOOKS = ("record_fault", "bulk_load_messages", "set_cycles")
+
+
+def _check_timeline(recorder) -> None:
+    """Reject a recorder missing a hook before any program starts (a
+    missing hook would otherwise fail mid-run, in the matcher's cleanup)."""
+    if recorder is not None and not all(
+        hasattr(recorder, hook) for hook in _TIMELINE_HOOKS
+    ):
+        raise TypeError(
+            f"expected a timeline recorder ({'/'.join(_TIMELINE_HOOKS)}) "
+            f"or None, got {type(recorder)!r}"
+        )
+
+
 @contextmanager
 def use_timeline(recorder):
     """Temporarily install a default timeline recorder for nested runs.
 
-    Mirrors :func:`use_matching`: algorithms call :func:`run_spmd` without
-    exposing engine knobs, and this context manager routes those internal
-    runs through a :class:`~repro.obs.timeline.TimelineRecorder`::
+    Like :func:`use_fault_plan`, this routes the internal :func:`run_spmd`
+    runs of algorithms through a
+    :class:`~repro.obs.timeline.TimelineRecorder`::
 
         tl = TimelineRecorder(dc.num_nodes)
         with use_timeline(tl):
             prefixes, result = dual_prefix_engine(dc, values, ADD)
 
-    The recorder is duck-typed (anything with ``record_message``,
-    ``record_fault``, ``bulk_load_messages`` and ``set_cycles``) so the
-    simulator has no import dependency on :mod:`repro.obs`.
+    The recorder is duck-typed (anything with ``record_fault``,
+    ``bulk_load_messages`` and ``set_cycles``) so the simulator has no
+    import dependency on :mod:`repro.obs`.
     """
     global _DEFAULT_TIMELINE
-    if recorder is not None and not hasattr(recorder, "record_message"):
-        raise TypeError(
-            f"expected a timeline recorder (record_message/record_fault/"
-            f"bulk_load_messages/set_cycles) or None, got {type(recorder)!r}"
-        )
+    _check_timeline(recorder)
     previous = _DEFAULT_TIMELINE
     _DEFAULT_TIMELINE = recorder
     try:
@@ -202,10 +182,6 @@ class Engine:
         Keep a full :class:`Message` log (memory-heavy; tests only).
     max_cycles:
         Safety valve against livelock (e.g. an all-``Idle`` spin).
-    matching:
-        Request matcher: ``"indexed"`` (counterpart-indexed worklist, the
-        default) or ``"legacy"`` (whole-snapshot rescan, the reference
-        implementation).  ``None`` uses the :func:`use_matching` default.
     fault_plan:
         Optional :class:`~repro.simulator.faults.FaultPlan` consulted
         during matching (crashes, link cuts, drops, delays) with the
@@ -215,8 +191,8 @@ class Engine:
     timeline:
         Optional per-cycle :class:`~repro.obs.timeline.TimelineRecorder`
         receiving one link event per delivered message and one fault
-        event per drop/timeout/crash, from both matchers.  ``None`` uses
-        the :func:`use_timeline` default (normally no recorder).
+        event per drop/timeout/crash.  ``None`` uses the
+        :func:`use_timeline` default (normally no recorder).
     """
 
     def __init__(
@@ -227,23 +203,16 @@ class Engine:
         trace: TraceRecorder | None = None,
         log_messages: bool = False,
         max_cycles: int = 1_000_000,
-        matching: str | None = None,
         fault_plan: FaultPlan | None = None,
         timeline=None,
     ):
         self.topo = topo
         self.program = program
         self.trace = trace
+        _check_timeline(timeline)
         self.timeline = timeline if timeline is not None else _DEFAULT_TIMELINE
         self.log_messages = log_messages
         self.max_cycles = max_cycles
-        if matching is None:
-            matching = _DEFAULT_MATCHING
-        if matching not in _MATCHINGS:
-            raise ValueError(
-                f"matching must be one of {_MATCHINGS}, got {matching!r}"
-            )
-        self.matching = matching
         if fault_plan is None:
             fault_plan = _DEFAULT_FAULT_PLAN
         if fault_plan is not None:
@@ -258,19 +227,11 @@ class Engine:
         )
         self._ok_endpoints: set[int] = set()
 
-    def run(self) -> EngineResult:
-        """Execute to completion and return results plus cost counters."""
-        if self.matching == "legacy":
-            return self._run_legacy()
-        return self._run_indexed()
-
-    # -- indexed matcher (the hot path) ---------------------------------------
-
     # Request kind codes for the slot-array representation.
     _IDLE, _SEND, _RECV, _SENDRECV, _SHIFT = range(5)
 
-    def _run_indexed(self) -> EngineResult:
-        """Slot-array engine with counterpart-indexed worklist matching.
+    def run(self) -> EngineResult:
+        """Execute to completion and return results plus cost counters.
 
         Each issued request is decoded exactly once (at yield time) into
         preallocated per-rank slot arrays — a kind code, the send-leg
@@ -665,331 +626,6 @@ class Engine:
         """Occupied slots -> {rank: request} for DeadlockError reporting."""
         return {r: reqs[r] for r in range(len(has_req)) if has_req[r]}
 
-    # -- legacy matcher (reference implementation) -----------------------------
-
-    def _run_legacy(self) -> EngineResult:
-        """The original whole-snapshot rescan engine, kept as the oracle.
-
-        Fault injection follows the exact semantics of the indexed matcher
-        (crashes at cycle start, cut links unmatchable, drops blocking the
-        whole exchange, issue delays, per-request timeouts) so the
-        differential suite can compare the two under any plan.
-        """
-        topo = self.topo
-        n = topo.num_nodes
-        counters = CostCounters(n)
-        fp = self._fp
-        tl = self.timeline
-        message_log: list[Message] | None = [] if self.log_messages else None
-
-        gens: list[Generator[Request, Any, Any] | None] = [None] * n
-        pending: dict[int, Request] = {}
-        returns: list[Any] = [None] * n
-        cycle = 0
-
-        issue_cycle = [0] * n
-        ready_at = [0] * n
-        retry_count = [0] * n
-        crash_watch = set(fp.node_crashes) if fp is not None else set()
-        crashed: list[int] = []
-        has_down = fp is not None and bool(fp.downtimes)
-        down_marks: dict[int, list[tuple[str, int]]] = {}
-        if has_down:
-            for dr, spans in fp.downtimes.items():
-                for start, end in spans:
-                    down_marks.setdefault(start, []).append(("leave", dr))
-                    down_marks.setdefault(end, []).append(("join", dr))
-
-        def advance(rank: int, value: Any) -> None:
-            gen = gens[rank]
-            if gen is None:
-                raise ProgramError(
-                    f"internal error: rank {rank} resumed after completion"
-                )
-            try:
-                req = gen.send(value)
-            except StopIteration as stop:
-                returns[rank] = stop.value
-                gens[rank] = None
-                return
-            self._validate(rank, req)
-            pending[rank] = req
-            if fp is not None:
-                issue_cycle[rank] = cycle
-                retry_count[rank] = 0
-                ready_at[rank] = cycle + fp.issue_delay(rank, cycle)
-
-        for rank in range(n):
-            ctx = NodeCtx(rank, topo, counters, self.trace)
-            gen = self.program(ctx)
-            if not hasattr(gen, "send"):
-                raise ProgramError(
-                    f"program must be a generator function, got {type(gen)!r} "
-                    f"at rank {rank}"
-                )
-            gens[rank] = gen
-            advance(rank, None)
-
-        while pending:
-            cycle += 1
-            if cycle > self.max_cycles:
-                raise DeadlockError(cycle, dict(pending))
-
-            if fp is not None and crash_watch:
-                for rank in sorted(crash_watch):
-                    if fp.node_crashes[rank] > cycle:
-                        continue
-                    crash_watch.discard(rank)
-                    crashed.append(rank)
-                    counters.record_crash()
-                    if tl is not None:
-                        tl.record_fault(cycle, "crash", rank=rank)
-                    gen = gens[rank]
-                    if gen is not None:
-                        gen.close()
-                        gens[rank] = None
-                    pending.pop(rank, None)
-                if not pending:
-                    break
-
-            if has_down and tl is not None and cycle in down_marks:
-                for ev_kind, ev_rank in down_marks.pop(cycle):
-                    tl.record_fault(cycle, ev_kind, rank=ev_rank)
-
-            link_ok = (
-                None
-                if fp is None
-                else (lambda u, v, _c=cycle: fp.link_up(u, v, _c))
-            )
-            snapshot = dict(pending)
-            completed: dict[int, Any] = {}
-            deliveries = 0
-            held = 0
-
-            active: dict[int, Request] = {}
-            for rank, req in snapshot.items():
-                if fp is not None and (
-                    ready_at[rank] > cycle
-                    or (has_down and fp.down(rank, cycle))
-                ):
-                    held += 1  # delayed or offline: invisible this cycle
-                elif isinstance(req, Idle):
-                    completed[rank] = None
-                else:
-                    active[rank] = req
-
-            # Greatest fixed point: a request completes this cycle iff all
-            # of its legs face a completing counterpart.  Start from every
-            # non-idle request and prune until stable (monotone, so this
-            # terminates); what survives completes simultaneously — which
-            # is what lets a whole ring of Shift requests resolve at once.
-            changed = True
-            while changed:
-                changed = False
-                for rank in list(active):
-                    if not self._legs_satisfied(
-                        rank, active[rank], active, link_ok
-                    ):
-                        del active[rank]
-                        changed = True
-
-            # Fault plan: drop messages among the survivors, then re-prune
-            # (a dropped send blocks its whole exchange for this cycle).
-            drops_now = 0
-            if fp is not None and active:
-                dropped_ranks = [
-                    rank
-                    for rank, req in active.items()
-                    if (dst := self._send_leg_dst(req)) is not None
-                    and fp.dropped(rank, dst, cycle)
-                ]
-                for rank in dropped_ranks:
-                    drops_now += 1
-                    counters.record_drop()
-                    if tl is not None:
-                        tl.record_fault(
-                            cycle, "drop", rank=rank, src=rank,
-                            dst=self._send_leg_dst(active[rank]),
-                        )
-                    retry_count[rank] += 1
-                    if retry_count[rank] > fp.max_retries:
-                        raise RetryLimitError(
-                            rank, active[rank], retry_count[rank], cycle
-                        )
-                    del active[rank]
-                if dropped_ranks:
-                    changed = True
-                    while changed:
-                        changed = False
-                        for rank in list(active):
-                            if not self._legs_satisfied(
-                                rank, active[rank], active, link_ok
-                            ):
-                                del active[rank]
-                                changed = True
-
-            for rank, req in active.items():
-                # Record this node's send leg (if any).
-                dst = self._send_leg_dst(req)
-                if dst is not None:
-                    payload = req.payload
-                    counters.record_delivery(rank, dst, payload)
-                    deliveries += 1
-                    if tl is not None:
-                        tl.record_message(
-                            cycle, rank, dst, payload_size(payload),
-                            self._req_kind_name(req),
-                        )
-                    if message_log is not None:
-                        message_log.append(Message(rank, dst, payload, cycle))
-                completed[rank] = self._incoming_payload(rank, req, active)
-
-            if fp is not None and fp.timeout is not None:
-                for rank in snapshot:
-                    if rank in completed or rank in active:
-                        continue
-                    if ready_at[rank] > cycle or (
-                        has_down and fp.down(rank, cycle)
-                    ):
-                        continue  # held, not blocked
-                    if cycle - issue_cycle[rank] >= fp.timeout:
-                        counters.record_timeout()
-                        if tl is not None:
-                            tl.record_fault(cycle, "timeout", rank=rank)
-                        if fp.on_timeout == "raise":
-                            raise RequestTimeoutError(
-                                rank, snapshot[rank], cycle, fp.timeout
-                            )
-                        completed[rank] = FAULTED
-
-            if not completed:
-                stalled_ok = fp is not None and (
-                    held or drops_now or fp.timeout is not None
-                )
-                if not stalled_ok:
-                    raise DeadlockError(cycle, dict(pending))
-            counters.record_cycle(deliveries)
-            for rank, value in completed.items():
-                del pending[rank]
-            for rank in sorted(completed):
-                advance(rank, completed[rank])
-
-        if tl is not None:
-            tl.set_cycles(cycle)
-
-        return EngineResult(
-            returns=returns,
-            counters=counters,
-            trace=self.trace,
-            message_log=message_log,
-            crashed_ranks=tuple(sorted(crashed)),
-        )
-
-    @staticmethod
-    def _req_kind_name(req: Request) -> str:
-        """IR kind name of ``req`` (matches the indexed matcher's codes)."""
-        if isinstance(req, SendRecv):
-            return "sendrecv"
-        if isinstance(req, Shift):
-            return "shift"
-        if isinstance(req, Send):
-            return "send"
-        if isinstance(req, Recv):
-            return "recv"
-        return "idle"
-
-    @staticmethod
-    def _send_leg_dst(req: Request) -> int | None:
-        """Destination of ``req``'s send leg, or ``None`` for pure receives."""
-        if isinstance(req, (Send, Shift)):
-            return req.dst
-        if isinstance(req, SendRecv):
-            return req.peer
-        return None
-
-    @staticmethod
-    def _legs_satisfied(
-        rank: int, req: Request, active: dict, link_ok=None
-    ) -> bool:
-        """Whether every communication leg of ``req`` has a live counterpart.
-
-        ``link_ok(u, v)``, when given, additionally requires the leg's link
-        to be up under the active fault plan this cycle.
-        """
-
-        def up(other: int) -> bool:
-            return link_ok is None or link_ok(rank, other)
-
-        def sends_to_me(src: int) -> bool:
-            other = active.get(src)
-            return (isinstance(other, Send) and other.dst == rank) or (
-                isinstance(other, Shift) and other.dst == rank
-            )
-
-        def receives_from_me(dst: int) -> bool:
-            other = active.get(dst)
-            return (isinstance(other, Recv) and other.src == rank) or (
-                isinstance(other, Shift) and other.src == rank
-            )
-
-        if isinstance(req, Send):
-            return receives_from_me(req.dst) and up(req.dst)
-        if isinstance(req, Recv):
-            return sends_to_me(req.src) and up(req.src)
-        if isinstance(req, SendRecv):
-            other = active.get(req.peer)
-            return (
-                isinstance(other, SendRecv)
-                and other.peer == rank
-                and up(req.peer)
-            )
-        if isinstance(req, Shift):
-            return (
-                receives_from_me(req.dst)
-                and sends_to_me(req.src)
-                and up(req.dst)
-                and up(req.src)
-            )
-        raise AssertionError(f"unexpected request {req!r}")  # pragma: no cover
-
-    @staticmethod
-    def _incoming_payload(rank: int, req: Request, active: dict) -> Any:
-        """The value delivered to ``rank`` this cycle (None for pure sends)."""
-        if isinstance(req, Send):
-            return None
-        if isinstance(req, SendRecv):
-            return active[req.peer].payload
-        src = req.src  # Recv or Shift
-        producer = active[src]
-        return producer.payload
-
-    def _validate(self, rank: int, req: Request) -> None:
-        """Type- and link-check a freshly issued request."""
-        if isinstance(req, Idle):
-            return
-        if isinstance(req, Send):
-            others = (req.dst,)
-        elif isinstance(req, Recv):
-            others = (req.src,)
-        elif isinstance(req, SendRecv):
-            others = (req.peer,)
-        elif isinstance(req, Shift):
-            others = (req.dst, req.src)
-        else:
-            raise ProgramError(
-                f"rank {rank} yielded {req!r}; expected "
-                f"Send/Recv/SendRecv/Shift/Idle"
-            )
-        for other in others:
-            if other == rank:
-                raise LinkError(f"rank {rank} addressed itself with {req!r}")
-            self.topo.check_node(other)
-            if not self.topo.has_edge(rank, other):
-                raise LinkError(
-                    f"rank {rank} addressed non-neighbor {other} with {req!r} "
-                    f"on {self.topo.name}"
-                )
-
 
 def run_spmd(
     topo: Topology,
@@ -998,7 +634,6 @@ def run_spmd(
     trace: TraceRecorder | None = None,
     log_messages: bool = False,
     max_cycles: int = 1_000_000,
-    matching: str | None = None,
     fault_plan: FaultPlan | None = None,
     timeline=None,
 ) -> EngineResult:
@@ -1009,7 +644,6 @@ def run_spmd(
         trace=trace,
         log_messages=log_messages,
         max_cycles=max_cycles,
-        matching=matching,
         fault_plan=fault_plan,
         timeline=timeline,
     ).run()

@@ -28,8 +28,8 @@ recovery semantics"):
 
 Randomness comes from a splitmix-style integer hash of
 ``(seed, kind, endpoints, cycle)`` — a pure function, so verdicts do not
-depend on matcher choice, iteration order, or Python hash randomization,
-and identical plans reproduce identical runs bit-for-bit.
+depend on iteration order or Python hash randomization, and identical
+plans reproduce identical runs bit-for-bit.
 
 Recovery knobs ride on the plan: :attr:`max_retries` bounds drop retries,
 :attr:`timeout` bounds how many cycles any request may stay pending, and

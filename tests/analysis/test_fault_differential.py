@@ -3,8 +3,8 @@
 The acceptance bar for the static analyzer is exactness, not plausibility:
 
 * :func:`recovery_impact` must predict ``run_faulty``'s exclusion set for
-  **every** single-node and single-link fault on D_2..D_4, under both
-  engine matchers (degraded mode; reroute and sort covered on D_2..D_3).
+  **every** single-node and single-link fault on D_2..D_4 (degraded
+  mode; reroute and sort covered on D_2..D_3).
 * ``"block"``-semantics :func:`analyze_fault_impact` must name exactly
   the ranks the engine reports in ``DeadlockError.blocked``.
 * ``"cancel"``-semantics taint must be sound: every rank the static
@@ -18,14 +18,11 @@ from repro.analysis.static import analyze_fault_impact, extract_schedule, recove
 from repro.core.dual_prefix import dual_prefix_program
 from repro.core.ops import ADD, AssocOp
 from repro.core.run_faulty import run_faulty
-from repro.simulator.engine import run_spmd, use_fault_plan, use_matching
+from repro.simulator.engine import run_spmd, use_fault_plan
 from repro.simulator.errors import DeadlockError
 from repro.simulator.faults import FAULTED, FaultPlan
 from repro.topology import DualCube, RecursiveDualCube
 from repro.topology.faults import FaultSet
-
-MATCHERS = ("indexed", "legacy")
-
 
 def _absorb_add(a, b):
     if a is FAULTED:
@@ -48,12 +45,11 @@ def single_faults(topo):
         yield FaultSet(links=[(u, v)])
 
 
-def _assert_match(topo, faults, mode, kind, matcher, data):
+def _assert_match(topo, faults, mode, kind, data):
     static = recovery_impact(topo, faults, mode=mode)
-    with use_matching(matcher):
-        dynamic = run_faulty(kind, topo, data, faults=faults, mode=mode)
+    dynamic = run_faulty(kind, topo, data, faults=faults, mode=mode)
     assert static.excluded == dynamic.excluded, (
-        f"{topo.name} {mode} {kind} [{matcher}] faults={faults}: "
+        f"{topo.name} {mode} {kind} faults={faults}: "
         f"static {static.excluded} != dynamic {dynamic.excluded}"
     )
     # values is permuted to input-index order, so the None slots are the
@@ -64,21 +60,19 @@ def _assert_match(topo, faults, mode, kind, matcher, data):
 class TestDegradedExclusionExact:
     """Static BFS membership == dynamic degraded outcome, exhaustively."""
 
-    @pytest.mark.parametrize("matcher", MATCHERS)
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_prefix_all_single_faults(self, n, matcher):
+    def test_prefix_all_single_faults(self, n):
         dc = DualCube(n)
         data = list(range(dc.num_nodes))
         for faults in single_faults(dc):
-            _assert_match(dc, faults, "degraded", "prefix", matcher, data)
+            _assert_match(dc, faults, "degraded", "prefix", data)
 
-    @pytest.mark.parametrize("matcher", MATCHERS)
     @pytest.mark.parametrize("n", [2, 3])
-    def test_sort_all_single_faults(self, n, matcher):
+    def test_sort_all_single_faults(self, n):
         rdc = RecursiveDualCube(n)
         keys = list(reversed(range(rdc.num_nodes)))
         for faults in single_faults(rdc):
-            _assert_match(rdc, faults, "degraded", "sort", matcher, keys)
+            _assert_match(rdc, faults, "degraded", "sort", keys)
 
     def test_prefix_double_faults_sample(self):
         # A non-exhaustive but adversarial slice: pairs around rank 0,
@@ -93,17 +87,16 @@ class TestDegradedExclusionExact:
             FaultSet(links=[(0, v) for v in ns]),
         ]
         for faults in pairs:
-            _assert_match(dc, faults, "degraded", "prefix", "indexed", data)
+            _assert_match(dc, faults, "degraded", "prefix", data)
 
 
 class TestRerouteExclusionExact:
-    @pytest.mark.parametrize("matcher", MATCHERS)
     @pytest.mark.parametrize("n", [2, 3])
-    def test_prefix_all_single_faults(self, n, matcher):
+    def test_prefix_all_single_faults(self, n):
         dc = DualCube(n)
         data = list(range(dc.num_nodes))
         for faults in single_faults(dc):
-            _assert_match(dc, faults, "reroute", "prefix", matcher, data)
+            _assert_match(dc, faults, "reroute", "prefix", data)
 
     def test_prefix_d4_sampled(self):
         dc = DualCube(4)
@@ -115,7 +108,7 @@ class TestRerouteExclusionExact:
             if i % 16 == 0
         ]
         for faults in cases:
-            _assert_match(dc, faults, "reroute", "prefix", "indexed", data)
+            _assert_match(dc, faults, "reroute", "prefix", data)
 
 
 @pytest.fixture(scope="module", params=[2, 3])
@@ -131,17 +124,16 @@ def prefix_case(request):
 class TestBlockSemanticsVsEngine:
     """Static blocked set == the engine's DeadlockError report."""
 
-    def _dynamic_blocked(self, dc, data, plan, matcher):
+    def _dynamic_blocked(self, dc, data, plan):
         prog = dual_prefix_program(dc, data, ADD)
         try:
-            with use_matching(matcher), use_fault_plan(plan):
+            with use_fault_plan(plan):
                 run_spmd(dc, prog)
             return frozenset()
         except DeadlockError as e:
             return frozenset(e.blocked)
 
-    @pytest.mark.parametrize("matcher", MATCHERS)
-    def test_all_single_faults(self, prefix_case, matcher):
+    def test_all_single_faults(self, prefix_case):
         dc, data, sched, _ = prefix_case
         plans = [FaultPlan(node_crashes={r: 1}) for r in range(dc.num_nodes)]
         plans += [FaultPlan(node_crashes={r: 3}) for r in range(dc.num_nodes)]
@@ -153,9 +145,9 @@ class TestBlockSemanticsVsEngine:
             static = frozenset(
                 analyze_fault_impact(sched, plan, semantics="block").blocked
             )
-            dynamic = self._dynamic_blocked(dc, data, plan, matcher)
+            dynamic = self._dynamic_blocked(dc, data, plan)
             assert static == dynamic, (
-                f"{dc.name} [{matcher}] {plan}: static {sorted(static)} "
+                f"{dc.name} {plan}: static {sorted(static)} "
                 f"!= engine {sorted(dynamic)}"
             )
 
@@ -166,15 +158,14 @@ class TestBlockSemanticsVsEngine:
             static = frozenset(
                 analyze_fault_impact(sched, plan, semantics="block").blocked
             )
-            dynamic = self._dynamic_blocked(dc, data, plan, "indexed")
+            dynamic = self._dynamic_blocked(dc, data, plan)
             assert static == dynamic, f"cut (0,1)@{cycle}"
 
 
 class TestCancelSemanticsSound:
     """Ranks the static taint calls clean keep their fault-free values."""
 
-    @pytest.mark.parametrize("matcher", MATCHERS)
-    def test_all_single_faults(self, prefix_case, matcher):
+    def test_all_single_faults(self, prefix_case):
         dc, data, sched, baseline = prefix_case
         timeout = sched.steps + 1
         plans = [
@@ -191,14 +182,14 @@ class TestCancelSemanticsSound:
             impact = analyze_fault_impact(sched, plan)
             assert impact.semantics == "cancel"
             prog = dual_prefix_program(dc, data, ADD_ABSORB)
-            with use_matching(matcher), use_fault_plan(plan):
+            with use_fault_plan(plan):
                 result = run_spmd(dc, prog)
             blast = set(impact.blast_radius)
             for rank in range(dc.num_nodes):
                 if rank in blast:
                     continue
                 assert result.returns[rank] == baseline[rank], (
-                    f"{dc.name} [{matcher}] {plan}: rank {rank} is "
+                    f"{dc.name} {plan}: rank {rank} is "
                     f"outside the static blast radius but its value "
                     f"changed ({result.returns[rank]!r} != "
                     f"{baseline[rank]!r})"

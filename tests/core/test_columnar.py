@@ -1,6 +1,6 @@
 """The array backend's in-place view kernels: view primitives,
-differential parity against the engine (under both matchers, results and
-full ledgers), static-schedule step parity, memory scaling, and the
+differential parity against the engine (results and full ledgers),
+static-schedule step parity, memory scaling, and the
 dispatchers' handling of the retired ``columnar``/``vectorized`` names.
 
 The reshape-view kernels began as a separate ``columnar`` backend; they
@@ -41,7 +41,7 @@ from repro.core.replay import (
     large_sort_replay,
 )
 from repro.obs.timeline import TimelineRecorder
-from repro.simulator import CostCounters, use_matching
+from repro.simulator import CostCounters
 from repro.topology import DualCube, RecursiveDualCube
 
 
@@ -132,8 +132,7 @@ class TestPrefixDifferential:
                     assert list(a) == list(b)
                     assert _ledger(res.counters) == _ledger(cc)
 
-    @pytest.mark.parametrize("matching", ["indexed", "legacy"])
-    def test_vs_engine_both_matchers(self, n, matching, rng):
+    def test_vs_engine(self, n, rng):
         dc = DualCube(n)
         vals = _obj([(int(x),) for x in rng.integers(0, 99, dc.num_nodes)])
         for inclusive in (True, False):
@@ -141,10 +140,9 @@ class TestPrefixDifferential:
             got = dual_prefix_replay(
                 dc, vals, CONCAT, inclusive=inclusive, counters=cc
             )
-            with use_matching(matching):
-                want, res = dual_prefix_engine(
-                    dc, vals, CONCAT, inclusive=inclusive
-                )
+            want, res = dual_prefix_engine(
+                dc, vals, CONCAT, inclusive=inclusive
+            )
             assert list(got) == list(want)
             e = res.counters
             assert cc.comm_steps == e.comm_steps
@@ -173,16 +171,14 @@ class TestSortDifferential:
             assert b.tolist() == a
             assert _ledger(res.counters) == _ledger(cc)
 
-    @pytest.mark.parametrize("matching", ["indexed", "legacy"])
-    def test_vs_engine_both_matchers(self, n, policy, matching, rng):
+    def test_vs_engine(self, n, policy, rng):
         rdc = RecursiveDualCube(n)
         keys = rng.integers(0, 999, rdc.num_nodes)
         cc = CostCounters(rdc.num_nodes)
         got = dual_sort_replay(rdc, keys, payload_policy=policy, counters=cc)
-        with use_matching(matching):
-            want, res = dual_sort_engine(
-                rdc, [int(k) for k in keys], payload_policy=policy
-            )
+        want, res = dual_sort_engine(
+            rdc, [int(k) for k in keys], payload_policy=policy
+        )
         assert list(got) == want
         e = res.counters
         assert cc.comm_steps == e.comm_steps

@@ -223,6 +223,20 @@ class TestSuffixScan:
         dual_suffix(dc, rng.integers(0, 9, 32), ADD, counters=c)
         assert c.comm_steps == 6
 
+    @pytest.mark.parametrize("op", [ADD, MIN, MAX], ids=["add", "min", "max"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_commutative_suffix_mirrors_prefix(self, n, op, rng):
+        """A commutative op is its own flip, so the suffix keeps the
+        prefix's ufunc path: values and dtype equal the mirrored prefix."""
+        from repro.core.dual_prefix import dual_suffix
+
+        dc = DualCube(n)
+        vals = rng.integers(-100, 100, dc.num_nodes)
+        suf = dual_suffix(dc, vals, op)
+        mirror = dual_prefix(dc, vals[::-1], op)[::-1]
+        assert suf.dtype == mirror.dtype
+        assert suf.tolist() == mirror.tolist()
+
     def test_prefix_plus_suffix_identity(self, rng):
         """inclusive prefix[k] + diminished suffix[k+1...] == total."""
         from repro.core.dual_prefix import dual_suffix

@@ -1,9 +1,9 @@
 """Engine and array-backend wiring of the timeline recorder.
 
 The headline guarantee: a recorder attached to an engine run carries the
-*same* per-cycle event set as the static analyzer's extracted schedule —
-for both matchers (the indexed matcher's end-of-run flush must preserve
-per-cycle resolution, not collapse to one end-of-run blob).
+*same* per-cycle event set as the static analyzer's extracted schedule
+(the engine's end-of-run flush must preserve per-cycle resolution, not
+collapse to one end-of-run blob).
 """
 
 import pytest
@@ -26,12 +26,9 @@ from repro.simulator import (
     FaultPlan,
     SendRecv,
     run_spmd,
-    use_matching,
     use_timeline,
 )
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
-
-MATCHERS = ["indexed", "legacy"]
 
 
 def pairswap(ctx):
@@ -39,16 +36,42 @@ def pairswap(ctx):
     return got
 
 
+class _NoBulkLoad:
+    """A recorder without the hook the engine flushes deliveries through."""
+
+    def record_message(self, *args, **kwargs):
+        pass
+
+    def record_fault(self, *args, **kwargs):
+        pass
+
+    def set_cycles(self, cycles):
+        pass
+
+
+@pytest.fixture(params=["keyword", "ambient"])
+def run_recorded(request):
+    """``run_spmd`` with the recorder passed as ``timeline=`` or installed
+    with :func:`use_timeline`; both ways must record the same run."""
+
+    def run(topo, program, timeline, **kw):
+        if request.param == "keyword":
+            return run_spmd(topo, program, timeline=timeline, **kw)
+        with use_timeline(timeline):
+            return run_spmd(topo, program, **kw)
+
+    return run
+
+
 def _timeline_key(t):
     return sorted((e.cycle, e.src, e.dst, e.size, e.kind) for e in t.events)
 
 
 class TestEngineWiring:
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_pairswap_records_one_cycle(self, matching):
+    def test_pairswap_records_one_cycle(self, run_recorded):
         h = Hypercube(1)
         t = TimelineRecorder(num_nodes=2)
-        run_spmd(h, pairswap, timeline=t, matching=matching)
+        run_recorded(h, pairswap, t)
         assert t.num_cycles == 1
         assert _timeline_key(t) == [
             (1, 0, 1, 1, "sendrecv"),
@@ -69,22 +92,23 @@ class TestEngineWiring:
         # Not one blob: messages are spread over multiple cycles.
         assert sum(1 for m in per_cycle if m) > 1
 
-    def test_matchers_and_fast_mode_record_identical_timelines(self):
-        dc = DualCube(2)
-        vals = list(range(dc.num_nodes))
-        keys = {}
-        for matching in MATCHERS:
-            t = TimelineRecorder(num_nodes=dc.num_nodes)
-            program = dual_prefix_program(dc, vals, ADD)
-            run_spmd(dc, program, timeline=t, matching=matching)
-            keys[matching] = _timeline_key(t)
-        first, *rest = keys.values()
-        assert first and all(k == first for k in rest)
-
     def test_use_timeline_rejects_non_recorders(self):
-        with pytest.raises(TypeError, match="record_message"):
-            with use_timeline(object()):
-                pass
+        for recorder in (object(), _NoBulkLoad()):
+            with pytest.raises(TypeError, match="bulk_load_messages"):
+                with use_timeline(recorder):
+                    pass
+
+    def test_run_spmd_rejects_non_recorders_before_any_program_starts(self):
+        started = []
+
+        def program(ctx):
+            started.append(ctx.rank)
+            yield SendRecv(ctx.rank ^ 1, ctx.rank)
+
+        for recorder in (object(), _NoBulkLoad()):
+            with pytest.raises(TypeError, match="bulk_load_messages"):
+                run_spmd(Hypercube(1), program, timeline=recorder)
+        assert started == []
 
     def test_use_timeline_reaches_nested_run_spmd(self):
         t = TimelineRecorder()
@@ -94,36 +118,32 @@ class TestEngineWiring:
 
 
 class TestFaultEvents:
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_drop_recorded_with_endpoints(self, matching):
+    def test_drop_recorded_with_endpoints(self, run_recorded):
         h = Hypercube(1)
         plan = FaultPlan(drops={(0, 1, 1)})
         t = TimelineRecorder(num_nodes=2)
-        run_spmd(h, pairswap, fault_plan=plan, timeline=t, matching=matching)
+        run_recorded(h, pairswap, t, fault_plan=plan)
         drops = [f for f in t.faults if f.kind == "drop"]
         assert len(drops) == 1
         assert (drops[0].src, drops[0].dst) == (0, 1)
         assert drops[0].cycle >= 1
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_crash_and_timeout_recorded(self, matching):
+    def test_crash_and_timeout_recorded(self, run_recorded):
         h = Hypercube(1)
         plan = FaultPlan(node_crashes={1: 1}, timeout=3, on_timeout="cancel")
         t = TimelineRecorder(num_nodes=2)
-        run_spmd(h, pairswap, fault_plan=plan, timeline=t, matching=matching)
+        run_recorded(h, pairswap, t, fault_plan=plan)
         counts = t.fault_counts()
         assert counts["crash"] == 1
         assert counts["timeout"] >= 1
         crash = next(f for f in t.faults if f.kind == "crash")
         assert crash.rank == 1 and crash.cycle == 1
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_downtime_leave_and_join_recorded(self, matching):
+    def test_downtime_leave_and_join_recorded(self, run_recorded):
         h = Hypercube(1)
         plan = FaultPlan(downtimes=[(1, 1, 3)])
         t = TimelineRecorder(num_nodes=2)
-        r = run_spmd(h, pairswap, fault_plan=plan, timeline=t,
-                     matching=matching)
+        r = run_recorded(h, pairswap, t, fault_plan=plan)
         assert r.returns == [1, 0]  # exchange completed after the rejoin
         leaves = [(f.cycle, f.rank) for f in t.faults if f.kind == "leave"]
         joins = [(f.cycle, f.rank) for f in t.faults if f.kind == "join"]
@@ -183,13 +203,4 @@ class TestCrossValidation:
         static = extract_schedule(
             rdc, schedule_program(rdc, keys, dual_sort_schedule(rdc.n))
         )
-        assert cross_validate_timeline(t, static) == []
-
-    def test_legacy_matcher_also_matches_static_schedule(self):
-        dc = DualCube(2)
-        vals = list(range(dc.num_nodes))
-        t = TimelineRecorder(num_nodes=dc.num_nodes)
-        with use_matching("legacy"), use_timeline(t):
-            dual_prefix_engine(dc, vals, ADD)
-        static = extract_schedule(dc, dual_prefix_program(dc, vals, ADD))
         assert cross_validate_timeline(t, static) == []

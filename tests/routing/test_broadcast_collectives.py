@@ -59,6 +59,25 @@ class TestAllreduce:
         vec = allreduce_vec(dc, vals, ADD)
         assert list(vec) == tot
 
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_engine_matches_vec_on_numpy_dtypes(self, n, dtype):
+        # The engine computes on Python scalars: numpy bool ADD would be a
+        # logical or, and 8 x uint8 100 would wrap.
+        dc = DualCube(n)
+        if dtype is np.bool_:
+            vals = np.ones(dc.num_nodes, dtype=bool)
+        elif dtype is np.uint8:
+            vals = np.full(dc.num_nodes, 100, dtype=np.uint8)
+        else:
+            vals = np.full(dc.num_nodes, 2**40 + 1, dtype=np.int64)
+        vec = allreduce_vec(dc, vals, ADD).tolist()
+        tot, _ = allreduce_engine(dc, vals, ADD)
+        total, _ = reduce_engine(dc, vals, ADD, root=dc.num_nodes - 1)
+        assert tot == vec
+        assert total == vec[-1]
+        assert all(type(t) is int for t in tot)
+
     def test_max(self, rng):
         dc = DualCube(3)
         vals = rng.integers(-1000, 1000, 32)

@@ -35,20 +35,6 @@ class TestCostCounters:
         with pytest.raises(ValueError):
             CostCounters(0)
 
-    def test_engine_side_recording(self):
-        c = CostCounters(4)
-        c.record_delivery(0, 1, "x")
-        c.record_delivery(2, 3, Packed((1, 2)))
-        c.record_cycle(deliveries=2)
-        c.record_cycle(deliveries=0)
-        assert c.cycles == 2
-        assert c.active_cycles == 1
-        assert c.messages == 2
-        assert c.payload_items == 3
-        assert c.max_message_payload == 2
-        assert list(c.sends) == [1, 0, 1, 0]
-        assert list(c.recvs) == [0, 1, 0, 1]
-
     def test_compute_recording(self):
         c = CostCounters(3)
         c.record_compute(0, 2)
@@ -92,15 +78,9 @@ class TestCostCounters:
         assert c.max_node_ops == 15
         assert c.total_ops == 21
 
-    def test_record_bulk_matches_per_event_recording(self):
-        per_event = CostCounters(4)
-        per_event.record_delivery(0, 1, Packed((1, 2)))
-        per_event.record_delivery(2, 3, "x")
-        per_event.record_cycle(deliveries=2)
-        per_event.record_cycle(deliveries=0)
-
-        bulk = CostCounters(4)
-        bulk.record_bulk(
+    def test_record_bulk_adds_engine_tallies(self):
+        c = CostCounters(4)
+        c.record_bulk(
             cycles=2,
             active_cycles=1,
             messages=2,
@@ -109,14 +89,17 @@ class TestCostCounters:
             sends=[1, 0, 1, 0],
             recvs=[0, 1, 0, 1],
         )
-        assert bulk.summary() == per_event.summary()
-        assert list(bulk.sends) == list(per_event.sends)
-        assert list(bulk.recvs) == list(per_event.recvs)
-        assert bulk.active_cycles == per_event.active_cycles
+        assert c.cycles == 2
+        assert c.active_cycles == 1
+        assert c.messages == 2
+        assert c.payload_items == 3
+        assert c.max_message_payload == 2
+        assert list(c.sends) == [1, 0, 1, 0]
+        assert list(c.recvs) == [0, 1, 0, 1]
 
     def test_record_bulk_keeps_existing_max_payload(self):
         c = CostCounters(2)
-        c.record_delivery(0, 1, Packed((1, 2, 3)))
+        c.record_comm_step(messages=1, payload_items=3, max_payload=3)
         c.record_bulk(
             cycles=1,
             active_cycles=1,

@@ -1,4 +1,8 @@
-"""Tests for the synchronous lockstep engine."""
+"""Tests for the synchronous lockstep engine.
+
+Tests taking the ``run`` fixture run bare and again checked against
+the static extractor (see ``conftest.py``).
+"""
 
 import pytest
 
@@ -74,7 +78,7 @@ class TestBasicDelivery:
 
 
 class TestLockstepSemantics:
-    def test_unmatched_send_waits_for_late_receiver(self):
+    def test_unmatched_send_waits_for_late_receiver(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 got = yield SendRecv(1, "a")  # posted at cycle 1
@@ -83,7 +87,7 @@ class TestLockstepSemantics:
             got = yield SendRecv(0, "b")
             return got
 
-        res = run_spmd(Hypercube(1), program)
+        res = run(Hypercube(1), program)
         assert res.returns == ["b", "a"]
         assert res.comm_steps == 2  # cycle 1: idle only; cycle 2: exchange
 
@@ -108,7 +112,7 @@ class TestLockstepSemantics:
         assert sorted(log) == ["y", "z"]
         assert res.comm_steps == 2
 
-    def test_chain_of_dependent_sends(self):
+    def test_chain_of_dependent_sends(self, run):
         def program(ctx):
             q = ctx.topo.q
             token = 0 if ctx.rank == 0 else None
@@ -122,14 +126,14 @@ class TestLockstepSemantics:
                     yield Idle()
             return token
 
-        res = run_spmd(Hypercube(3), program)
+        res = run(Hypercube(3), program)
         # Binomial broadcast: the token counts tree depth (popcount of rank).
         assert res.returns == [0, 1, 1, 2, 1, 2, 2, 3]
         assert res.comm_steps == 3
 
 
 class TestErrorDetection:
-    def test_deadlock_on_unmatched_recv(self):
+    def test_deadlock_on_unmatched_recv(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 got = yield Recv(1)  # nobody sends
@@ -138,16 +142,16 @@ class TestErrorDetection:
             yield  # pragma: no cover
 
         with pytest.raises(DeadlockError, match="rank 0"):
-            run_spmd(Hypercube(1), program)
+            run(Hypercube(1), program)
 
-    def test_deadlock_on_send_facing_send(self):
+    def test_deadlock_on_send_facing_send(self, run):
         def program(ctx):
             yield Send(ctx.rank ^ 1, "x")
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program)
+            run(Hypercube(1), program)
 
-    def test_deadlock_on_sendrecv_facing_recv(self):
+    def test_deadlock_on_sendrecv_facing_recv(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 yield SendRecv(1, "x")
@@ -155,7 +159,7 @@ class TestErrorDetection:
                 yield Recv(0)
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program)
+            run(Hypercube(1), program)
 
     def test_non_neighbor_send_rejected(self):
         def program(ctx):
@@ -192,13 +196,13 @@ class TestErrorDetection:
         with pytest.raises(ProgramError):
             run_spmd(Hypercube(1), program)
 
-    def test_max_cycles_guard(self):
+    def test_max_cycles_guard(self, run):
         def program(ctx):
             while True:
                 yield Idle()
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program, max_cycles=10)
+            run(Hypercube(1), program, max_cycles=10)
 
 
 class TestAccounting:

@@ -1,19 +1,40 @@
-"""Differential tests: the indexed matcher against the legacy reference.
+"""The engine against its oracles: the static extractor and golden runs.
 
-Every engine-backed core algorithm runs twice — once under
-``matching="legacy"`` (the original whole-snapshot rescan, kept verbatim
-as the oracle) and once under ``matching="indexed"`` (the slot-array
-worklist matcher) — and must produce identical returns, communication
-steps, computation steps, and per-node send/receive tallies.
+:func:`~repro.analysis.static.extract_schedule` is a separate
+implementation of the engine's lockstep matching rule.  Every
+engine-backed run with a program to extract is recorded with a timeline
+recorder, and the recording must equal the extracted schedule event for
+event (cycle, endpoints, request kind, payload size).  The run's counters
+must equal the tallies of the extracted events: per-rank sends and
+receives, messages, payload items, active cycles and computation steps.
+
+Runs with no program factory to extract (the collectives, the ring
+allreduce, the blocked ``large_prefix``) and runs under fault plans,
+which the extractor does not model, are pinned to the fingerprints in
+``engine_golden.json``.  They were recorded while a second,
+whole-snapshot matcher still checked every engine run against this one.
+The file has no write mode: change a value only when the matching
+semantics change on purpose, and say why.
 """
+
+import json
+from collections import Counter
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.dual_prefix import dual_prefix_engine
-from repro.core.dual_sort import dual_sort_engine
+from repro.analysis.static import extract_schedule
+from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_program
+from repro.core.dual_sort import (
+    dual_sort_engine,
+    dual_sort_schedule,
+    schedule_program,
+)
 from repro.core.large_inputs import large_prefix_engine
 from repro.core.ops import ADD, MAX, AssocOp
+from repro.obs import TimelineRecorder, cross_validate_timeline
 from repro.routing import (
     allgather_engine,
     allreduce_engine,
@@ -23,7 +44,15 @@ from repro.routing import (
 )
 from repro.routing.fault_tolerant import ft_route
 from repro.routing.ring_allreduce import ring_allreduce_engine
-from repro.simulator import Idle, Recv, Send, SendRecv, run_spmd, use_matching
+from repro.simulator import (
+    FaultPlan,
+    Idle,
+    Recv,
+    Send,
+    SendRecv,
+    run_spmd,
+    use_timeline,
+)
 from repro.topology import (
     DualCube,
     FaultSet,
@@ -32,26 +61,57 @@ from repro.topology import (
     RecursiveDualCube,
 )
 
+GOLDEN = Path(__file__).with_name("engine_golden.json")
+
+
+def assert_matches_extractor(topo, program, run=None):
+    """Check one engine run of ``program`` against its extracted schedule.
+
+    ``run`` performs the run (an engine-backed algorithm that runs
+    ``program``) and returns its EngineResult; by default ``program`` is
+    run directly.
+    """
+    tl = TimelineRecorder(topo.num_nodes)
+    with use_timeline(tl):
+        result = run() if run is not None else run_spmd(topo, program)
+    sched = extract_schedule(topo, program)
+    assert sched.completed
+    assert cross_validate_timeline(tl, sched) == []
+    events = sched.events
+    sends = Counter(e.src for e in events)
+    recvs = Counter(e.dst for e in events)
+    c = result.counters
+    assert c.sends.tolist() == [sends[r] for r in range(topo.num_nodes)]
+    assert c.recvs.tolist() == [recvs[r] for r in range(topo.num_nodes)]
+    assert c.messages == len(events)
+    assert c.payload_items == sum(e.size for e in events)
+    assert c.active_cycles == len({e.step for e in events})
+    assert c.comp_steps == sched.comp_steps
+    return result
+
 
 def _fingerprint(result):
-    """Everything the differential contract covers, in comparable form."""
-    return {
+    """Everything a golden run pins, as JSON-ready data."""
+    fp = {
         "returns": list(result.returns),
         "summary": result.counters.summary(),
         "sends": result.counters.sends.tolist(),
         "recvs": result.counters.recvs.tolist(),
         "active_cycles": result.counters.active_cycles,
+        "crashed": list(result.crashed_ranks),
     }
+    # Round trip: numpy scalars become ints, tuples lists, int keys strs.
+    return json.loads(json.dumps(fp, default=int))
 
 
-def assert_matchers_agree(run):
-    """``run`` performs one engine-backed algorithm and returns its EngineResult."""
-    with use_matching("legacy"):
-        legacy = _fingerprint(run())
-    with use_matching("indexed"):
-        indexed = _fingerprint(run())
-    assert indexed == legacy
-    return legacy
+@cache
+def _golden() -> dict:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def assert_matches_golden(key, result):
+    assert _fingerprint(result) == _golden()[key], key
 
 
 class TestCoreAlgorithms:
@@ -72,7 +132,8 @@ class TestCoreAlgorithms:
             assert list(out) == expected
             return result
 
-        assert_matchers_agree(run)
+        program = dual_prefix_program(dc, vals, op, paper_literal=paper_literal)
+        assert_matches_extractor(dc, program, run)
 
     def test_dual_prefix_engine_non_commutative(self, small_n):
         dc = DualCube(small_n)
@@ -84,7 +145,7 @@ class TestCoreAlgorithms:
             assert out[-1] == "".join(vals)
             return result
 
-        assert_matchers_agree(run)
+        assert_matches_extractor(dc, dual_prefix_program(dc, vals, strcat), run)
 
     @pytest.mark.parametrize("payload_policy", ["packed", "single"])
     def test_dual_sort_engine(self, small_n, payload_policy, rng):
@@ -98,84 +159,90 @@ class TestCoreAlgorithms:
             assert out == sorted(keys)
             return result
 
-        assert_matchers_agree(run)
+        program = schedule_program(
+            rdc, keys, dual_sort_schedule(small_n),
+            payload_policy=payload_policy,
+        )
+        assert_matches_extractor(rdc, program, run)
 
     def test_large_prefix_engine(self, rng):
         dc = DualCube(2)
         vals = [int(x) for x in rng.integers(0, 50, dc.num_nodes * 4)]
-
-        def run():
-            out, result = large_prefix_engine(dc, vals, ADD)
-            assert list(out) == list(np.cumsum(vals))
-            return result
-
-        assert_matchers_agree(run)
+        out, result = large_prefix_engine(dc, vals, ADD)
+        assert list(out) == list(np.cumsum(vals))
+        assert_matches_golden("large_prefix/D_2", result)
 
 
 class TestCollectives:
     def test_broadcast(self, small_n):
         dc = DualCube(small_n)
-
-        def run():
-            values, result = broadcast_engine(dc, 0, "tok")
-            assert values == ["tok"] * dc.num_nodes
-            return result
-
-        assert_matchers_agree(run)
+        values, result = broadcast_engine(dc, 0, "tok")
+        assert values == ["tok"] * dc.num_nodes
+        assert_matches_golden(f"broadcast/D_{small_n}", result)
 
     def test_allreduce(self, small_n, rng):
         dc = DualCube(small_n)
         vals = [int(x) for x in rng.integers(0, 100, dc.num_nodes)]
-
-        def run():
-            totals, result = allreduce_engine(dc, vals, ADD)
-            assert totals == [sum(vals)] * dc.num_nodes
-            return result
-
-        assert_matchers_agree(run)
+        totals, result = allreduce_engine(dc, vals, ADD)
+        assert totals == [sum(vals)] * dc.num_nodes
+        assert_matches_golden(f"allreduce/D_{small_n}", result)
 
     def test_scatter_gather_allgather(self, small_n):
         dc = DualCube(small_n)
         items = [f"item{k}" for k in range(dc.num_nodes)]
-
-        def run_scatter():
-            _, result = scatter_engine(dc, 0, items)
-            return result
-
-        def run_gather():
-            _, result = gather_engine(dc, 0, items)
-            return result
-
-        def run_allgather():
-            _, result = allgather_engine(dc, items)
-            return result
-
-        assert_matchers_agree(run_scatter)
-        assert_matchers_agree(run_gather)
-        assert_matchers_agree(run_allgather)
+        _, result = scatter_engine(dc, 0, items)
+        assert_matches_golden(f"scatter/D_{small_n}", result)
+        _, result = gather_engine(dc, 0, items)
+        assert_matches_golden(f"gather/D_{small_n}", result)
+        _, result = allgather_engine(dc, items)
+        assert_matches_golden(f"allgather/D_{small_n}", result)
 
     def test_ring_allreduce_shift_heavy(self, small_n, rng):
         rdc = RecursiveDualCube(small_n)
         if rdc.num_nodes < 3:
             pytest.skip("ring needs >= 3 nodes")
         vectors = rng.integers(0, 20, (rdc.num_nodes, rdc.num_nodes)).tolist()
+        results, result = ring_allreduce_engine(rdc, vectors, ADD)
+        expected = list(np.asarray(vectors).sum(axis=0))
+        assert all(list(r) == expected for r in results)
+        assert_matches_golden(f"ring_allreduce/RDC_{small_n}", result)
 
-        def run():
-            results, result = ring_allreduce_engine(rdc, vectors, ADD)
-            expected = list(np.asarray(vectors).sum(axis=0))
-            assert all(list(r) == expected for r in results)
-            return result
 
-        assert_matchers_agree(run)
+class TestFaultPlans:
+    """Seeded fault plans: the engine's fault semantics, pinned."""
+
+    @staticmethod
+    def pairswap(ctx):
+        got = yield SendRecv(ctx.rank ^ 1, ctx.rank)
+        return got
+
+    def test_seeded_drops(self):
+        plan = FaultPlan(drop_rate=0.25, seed=3, max_retries=100)
+        result = run_spmd(Hypercube(3), self.pairswap, fault_plan=plan)
+        assert result.counters.messages_dropped > 0
+        assert_matches_golden("drops/Q_3", result)
+
+    def test_seeded_delays(self):
+        plan = FaultPlan(delay_rate=0.5, max_delay=2, seed=9)
+        result = run_spmd(Hypercube(3), self.pairswap, fault_plan=plan)
+        assert_matches_golden("delays/Q_3", result)
+
+    def test_downtimes(self):
+        dc = DualCube(2)
+        vals = list(range(dc.num_nodes))
+        plan = FaultPlan(downtimes=[(3, 2, 6), (5, 1, 3), (5, 7, 9)])
+        result = run_spmd(dc, dual_prefix_program(dc, vals, ADD),
+                          fault_plan=plan)
+        assert_matches_golden("downtimes/D_2", result)
 
 
 class TestFaultTolerantRouting:
     def test_store_and_forward_over_ft_paths(self):
         """Tokens relayed hop-by-hop along fault-tolerant routes.
 
-        The per-hop Send/Recv/Idle weave exercises exactly the snapshot
-        pruning the matchers must agree on: most requests block for many
-        cycles while one hop at a time completes.
+        The per-hop Send/Recv/Idle weave exercises the snapshot pruning:
+        most requests block for many cycles while one hop at a time
+        completes.
         """
         dc = DualCube(2)
         ft = FaultyTopology(dc, FaultSet(links=[(0, dc.neighbors(0)[0])]))
@@ -201,14 +268,10 @@ class TestFaultTolerantRouting:
                     received.append(token)
             return received
 
-        def run():
-            result = run_spmd(ft, program)
-            for (u, v), path in zip(pairs, paths):
-                assert f"msg-from-{u}" in result.returns[v]
-                assert result.comm_steps == sum(len(p) - 1 for p in paths)
-            return result
-
-        assert_matchers_agree(run)
+        result = assert_matches_extractor(ft, program)
+        for (u, v), path in zip(pairs, paths):
+            assert f"msg-from-{u}" in result.returns[v]
+        assert result.comm_steps == sum(len(p) - 1 for p in paths)
 
 
 class TestStaggeredStress:
@@ -230,11 +293,11 @@ class TestStaggeredStress:
                 total += got
             return total
 
-        assert_matchers_agree(lambda: run_spmd(cube, program))
+        assert_matches_extractor(cube, program)
 
     def test_relay_wave_worst_case_for_rescan(self):
         """A token snaking down a Gray-code path with all receivers posted
-        up front — the legacy matcher's quadratic pruning case."""
+        up front: one delivery per cycle, every other request pruned."""
         cube = Hypercube(3)
         gray = [0, 1, 3, 2, 6, 7, 5, 4]
         pos_of = {node: k for k, node in enumerate(gray)}
@@ -249,13 +312,9 @@ class TestStaggeredStress:
                 yield Send(gray[pos + 1], token + 1)
             return token
 
-        def run():
-            result = run_spmd(cube, program)
-            assert [result.returns[gray[k]] for k in range(8)] == list(range(8))
-            assert result.comm_steps == 7
-            return result
-
-        assert_matchers_agree(run)
+        result = assert_matches_extractor(cube, program)
+        assert [result.returns[gray[k]] for k in range(8)] == list(range(8))
+        assert result.comm_steps == 7
 
 
 class TestFastModeEquivalence:

@@ -1,4 +1,8 @@
-"""Edge-case behaviour of the engine: exceptions, mixed requests, reuse."""
+"""Edge-case behaviour of the engine: exceptions, mixed requests, reuse.
+
+Tests taking the ``run`` fixture run bare and again checked against
+the static extractor (see ``conftest.py``).
+"""
 
 import pytest
 
@@ -38,7 +42,7 @@ class TestProgramExceptions:
 
 
 class TestMixedRequests:
-    def test_ragged_termination(self):
+    def test_ragged_termination(self, run):
         """Nodes may finish at different times; stragglers keep running."""
 
         def program(ctx):
@@ -48,11 +52,11 @@ class TestMixedRequests:
                 yield Idle()
             return f"after {ctx.rank}"
 
-        res = run_spmd(Hypercube(2), program)
+        res = run(Hypercube(2), program)
         assert res.returns == ["early", "after 1", "after 2", "after 3"]
         assert res.comm_steps == 3
 
-    def test_idle_nodes_do_not_mask_deadlock(self):
+    def test_idle_nodes_do_not_mask_deadlock(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 yield Recv(1)  # never satisfied
@@ -60,9 +64,9 @@ class TestMixedRequests:
                 yield Idle()
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program)
+            run(Hypercube(1), program)
 
-    def test_shift_chain_with_unidirectional_flow(self):
+    def test_shift_chain_with_unidirectional_flow(self, run):
         """A line (not ring) of shifts: ends use Send/Recv, middle Shift."""
         cube = Hypercube(2)
         # Path 1 - 0 - 2: 1 sends, 0 shifts, 2 receives.
@@ -79,18 +83,18 @@ class TestMixedRequests:
                 return got
             return None
 
-        res = run_spmd(cube, program)
+        res = run(cube, program)
         assert res.returns[0] == "head"
         assert res.returns[2] == "middle"
         assert res.comm_steps == 1
 
-    def test_two_node_ring_shift(self):
+    def test_two_node_ring_shift(self, run):
         """dst == src is legal: a Shift facing a matching Shift."""
         def program(ctx):
             got = yield Shift(ctx.rank ^ 1, ctx.rank, ctx.rank ^ 1)
             return got
 
-        res = run_spmd(Hypercube(1), program)
+        res = run(Hypercube(1), program)
         assert res.returns == [1, 0]
         assert res.comm_steps == 1
 

@@ -1,16 +1,20 @@
 """Fault-injection layer: FaultPlan schedules + engine recovery semantics.
 
 Covers plan validation, determinism of the seeded drop/delay hash, the
-engine's crash/cut/drop/delay/timeout behaviors under both matchers, and
-the headline differential guarantee: an *empty* plan is byte-identical to
-no plan at all.
+engine's crash/cut/drop/delay/timeout behaviors, and the headline
+differential guarantee: an *empty* plan is byte-identical to no plan at
+all.  Seeded drop, delay and downtime runs are pinned to golden
+fingerprints in ``test_engine_differential.py``.  Engine tests taking
+the ``faulty_run`` fixture run bare and again under a timeline recorder,
+whose fault events must account for the run's fault counters.
 """
 
 import pytest
 
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_program
+from repro.core.dual_prefix import dual_prefix_engine
 from repro.core.dual_sort import dual_sort_engine
 from repro.core.ops import ADD
+from repro.obs import TimelineRecorder
 from repro.simulator import (
     FAULTED,
     FaultPlan,
@@ -22,11 +26,8 @@ from repro.simulator import (
     SendRecv,
     run_spmd,
     use_fault_plan,
-    use_matching,
 )
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
-
-MATCHERS = ["indexed", "legacy"]
 
 
 def pairswap(ctx):
@@ -34,6 +35,52 @@ def pairswap(ctx):
     peer = ctx.rank ^ 1
     got = yield SendRecv(peer, ctx.rank)
     return got
+
+
+def recv_facing_idle(ctx):
+    """Rank 0 waits on rank 1, which idles once and returns."""
+    if ctx.rank == 0:
+        yield Recv(1)
+    else:
+        yield Idle()
+
+
+def _run_recorded(topo, program, **kw):
+    """``run_spmd`` under a timeline recorder that must account for the run.
+
+    The recording holds one link event per counted delivery (per rank,
+    by sender and receiver) and one fault event per counted drop, timeout
+    and crash.  A run that fails on a fault has that fault as its last
+    recorded event.
+    """
+    tl = TimelineRecorder(topo.num_nodes)
+    try:
+        result = run_spmd(topo, program, timeline=tl, **kw)
+    except (RequestTimeoutError, RetryLimitError) as err:
+        kind = "timeout" if isinstance(err, RequestTimeoutError) else "drop"
+        last = tl.faults[-1]
+        assert (last.cycle, last.kind, last.rank) == (err.cycle, kind, err.rank)
+        raise
+    c = result.counters
+    n = topo.num_nodes
+    assert [sum(e.src == r for e in tl.events) for r in range(n)] == (
+        c.sends.tolist()
+    )
+    assert [sum(e.dst == r for e in tl.events) for r in range(n)] == (
+        c.recvs.tolist()
+    )
+    assert max((e.cycle for e in tl.events), default=0) <= c.comm_steps
+    counts = tl.fault_counts()
+    assert counts["drop"] == c.messages_dropped
+    assert counts["timeout"] == c.timeouts
+    assert counts["crash"] == c.node_crashes == len(result.crashed_ranks)
+    return result
+
+
+@pytest.fixture(params=["bare", "recorded"])
+def faulty_run(request):
+    """``run_spmd`` as is, and again under an accounted timeline recorder."""
+    return run_spmd if request.param == "bare" else _run_recorded
 
 
 def _fingerprint(result):
@@ -123,106 +170,89 @@ class TestDeterminism:
 
 
 class TestEmptyPlanDifferential:
-    """Empty FaultPlan == no plan, byte for byte, under both matchers."""
+    """Empty FaultPlan == no plan, byte for byte."""
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_dual_prefix_identical(self, matching):
+    def test_dual_prefix_identical(self):
         dc = DualCube(2)
         vals = list(range(dc.num_nodes))
-        with use_matching(matching):
-            _, bare = dual_prefix_engine(dc, vals, ADD)
-            with use_fault_plan(FaultPlan()):
-                _, planned = dual_prefix_engine(dc, vals, ADD)
+        _, bare = dual_prefix_engine(dc, vals, ADD)
+        with use_fault_plan(FaultPlan()):
+            _, planned = dual_prefix_engine(dc, vals, ADD)
         assert _fingerprint(planned) == _fingerprint(bare)
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_dual_sort_identical(self, matching):
+    def test_dual_sort_identical(self):
         rdc = RecursiveDualCube(2)
         keys = [(i * 5) % rdc.num_nodes for i in range(rdc.num_nodes)]
-        with use_matching(matching):
-            _, bare = dual_sort_engine(rdc, keys)
-            with use_fault_plan(FaultPlan()):
-                _, planned = dual_sort_engine(rdc, keys)
+        _, bare = dual_sort_engine(rdc, keys)
+        with use_fault_plan(FaultPlan()):
+            _, planned = dual_sort_engine(rdc, keys)
         assert _fingerprint(planned) == _fingerprint(bare)
 
 
 class TestDropsAndRetries:
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_explicit_drop_forces_one_retry(self, matching):
+    def test_explicit_drop_forces_one_retry(self, faulty_run):
         dc = DualCube(1)
         plan = FaultPlan(drops={(0, 1, 1)})
-        r = run_spmd(dc, pairswap, fault_plan=plan, matching=matching)
+        r = faulty_run(dc, pairswap, fault_plan=plan)
         assert r.comm_steps == 2  # one blocked cycle, then the retry lands
         assert r.counters.messages_dropped == 1
         assert r.counters.retries == 1
         assert r.returns[0] == 1 and r.returns[1] == 0
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_certain_drop_exhausts_retries(self, matching):
+    def test_certain_drop_exhausts_retries(self, faulty_run):
         dc = DualCube(1)
         plan = FaultPlan(drop_rate=1.0, max_retries=4)
         with pytest.raises(RetryLimitError) as exc:
-            run_spmd(dc, pairswap, fault_plan=plan, matching=matching)
+            faulty_run(dc, pairswap, fault_plan=plan)
         assert exc.value.retries == 5
 
-    def test_matchers_agree_under_seeded_drops(self):
-        h = Hypercube(3)
-        plan = FaultPlan(drop_rate=0.25, seed=3, max_retries=100)
-        a = run_spmd(h, pairswap, fault_plan=plan, matching="indexed")
-        b = run_spmd(h, pairswap, fault_plan=plan, matching="legacy")
-        assert _fingerprint(a) == _fingerprint(b)
-        assert a.counters.messages_dropped > 0
-
-    def test_drop_blocks_both_sides_of_exchange(self):
+    def test_drop_blocks_both_sides_of_exchange(self, faulty_run):
         # Only 0->1 is scheduled to drop, but the whole SendRecv exchange
         # stays pending, so neither direction delivers that cycle.
         dc = DualCube(1)
         plan = FaultPlan(drops={(0, 1, 1)})
-        r = run_spmd(dc, pairswap, fault_plan=plan, log_messages=True)
+        r = faulty_run(dc, pairswap, fault_plan=plan, log_messages=True)
         cycle1 = [m for m in r.message_log if m.cycle == 1]
         assert all(0 not in (m.src, m.dst) for m in cycle1)
 
 
 class TestDelays:
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_explicit_delay_stretches_run(self, matching):
+    def test_explicit_delay_stretches_run(self, faulty_run):
         dc = DualCube(1)
         plan = FaultPlan(delays={(0, 0): 3})
-        r = run_spmd(dc, pairswap, fault_plan=plan, matching=matching)
+        r = faulty_run(dc, pairswap, fault_plan=plan)
         assert r.comm_steps == 3  # held for cycles 1-2, lands at 3
         assert r.returns[0] == 1
 
-    def test_matchers_agree_under_seeded_delays(self):
-        h = Hypercube(3)
-        plan = FaultPlan(delay_rate=0.5, max_delay=2, seed=9)
-        a = run_spmd(h, pairswap, fault_plan=plan, matching="indexed")
-        b = run_spmd(h, pairswap, fault_plan=plan, matching="legacy")
-        assert _fingerprint(a) == _fingerprint(b)
-
 
 class TestCrashesAndTimeouts:
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_crash_with_cancel_resumes_faulted(self, matching):
+    def test_crash_with_cancel_resumes_faulted(self, faulty_run):
         dc = DualCube(1)
         plan = FaultPlan(node_crashes={1: 1}, timeout=3, on_timeout="cancel")
-        r = run_spmd(dc, pairswap, fault_plan=plan, matching=matching)
+        r = faulty_run(dc, pairswap, fault_plan=plan)
         assert r.crashed_ranks == (1,)
         assert r.returns[0] is FAULTED
         assert r.returns[1] is None
         assert r.counters.node_crashes == 1
         assert r.counters.timeouts == 1
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_link_cut_timeout_raises(self, matching):
-        dc = DualCube(1)
-        plan = FaultPlan(link_cuts={(0, 1): 1}, timeout=2)
-        with pytest.raises(RequestTimeoutError) as exc:
-            run_spmd(dc, pairswap, fault_plan=plan, matching=matching)
-        assert exc.value.rank in (0, 1)
-        assert exc.value.timeout == 2
+    # (program, plan, rank that times out): a request issued at cycle 0
+    # times out in cycle ``timeout`` exactly.
+    TIMEOUTS = {
+        "link-cut": (pairswap, FaultPlan(link_cuts={(0, 1): 1}, timeout=2), 0),
+        "recv-facing-idle": (recv_facing_idle, FaultPlan(timeout=3), 0),
+    }
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_late_link_cut_lets_early_traffic_through(self, matching):
+    @pytest.mark.parametrize("case", TIMEOUTS)
+    def test_timeout_raises_at_its_cycle(self, case, faulty_run):
+        program, plan, rank = self.TIMEOUTS[case]
+        with pytest.raises(RequestTimeoutError) as exc:
+            faulty_run(Hypercube(1), program, fault_plan=plan)
+        assert exc.value.rank == rank
+        assert exc.value.timeout == plan.timeout
+        assert exc.value.cycle == plan.timeout
+
+    def test_late_link_cut_lets_early_traffic_through(self, faulty_run):
         h = Hypercube(1)
 
         def two_swaps(ctx):
@@ -231,11 +261,11 @@ class TestCrashesAndTimeouts:
             return (first, second)
 
         plan = FaultPlan(link_cuts={(0, 1): 2}, timeout=2, on_timeout="cancel")
-        r = run_spmd(h, two_swaps, fault_plan=plan, matching=matching)
+        r = faulty_run(h, two_swaps, fault_plan=plan)
         assert r.returns[0][0] == ("a", 1)  # cycle 1 predates the cut
         assert r.returns[0][1] is FAULTED  # cycle 2 exchange never matches
 
-    def test_cancelled_rank_can_reroute(self):
+    def test_cancelled_rank_can_reroute(self, faulty_run):
         # Rank 0's partner crashes; after FAULTED it reroutes the payload
         # to its other neighbor, exercising the recovery hook end-to-end.
         h = Hypercube(2)  # nodes 0..3, 0 is adjacent to 1 and 2
@@ -256,15 +286,15 @@ class TestCrashesAndTimeouts:
             return got
 
         plan = FaultPlan(node_crashes={1: 1}, timeout=1, on_timeout="cancel")
-        r = run_spmd(h, program, fault_plan=plan)
+        r = faulty_run(h, program, fault_plan=plan)
         assert r.returns[0] == "fallback"
         assert r.returns[2] == "hello"
         assert r.crashed_ranks == (1,)
 
-    def test_crash_before_any_cycle_discards_program(self):
+    def test_crash_before_any_cycle_discards_program(self, faulty_run):
         dc = DualCube(1)
         plan = FaultPlan(node_crashes={0: 1, 1: 1})
-        r = run_spmd(dc, pairswap, fault_plan=plan)
+        r = faulty_run(dc, pairswap, fault_plan=plan)
         assert r.crashed_ranks == (0, 1)
         assert r.returns == [None] * dc.num_nodes
 
@@ -318,13 +348,13 @@ class TestUseFaultPlan:
             with use_fault_plan("not a plan"):
                 pass
 
-    def test_nested_runs_inherit_and_restore(self):
+    def test_nested_runs_inherit_and_restore(self, faulty_run):
         dc = DualCube(1)
         plan = FaultPlan(drops={(0, 1, 1)})
         with use_fault_plan(plan):
-            r = run_spmd(dc, pairswap)
+            r = faulty_run(dc, pairswap)
             assert r.counters.messages_dropped == 1
-        r = run_spmd(dc, pairswap)
+        r = faulty_run(dc, pairswap)
         assert r.counters.messages_dropped == 0
 
 
@@ -346,15 +376,13 @@ class TestValidationGaps:
         with pytest.raises(ValueError, match=">= 0"):
             FaultPlan(delays={(0, -1): 2})
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_delay_issue_cycle_zero_fires(self, matching):
+    def test_delay_issue_cycle_zero_fires(self, faulty_run):
         # Initial requests are issued at cycle 0, before the first
         # matching cycle, so (rank, 0) keys are real and must fire.
         h = Hypercube(1)
-        plain = run_spmd(h, pairswap, matching=matching)
-        delayed = run_spmd(
+        plain = faulty_run(h, pairswap)
+        delayed = faulty_run(
             h, pairswap, fault_plan=FaultPlan(delays={(0, 0): 4}),
-            matching=matching,
         )
         assert delayed.returns == plain.returns
         assert delayed.comm_steps > plain.comm_steps
@@ -436,49 +464,28 @@ class TestDowntimeValidation:
 
 
 class TestDowntimeEngine:
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_downtime_stalls_but_preserves_results(self, matching):
+    def test_downtime_stalls_but_preserves_results(self, faulty_run):
         # An offline window only delays the exchange: the rejoined node
         # completes its program and every return value matches the
         # fault-free run.
         h = Hypercube(1)
-        plain = run_spmd(h, pairswap, matching=matching)
+        plain = faulty_run(h, pairswap)
         plan = FaultPlan(downtimes=[(1, 1, 5)])
-        faulty = run_spmd(h, pairswap, fault_plan=plan, matching=matching)
+        faulty = faulty_run(h, pairswap, fault_plan=plan)
         assert faulty.returns == plain.returns
         assert faulty.crashed_ranks == ()
         assert faulty.comm_steps >= plain.comm_steps + 4
 
-    def test_matchers_agree_under_downtimes(self):
-        dc = DualCube(2)
-        vals = list(range(dc.num_nodes))
-        plan = dict(downtimes=[(3, 2, 6), (5, 1, 3), (5, 7, 9)])
-        fps = {
-            m: _fingerprint(
-                run_spmd(
-                    dc,
-                    dual_prefix_program(dc, vals, ADD),
-                    fault_plan=FaultPlan(**plan),
-                    matching=m,
-                )
-            )
-            for m in MATCHERS
-        }
-        assert fps["indexed"] == fps["legacy"]
-
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_dual_prefix_values_survive_churn(self, matching):
+    def test_dual_prefix_values_survive_churn(self):
         dc = DualCube(2)
         vals = list(range(dc.num_nodes))
         expect, _ = dual_prefix_engine(dc, vals, ADD)
         plan = FaultPlan(downtimes=[(0, 2, 4), (6, 3, 7)])
         with use_fault_plan(plan):
-            with use_matching(matching):
-                got, _ = dual_prefix_engine(dc, vals, ADD)
+            got, _ = dual_prefix_engine(dc, vals, ADD)
         assert list(got) == list(expect)
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_partner_timeout_can_fire_while_peer_is_down(self, matching):
+    def test_partner_timeout_can_fire_while_peer_is_down(self, faulty_run):
         # The held (offline) rank's own clock is suspended, but a healthy
         # partner waiting on it still times out like any other stall.
         h = Hypercube(1)
@@ -486,15 +493,14 @@ class TestDowntimeEngine:
             downtimes=[(1, 1, 9)], timeout=3, on_timeout="raise"
         )
         with pytest.raises(RequestTimeoutError):
-            run_spmd(h, pairswap, fault_plan=plan, matching=matching)
+            faulty_run(h, pairswap, fault_plan=plan)
 
-    @pytest.mark.parametrize("matching", MATCHERS)
-    def test_down_rank_does_not_timeout_while_offline(self, matching):
+    def test_down_rank_does_not_timeout_while_offline(self, faulty_run):
         # With cancel semantics the down rank must not burn its timeout
         # budget while offline: after rejoining, the exchange completes.
         h = Hypercube(1)
         plan = FaultPlan(
             downtimes=[(1, 1, 3)], timeout=10, on_timeout="cancel"
         )
-        r = run_spmd(h, pairswap, fault_plan=plan, matching=matching)
+        r = faulty_run(h, pairswap, fault_plan=plan)
         assert r.returns == [1, 0]

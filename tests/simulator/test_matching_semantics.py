@@ -1,9 +1,10 @@
-"""Matching semantics, parametrized over both matcher implementations.
+"""Matching semantics, pinned exactly.
 
 The contracts the paper's step counts rest on: a whole Shift ring
-resolves in one cycle, deliberately asymmetric pairs deadlock, and a
-livelocked program trips ``max_cycles`` — identically under the legacy
-rescan matcher and the counterpart-indexed one.
+resolves in one cycle, deliberately asymmetric pairs deadlock with an
+exact cycle and blocked set, and a livelocked program trips
+``max_cycles``.  Tests taking the ``run`` fixture run bare and again
+checked against the static extractor (see ``conftest.py``).
 """
 
 import pytest
@@ -16,13 +17,9 @@ from repro.simulator import (
     SendRecv,
     Shift,
     run_spmd,
-    use_matching,
 )
-from repro.simulator.engine import Engine
 from repro.topology import Hypercube, RecursiveDualCube
 from repro.topology.hamiltonian import hamiltonian_cycle
-
-pytestmark = pytest.mark.parametrize("matching", ["legacy", "indexed"])
 
 
 def _ring(n=2):
@@ -35,20 +32,20 @@ def _ring(n=2):
 
 
 class TestShiftRings:
-    def test_full_ring_resolves_in_one_cycle(self, matching):
+    def test_full_ring_resolves_in_one_cycle(self, run):
         rdc, succ, pred = _ring()
 
         def program(ctx):
             got = yield Shift(succ[ctx.rank], ctx.rank, pred[ctx.rank])
             return got
 
-        res = run_spmd(rdc, program, matching=matching)
+        res = run(rdc, program)
         assert res.comm_steps == 1
         assert res.counters.messages == rdc.num_nodes
         for u in rdc.nodes():
             assert res.returns[u] == pred[u]
 
-    def test_ring_with_one_defector_deadlocks(self, matching):
+    def test_ring_with_one_defector_deadlocks(self, run):
         """One ring member idles instead of shifting: the whole ring blocks
         once the idler has finished (nothing can complete -> deadlock)."""
         rdc, succ, pred = _ring()
@@ -61,10 +58,10 @@ class TestShiftRings:
             return got
 
         with pytest.raises(DeadlockError) as exc:
-            run_spmd(rdc, program, matching=matching)
+            run(rdc, program)
         assert len(exc.value.blocked) == rdc.num_nodes - 1
 
-    def test_shift_chain_with_send_recv_endcaps(self, matching):
+    def test_shift_chain_with_send_recv_endcaps(self, run):
         """An open chain: Send feeds the first Shift, Recv drains the last;
         the whole pipeline still resolves in one cycle."""
         rdc, succ, pred = _ring()
@@ -82,28 +79,28 @@ class TestShiftRings:
             got = yield Shift(succ[u], u, pred[u])
             return got
 
-        res = run_spmd(rdc, program, matching=matching)
+        res = run(rdc, program)
         assert res.comm_steps == 1
         assert res.returns[succ[head]] == "start"
         assert res.returns[tail] == pred[tail]
 
 
 class TestAsymmetricDeadlocks:
-    def test_send_facing_send(self, matching):
+    def test_send_facing_send(self, run):
         def program(ctx):
             yield Send(ctx.rank ^ 1, "x")
 
         with pytest.raises(DeadlockError, match="blocked"):
-            run_spmd(Hypercube(1), program, matching=matching)
+            run(Hypercube(1), program)
 
-    def test_recv_facing_recv(self, matching):
+    def test_recv_facing_recv(self, run):
         def program(ctx):
             yield Recv(ctx.rank ^ 1)
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program, matching=matching)
+            run(Hypercube(1), program)
 
-    def test_sendrecv_facing_bare_recv(self, matching):
+    def test_sendrecv_facing_bare_recv(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 yield SendRecv(1, "x")
@@ -111,9 +108,9 @@ class TestAsymmetricDeadlocks:
                 yield Recv(0)
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program, matching=matching)
+            run(Hypercube(1), program)
 
-    def test_sendrecv_facing_bare_send(self, matching):
+    def test_sendrecv_facing_bare_send(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 yield SendRecv(1, "x")
@@ -121,43 +118,60 @@ class TestAsymmetricDeadlocks:
                 yield Send(0, "y")
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program, matching=matching)
+            run(Hypercube(1), program)
 
-    def test_deadlock_reports_cycle_and_blocked_set(self, matching):
+    # (topology, per-rank request scripts, deadlock cycle, blocked set)
+    DEADLOCKS = {
+        # Rank 0 idles once, then waits on a rank that never sends.
+        "recv-after-idle": (
+            Hypercube(1), [[Idle(), Recv(1)], []], 2, {0: Recv(1)},
+        ),
+        # Rank 2's receive leg faces the idler, so rank 2 is pruned, then
+        # rank 0 (whose receive leg faces rank 2) and rank 1 with it.
+        "shift-chain-into-idle": (
+            Hypercube(2),
+            [[Shift(1, "a", 2)], [Recv(0)], [Shift(0, "c", 3)], [Idle()]],
+            2,
+            {0: Shift(1, "a", 2), 1: Recv(0), 2: Shift(0, "c", 3)},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", DEADLOCKS)
+    def test_deadlock_reports_cycle_and_blocked_set(self, case, run):
+        topo, scripts, cycle, blocked = self.DEADLOCKS[case]
+
         def program(ctx):
-            if ctx.rank == 0:
-                yield Idle()
-                yield Recv(1)  # nobody ever sends
-            return None
+            for req in scripts[ctx.rank]:
+                yield req
 
         with pytest.raises(DeadlockError) as exc:
-            run_spmd(Hypercube(1), program, matching=matching)
-        assert exc.value.cycle == 2
-        assert list(exc.value.blocked) == [0]
-        assert isinstance(exc.value.blocked[0], Recv)
+            run(topo, program)
+        assert exc.value.cycle == cycle
+        assert exc.value.blocked == blocked
 
 
 class TestLivelock:
-    def test_max_cycles_guard_on_idle_spin(self, matching):
+    def test_max_cycles_guard_on_idle_spin(self):
+        # Bare only: the extractor's twin run would spin a million steps.
         def program(ctx):
             while True:
                 yield Idle()
 
         with pytest.raises(DeadlockError) as exc:
-            run_spmd(Hypercube(1), program, matching=matching)
+            run_spmd(Hypercube(1), program)
         assert exc.value.cycle == 1_000_001  # the default valve
 
-    def test_max_cycles_configurable(self, matching):
+    def test_max_cycles_configurable(self, run):
         def program(ctx):
             while True:
                 yield Idle()
 
         with pytest.raises(DeadlockError) as exc:
-            run_spmd(Hypercube(2), program, matching=matching, max_cycles=17)
+            run(Hypercube(2), program, max_cycles=17)
         assert exc.value.cycle == 18
         assert len(exc.value.blocked) == 4
 
-    def test_one_sided_progress_is_not_livelock(self, matching):
+    def test_one_sided_progress_is_not_livelock(self, run):
         """Idles completing keep the clock ticking while a pair waits."""
 
         def program(ctx):
@@ -169,36 +183,6 @@ class TestLivelock:
             got = yield SendRecv(0, "b")
             return got
 
-        res = run_spmd(Hypercube(1), program, matching=matching)
+        res = run(Hypercube(1), program)
         assert res.returns == ["b", "a"]
         assert res.comm_steps == 6
-
-
-class TestMatchingSelection:
-    def test_engine_records_requested_matcher(self, matching):
-        def program(ctx):
-            return None
-            yield  # pragma: no cover
-
-        eng = Engine(Hypercube(1), program, matching=matching)
-        assert eng.matching == matching
-
-    def test_use_matching_sets_and_restores_default(self, matching):
-        def program(ctx):
-            return None
-            yield  # pragma: no cover
-
-        before = Engine(Hypercube(1), program).matching
-        with use_matching(matching):
-            assert Engine(Hypercube(1), program).matching == matching
-        assert Engine(Hypercube(1), program).matching == before
-
-    def test_unknown_matching_rejected(self, matching):
-        def program(ctx):
-            return None
-            yield  # pragma: no cover
-
-        with pytest.raises(ValueError, match="matching"):
-            Engine(Hypercube(1), program, matching="quantum")
-        with pytest.raises(ValueError, match="matching"):
-            use_matching("quantum").__enter__()

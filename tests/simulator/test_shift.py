@@ -1,4 +1,8 @@
-"""Tests for the Shift request and the fixed-point matcher."""
+"""Tests for the Shift request and the fixed-point matcher.
+
+Tests taking the ``run`` fixture run bare and again checked against
+the static extractor (see ``conftest.py``).
+"""
 
 import pytest
 
@@ -16,7 +20,7 @@ from repro.topology.hamiltonian import hamiltonian_cycle
 
 
 class TestShiftSemantics:
-    def test_full_ring_resolves_in_one_cycle(self):
+    def test_full_ring_resolves_in_one_cycle(self, run):
         """Every node shifts simultaneously around a Hamiltonian ring."""
         rdc = RecursiveDualCube(2)
         cyc = hamiltonian_cycle(2)
@@ -27,13 +31,13 @@ class TestShiftSemantics:
             got = yield Shift(succ[ctx.rank], ctx.rank, pred[ctx.rank])
             return got
 
-        res = run_spmd(rdc, program)
+        res = run(rdc, program)
         assert res.comm_steps == 1
         assert res.counters.messages == 8
         for u in rdc.nodes():
             assert res.returns[u] == pred[u]
 
-    def test_k_rotations_take_k_cycles(self):
+    def test_k_rotations_take_k_cycles(self, run):
         rdc = RecursiveDualCube(2)
         cyc = hamiltonian_cycle(2)
         succ = {cyc[k]: cyc[(k + 1) % 8] for k in range(8)}
@@ -45,13 +49,13 @@ class TestShiftSemantics:
                 token = yield Shift(succ[ctx.rank], token, pred[ctx.rank])
             return token
 
-        res = run_spmd(rdc, program)
+        res = run(rdc, program)
         assert res.comm_steps == 3
         pos = {node: k for k, node in enumerate(cyc)}
         for u in rdc.nodes():
             assert res.returns[u] == cyc[(pos[u] - 3) % 8]
 
-    def test_shift_pairs_with_send_and_recv(self):
+    def test_shift_pairs_with_send_and_recv(self, run):
         """A Shift's legs can face plain Send/Recv counterparts."""
         cube = Hypercube(2)
         # Path 1 -> 0 -> 2: node 0 shifts (sends to 2, receives from 1).
@@ -67,12 +71,12 @@ class TestShiftSemantics:
                 return got
             return None
 
-        res = run_spmd(cube, program)
+        res = run(cube, program)
         assert res.comm_steps == 1
         assert res.returns[0] == "from-1"
         assert res.returns[2] == "fwd"
 
-    def test_partial_shift_blocks_until_both_legs_ready(self):
+    def test_partial_shift_blocks_until_both_legs_ready(self, run):
         from repro.simulator import Idle
 
         cube = Hypercube(2)
@@ -90,11 +94,11 @@ class TestShiftSemantics:
                 return got
             return None
 
-        res = run_spmd(cube, program)
+        res = run(cube, program)
         assert res.returns[0] == "late"
         assert res.comm_steps == 2  # cycle 1: idles only; cycle 2: all legs
 
-    def test_unsatisfiable_shift_deadlocks(self):
+    def test_unsatisfiable_shift_deadlocks(self, run):
         cube = Hypercube(2)
 
         def program(ctx):
@@ -104,7 +108,7 @@ class TestShiftSemantics:
                 yield Recv(0)
 
         with pytest.raises(DeadlockError):
-            run_spmd(cube, program)
+            run(cube, program)
 
     def test_shift_validates_both_endpoints(self):
         cube = Hypercube(2)
@@ -115,7 +119,7 @@ class TestShiftSemantics:
         with pytest.raises(LinkError):
             run_spmd(cube, program)
 
-    def test_shift_counts_one_send_one_recv(self):
+    def test_shift_counts_one_send_one_recv(self, run):
         rdc = RecursiveDualCube(2)
         cyc = hamiltonian_cycle(2)
         succ = {cyc[k]: cyc[(k + 1) % 8] for k in range(8)}
@@ -124,7 +128,7 @@ class TestShiftSemantics:
         def program(ctx):
             yield Shift(succ[ctx.rank], "tok", pred[ctx.rank])
 
-        res = run_spmd(rdc, program)
+        res = run(rdc, program)
         assert all(res.counters.sends == 1)
         assert all(res.counters.recvs == 1)
 
@@ -132,7 +136,7 @@ class TestShiftSemantics:
 class TestFixedPointRegression:
     """The generalized matcher must not change old request semantics."""
 
-    def test_sendrecv_still_rejects_mixed_pairing(self):
+    def test_sendrecv_still_rejects_mixed_pairing(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 yield SendRecv(1, "x")
@@ -140,9 +144,9 @@ class TestFixedPointRegression:
                 yield Recv(0)
 
         with pytest.raises(DeadlockError):
-            run_spmd(Hypercube(1), program)
+            run(Hypercube(1), program)
 
-    def test_dependent_chains_still_wait_cycles(self):
+    def test_dependent_chains_still_wait_cycles(self, run):
         def program(ctx):
             if ctx.rank == 0:
                 yield Send(1, "a")
@@ -154,6 +158,6 @@ class TestFixedPointRegression:
                 return got
             return None
 
-        res = run_spmd(Hypercube(2), program)
+        res = run(Hypercube(2), program)
         assert res.returns[3] == "ab"
         assert res.comm_steps == 2
