@@ -10,11 +10,10 @@ O(nodes) index arrays at runtime.
 
 Two plan shapes cover the core algorithms:
 
-* :class:`PrefixDescriptor` — Algorithm 2 (`D_prefix`).  With state
-  indexed by input position ``u*`` (see :mod:`repro.core.arrangement`),
-  every cluster of both classes is one contiguous row of ``2**m`` values
-  and ascend round ``i`` pairs address bit ``i`` of that row, so the
-  plan is just the ``m`` round bits plus the paper-literal flag.
+* :class:`PrefixDescriptor` — Algorithm 2 (`D_prefix`).  Ascend round
+  ``i`` pairs node-ID bit ``i`` of every cluster, so the plan is just
+  the ``m`` round bits, in the paper's order, plus the paper-literal
+  flag; the array backend maps them onto its state layout.
 * :class:`ScheduleDescriptor` — any compare-exchange schedule (`D_sort`,
   Batcher's bitonic network) as one :class:`StepDescriptor` per
   :class:`~repro.core.dual_sort.ScheduleStep`: the paired dimension, the
@@ -32,14 +31,14 @@ with :func:`extract_schedule`; the test suite runs that check on every
 plan the algorithms produce up to 512 nodes.
 
 The module also hosts the **shard-disjointness race checker** for the
-parallel execution paths: the sharded prefix fork-pool writes shared
-memory from concurrent workers, and the in-place ascend rounds write
-three reshape views of the same arrays.  Both write sets are pure index
-arithmetic over the plan, so :func:`check_shard_plan` /
-:func:`check_columnar_round` prove them pairwise disjoint symbolically
-(:class:`WriteSpan` strided-block algebra — exact, no ``shares_memory``
-at runtime) and raise :class:`ShardRaceError` *before* any worker is
-forked.
+parallel execution paths: the sharded prefix fork-pool writes blocks of
+cluster columns of shared memory from concurrent workers, and the
+in-place ascend rounds write three reshape views of the same arrays.
+Both write sets are pure index arithmetic over the plan, so
+:func:`check_shard_plan` / :func:`check_columnar_round` prove them
+pairwise disjoint symbolically (:class:`WriteSpan` strided-block
+algebra — exact, no ``shares_memory`` at runtime) and raise
+:class:`ShardRaceError` *before* any worker is forked.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ class ShardRaceError(PlanError):
 
 @dataclass(frozen=True)
 class PrefixDescriptor:
-    """Algorithm 2 on one dual-cube, for state indexed by input position.
+    """Algorithm 2 on one dual-cube.
 
-    ``rounds`` are the address bits the ``m`` cluster ascend rounds pair
+    ``rounds`` are the node-ID bits the ``m`` cluster ascend rounds pair
     (both `Cube_prefix` phases replay them); the cross-edge exchanges
     and the class-1 fold follow from the layout.  ``comm_steps`` is 2n,
     or 2n+1 paper-literal.  ``ledger`` is the cost of every all-rank
@@ -138,7 +137,10 @@ class StepDescriptor:
 @dataclass(frozen=True)
 class ScheduleDescriptor:
     """One compare-exchange schedule on one topology; ``ledgers`` maps
-    each payload policy to the cost of the whole schedule."""
+    each payload policy to the cost of the whole schedule.  ``passes``
+    caches the array backend's pass lists compiled from ``steps``
+    (``repro.core.replay._compile_passes``), keyed by key size and
+    whether each step is its own pass."""
 
     topology: str
     kind: str
@@ -146,6 +148,7 @@ class ScheduleDescriptor:
     descending: bool
     steps: tuple
     ledgers: dict[str, Ledger] = field(compare=False, repr=False)
+    passes: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def compile_prefix_plan(dc, *, paper_literal: bool = False
@@ -486,37 +489,37 @@ def shard_task_spans(
 
     ``tasks`` are ``(cls, start, stop)`` cluster blocks over a length-``n``
     state with ``2**m``-node clusters (the triples carried by
-    ``repro.core.replay._shard_worker``).  The state is indexed by input
-    position, so cluster ``c`` of class ``cls`` is the contiguous row
-    ``cls * 2**m + c``: a task writes rows ``[start, stop)`` of its
-    class half, one contiguous slab.  Both the ``t`` and ``s`` buffers
-    get the same footprint.
+    ``repro.core.replay._shard_worker``).  The state is position-major:
+    position ``k`` of cluster ``c`` of class ``cls`` sits at
+    ``cls * n/2 + k * 2**m + c``, so a task writes columns
+    ``[start, stop)`` of its class half's ``2**m x 2**m`` square — one
+    ``stop - start`` block in each of the ``2**m`` position rows.  Both
+    the ``t`` and ``s`` buffers get the same footprint.
     """
     half = n // 2
     width = 1 << m
-    if n <= 0 or n % 2 or half % width:
+    if n <= 0 or n % 2 or half != width * width:
         raise ShardRaceError(
             f"shard geometry n={n}, m={m} does not split into two halves "
-            f"of whole {width}-node clusters"
+            f"of {width} whole {width}-node clusters"
         )
-    rows = half // width
     spans: list[tuple[str, WriteSpan]] = []
     for cls, start, stop in tasks:
         if cls not in (0, 1):
             raise ShardRaceError(f"shard task has class {cls}, not 0/1")
-        if not 0 <= start < stop <= rows:
+        if not 0 <= start < stop <= width:
             raise ShardRaceError(
                 f"shard task class {cls} block [{start}, {stop}) escapes "
-                f"its 0..{rows} cluster range"
+                f"its 0..{width} cluster range"
             )
         name = f"shard(cls={cls}, [{start}:{stop}))"
         for buf in ("t", "s"):
             spans.append((name, WriteSpan(
                 buffer=buf,
-                base=cls * half + start * width,
-                stride=half,
-                count=1,
-                block=(stop - start) * width,
+                base=cls * half + start,
+                stride=width,
+                count=width,
+                block=stop - start,
             )))
     return spans
 

@@ -597,7 +597,8 @@ def _check_faults_plan(args) -> int:
                         "spans": len(spans),
                     }
                 )
-            for bit in range(m):
+            # Position-major state: the ascend rounds pair bits m..2m-1.
+            for bit in range(m, 2 * m):
                 spans = check_columnar_round(num, bit)
                 checked.append(
                     {

@@ -7,19 +7,27 @@ Every core algorithm's schedule is oblivious, so
 ``(algorithm, topology, variant)`` into a few descriptors — the ``m``
 round bits of `D_prefix`, and per compare-exchange step of `D_sort` or
 Batcher's network its dimension, direction bit or constant, and link
-mode — and this module runs them on plain contiguous columns, one batched
-in-place numpy operation per step over reshape views:
+mode — and this module runs them on plain contiguous columns with
+batched in-place numpy operations over reshape views whose rows are
+long:
 
-* `D_prefix` state is indexed by input position ``u*`` (see
-  :mod:`repro.core.arrangement`), so every cluster of both classes is one
-  contiguous row of ``2**m`` values.  An ascend round pairs one address
-  bit of every row at once, the cross-edge exchange (node ``(0, c, k)``
-  ↔ ``(1, k, c)`` in that indexing) is a transpose of each class half,
-  and the result comes out in input order with no arrangement gather.
-* A compare-exchange step writes the min and max sides of every pair
-  into a second key column through the step's pair (and direction) bit
-  views, then the two columns swap roles — two ufunc calls per direction
-  and no copy.
+* `D_prefix` state is position-major: each class half holds the value
+  of position ``k`` of cluster ``c`` at ``k * 2**m + c``, the transpose
+  of input order ``u*`` (see :mod:`repro.core.arrangement`).  An ascend
+  round pairs address bit ``m + i``, one bit of ``k``, for every cluster
+  at once, on rows of at least ``2**m`` values; the cross-edge exchange
+  (node ``(0, c, k)`` ↔ ``(1, k, c)``) is still a transpose of each
+  class half; the input load and the final fold go through a transposed
+  view of input order, so no arrangement gather runs.
+* A compare-exchange schedule runs as a short list of compiled passes
+  (:func:`_compile_passes`, cached with the plan).  A step at a high
+  dimension is one whole-column pass: it writes the min and max sides of
+  every pair into a second key column through the step's pair (and
+  direction) bit views, then the two columns swap roles — two ufunc
+  calls per direction and no copy.  A run of low-dimension steps is one
+  tile pass: it runs tile by tile in L2, low dimensions on a permuted
+  copy of the tile whose rows are long, and writes each tile back in
+  place, with the idle key column as its scratch.
 
 The ascend is also the array side of `Cube_prefix`, the dual-cube
 allreduce and the emulation technique: :func:`ascend_prefix` runs it over
@@ -38,12 +46,12 @@ the one separate charge), so step counts, message/payload tallies,
 per-rank computation arrays and attached timelines agree exactly with the
 engine and the static :class:`CommSchedule`.  Counters sized for another
 network are rejected with a ``ValueError``.  ``trace=`` snapshots carry
-the engine's labels in node order, and ``profiler=`` records the same
-phase spans on every entry point.
+the engine's labels in node order (a traced schedule runs one pass per
+step), and ``profiler=`` records one span per phase or pass.
 
 **Sharding** (`D_prefix` family only): the two `Cube_prefix` phases touch
 no cross-class edge, so ``shards=k`` runs them with blocks of cluster
-rows spread over ``k`` forked workers writing shared memory in place,
+columns spread over ``k`` forked workers writing shared memory in place,
 and the main process performs the cross exchanges and folds at the
 barriers.  Sharding requires a numeric dtype and an operation with a
 numpy ufunc; counters are charged by the main process, so the ledger is
@@ -53,6 +61,7 @@ identical to the unsharded run.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,9 +272,9 @@ def _ascend(t: np.ndarray, s: np.ndarray, bits, combine) -> None:
 
 
 def _cross(src: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The cross-edge exchange on input-position-indexed state: node
-    ``(0, c, k)`` and ``(1, k, c)`` are partners, so each class half
-    receives the transpose of the other."""
+    """The cross-edge exchange on position-major state: node ``(0, c, k)``
+    and ``(1, k, c)`` are partners, so each class half receives the
+    transpose of the other."""
     half = len(src) >> 1
     w = 1 << ((half.bit_length() - 1) >> 1)
     out[:half].reshape(w, w)[...] = src[half:].reshape(w, w).T
@@ -273,23 +282,24 @@ def _cross(src: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compare_exchange(src: np.ndarray, dst: np.ndarray, st) -> None:
+def _compare_exchange(src: np.ndarray, dst: np.ndarray, dim: int,
+                      dir_bit: int | None, descending) -> None:
     """One compare-exchange step from ``src`` into ``dst``.
 
     Each pair side applies ``min``/``max`` with its own key first — the
     operand order of a per-node ``(own, partner)`` compare, which decides
     ties such as ``-0.0`` vs ``0.0``."""
     lo, hi = np.minimum, np.maximum
-    if st.dir_bit is None:
-        if st.descending:
+    if dir_bit is None:
+        if descending:
             lo, hi = hi, lo
-        a, b = bit_pair_views(src, st.dim)
-        x, y = bit_pair_views(dst, st.dim)
+        a, b = bit_pair_views(src, dim)
+        x, y = bit_pair_views(dst, dim)
         lo(a, b, out=x)
         hi(b, a, out=y)
         return
-    al, ah, dl, dh = dir_bit_views(src, st.dir_bit, st.dim)
-    xl, xh, yl, yh = dir_bit_views(dst, st.dir_bit, st.dim)
+    al, ah, dl, dh = dir_bit_views(src, dir_bit, dim)
+    xl, xh, yl, yh = dir_bit_views(dst, dir_bit, dim)
     lo(al, ah, out=xl)
     hi(ah, al, out=xh)
     hi(dl, dh, out=yl)
@@ -400,8 +410,10 @@ def dual_prefix_replay(
     Results and the ledger are those of the engine-mirroring whole-array
     algorithm: ``t``/``t'`` accumulate as :func:`_accumulation` decides,
     ``s``/``s'`` widen to the identity's dtype where it takes part, and
-    the folds combine in the wider of the two.  ``trace`` records the engine's snapshot labels
-    in node order; ``profiler`` records ``cluster-prefix`` (step 1),
+    the folds combine in the wider of the two.  State is position-major
+    (see the module docstring), so the ``m`` ascend rounds pair address
+    bits ``m..2m-1``.  ``trace`` records the engine's snapshot labels in
+    node order; ``profiler`` records ``cluster-prefix`` (step 1),
     ``cross`` (the cross-edge exchanges), ``block-prefix`` (step 3) and
     ``fold`` (steps 4-5) spans.  ``shards=k`` (k >= 2) runs the
     cluster-local ascend phases on ``k`` forked workers (numeric ufunc
@@ -413,8 +425,9 @@ def dual_prefix_replay(
     if shards is not None and shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     plan = get_prefix_plan(dc, paper_literal=paper_literal)
-    n = dc.num_nodes
-    half = n >> 1
+    n, m = dc.num_nodes, dc.cluster_dim
+    half, w = n >> 1, 1 << m
+    bits = [m + b for b in plan.rounds]
     prof = profiler if profiler is not None else NULL_PROFILER
 
     dt_t, ident, combine = _accumulation(vals.dtype, op, n)
@@ -425,9 +438,14 @@ def dual_prefix_replay(
         pool = _ShardPool(dc, vals, op, shards, np.result_type(dt_s2, dt_s))
         dt_t = dt_s = dt_s2 = pool.dtype
 
+    def input_order(col):
+        # Position-major storage seen in input order: [cls, c, k].
+        return col.reshape(2, w, w).transpose(0, 2, 1)
+
     def record(label, state):
         if trace is not None:
-            trace.record_array(label, state[arranged_index_v(dc)])
+            trace.record_array(
+                label, input_order(state).reshape(-1)[arranged_index_v(dc)])
 
     try:
         if pool is not None:
@@ -435,8 +453,8 @@ def dual_prefix_replay(
         else:
             t, t2 = np.empty(n, dt_t), np.empty(n, dt_t)
             s, s2 = np.empty(n, dt_s), np.empty(n, dt_s2)
-        t[...] = vals
-        s[...] = vals if inclusive else ident
+        input_order(t)[...] = vals.reshape(2, w, w)
+        s[...] = t if inclusive else ident
         record("(a) input", t)
 
         # Step 1: inclusive/diminished Cube_prefix inside every cluster.
@@ -444,7 +462,7 @@ def dual_prefix_replay(
             if pool is not None:
                 pool.ascend(0)
             else:
-                _ascend(t, s, plan.rounds, combine)
+                _ascend(t, s, bits, combine)
         record("(b) cluster prefix s", s)
         record("(b) cluster total t", t)
 
@@ -459,17 +477,18 @@ def dual_prefix_replay(
             if pool is not None:
                 pool.ascend(1)
             else:
-                _ascend(t2, s2, plan.rounds, combine)
+                _ascend(t2, s2, bits, combine)
         record("(d) block-prefix s'", s2)
         record("(d) half total t'", t2)
 
         # Step 4: earlier-block composition returns over the cross-edge
-        # and pre-folds into s.
+        # and pre-folds into s, written straight into input order.
         with prof.span("cross"):
             got = _cross(s2, np.empty_like(s2))
         with prof.span("fold"):
-            out = s.astype(np.result_type(dt_s2, dt_s))
-            combine(got, out, out)
+            res = np.empty(n, np.result_type(dt_s2, dt_s))
+            out = input_order(res)
+            combine(got.reshape(2, w, w), s.reshape(2, w, w), out)
         record("(e) after s' fold", out)
 
         # Step 5 (paper-literal: one redundant cross exchange, in the
@@ -477,12 +496,12 @@ def dual_prefix_replay(
         # the class-1 pre-fold of the first-half total, which is class 1's
         # own t'.
         with prof.span("fold"):
-            combine(t2[half:], out[half:], out[half:])
+            combine(t2[half:].reshape(w, w), out[1], out[1])
             if counters is not None:
                 counters.charge(plan.ledger)
                 counters.record_comp_step(ops_each=1, ranks=range(half, n))
         record("(f) final prefix", out)
-        return out
+        return res
     finally:
         if pool is not None:
             pool.close()
@@ -492,12 +511,13 @@ def dual_prefix_replay(
 
 
 def _shard_worker(task):
-    """Run all ascend rounds of one block of cluster rows, in place.
+    """Run all ascend rounds of one block of cluster columns, in place.
 
     ``task`` = (shm_name, dtype_str, n, m, t_at, s_at, cls, start, stop,
-    ufunc): rows ``[start, stop)`` of class half ``cls`` of the ``t`` and
-    ``s`` buffers that start at element offsets ``t_at``/``s_at`` of the
-    shared block.
+    ufunc): columns ``[start, stop)`` (clusters) of class half ``cls`` of
+    the position-major ``t`` and ``s`` buffers that start at element
+    offsets ``t_at``/``s_at`` of the shared block; the rounds pair bits
+    ``0..m-1`` of the position axis.
     """
     from multiprocessing import shared_memory
 
@@ -505,10 +525,14 @@ def _shard_worker(task):
     shm = shared_memory.SharedMemory(name=name)
     try:
         buf = np.ndarray((4 * n,), dtype=np.dtype(dtype_str), buffer=shm.buf)
-        lo = (cls << (2 * m)) + (start << m)
-        hi = (cls << (2 * m)) + (stop << m)
-        _ascend(buf[t_at + lo:t_at + hi], buf[s_at + lo:s_at + hi],
-                range(m), lambda a, b, out: ufunc(a, b, out=out))
+        w, at = 1 << m, cls << (2 * m)
+
+        def block(offset):
+            return buf[offset + at:offset + at + w * w].reshape(w, w)[
+                :, start:stop]
+
+        _ascend(block(t_at), block(s_at), range(m),
+                lambda a, b, out: ufunc(a, b, out=out))
         del buf
     finally:
         shm.close()
@@ -578,6 +602,193 @@ class _ShardPool:
         self._shm.unlink()
 
 
+# -- compare-exchange passes ---------------------------------------------------
+#
+# A dimension-``d`` step reads rows of ``2**d`` keys, so on a whole column
+# the low-dimension steps spend their time in numpy's inner-loop overhead,
+# not in comparisons.  A schedule therefore compiles once per plan and key
+# size into passes (:func:`_compile_passes`):
+#
+# * a step at dimension >= T is a whole-column pass: ``_compare_exchange``
+#   from one key column into the other, then the columns swap roles;
+# * each maximal run of steps at dimensions < T is one tile pass over the
+#   ``2**T``-key tiles, one tile at a time, so the run stays in L2.  A
+#   direction bit >= T is constant per tile: that bit of the tile index.
+#   Inside a tile, each run of steps at dimensions < L runs on a permuted
+#   copy whose outer axes are the in-tile direction bit >= L (if any) and
+#   the low bits ``0..L-1``, so its rows hold the other ``2**(T-L-1)`` or
+#   more keys.  Bits keep their order within each group, so a direction
+#   bit still lies above its pair bit.  The tile ping-pongs with a
+#   tile-sized slice of the idle key column and is written back in place.
+#
+# T = log2(_TILE_BYTES / key size), capped at the column's bits, and
+# L = min(_LOW_BITS, T // 2).  Columns shorter than ``2**_FUSE_BITS`` keys
+# run every step as a whole-column pass.  With a trace attached every
+# step is its own pass, so each step's snapshot can be recorded.
+
+_TILE_BYTES = 1 << 19  # a tile and its scratch fill half of a 2 MiB L2
+_FUSE_BITS = 12
+_LOW_BITS = 6
+
+
+class _Pass(NamedTuple):
+    """One compiled pass: the steps it runs, its profiler span, and for a
+    tile pass the tile bits and ``(layout, local steps)`` segments."""
+
+    steps: tuple
+    name: str
+    meta: dict
+    bits: int | None = None
+    segments: tuple = ()
+
+
+def _tile_layout(bits: int, low: int, top: int | None):
+    """The permuted tile layout of a low-dimension segment: the copy's
+    reshape/transpose ``(nshape, axes, pshape, inverse)`` and where each
+    in-tile bit it uses lands."""
+    if top is None:
+        nshape, axes, rest = (1 << (bits - low), 1 << low), (1, 0), bits - low
+    else:
+        nshape = (1 << (bits - 1 - top), 2, 1 << (top - low), 1 << low)
+        axes, rest = (1, 3, 0, 2), bits - low - 1
+    pshape = tuple(nshape[a] for a in axes)
+    inverse = tuple(int(a) for a in np.argsort(axes))
+    pos = {b: rest + b for b in range(low)}
+    if top is not None:
+        pos[top] = bits - 1
+    return (nshape, axes, pshape, inverse), pos
+
+
+def _tile_pass(run: tuple, bits: int) -> _Pass:
+    """Compile a run of steps at dimensions < ``bits`` into a tile pass."""
+    low = min(_LOW_BITS, bits // 2)
+    groups = []  # [low?, in-tile direction bit >= low, steps]
+    for st in run:
+        d = st.dir_bit
+        top = d if d is not None and low <= d < bits else None
+        g = groups[-1] if groups else None
+        if g is not None and g[0] == (st.dim < low) and (
+                not g[0] or top is None or g[1] in (None, top)):
+            if top is not None:
+                g[1] = top
+            g[2].append(st)
+        else:
+            groups.append([st.dim < low, top, [st]])
+    segments = []
+    for is_low, top, sts in groups:
+        layout, pos = None, range(bits)
+        if is_low:
+            layout, pos = _tile_layout(bits, low, top)
+        local = []
+        for st in sts:
+            d = st.dir_bit
+            if d is None:
+                local.append((pos[st.dim], None, st.descending, None))
+            elif d >= bits:
+                local.append((pos[st.dim], None, False, d - bits))
+            else:
+                local.append((pos[st.dim], pos[d], False, None))
+        segments.append((layout, tuple(local)))
+    meta = {"step": run[0].index, "last": run[-1].index,
+            "dims": tuple(st.dim for st in run), "tile_bits": bits}
+    return _Pass(run, "tile-pass", meta, bits, tuple(segments))
+
+
+def _compile_passes(steps, q: int, itemsize: int, *, per_step: bool = False,
+                    tile_bits: int | None = None) -> tuple:
+    """Compile compare-exchange ``steps`` on a ``2**q``-key column of
+    ``itemsize``-byte keys into passes (see the comment above);
+    ``tile_bits`` overrides T and fuses at any column length."""
+    bits = tile_bits
+    if bits is None and q >= _FUSE_BITS:
+        bits = (_TILE_BYTES // itemsize).bit_length() - 1
+    if bits is not None:
+        bits = min(bits, q)
+    passes, run = [], []
+
+    def flush():
+        if run:
+            passes.append(_tile_pass(tuple(run), bits))
+            run.clear()
+
+    for st in steps:
+        if bits is None or st.dim >= bits:
+            flush()
+            passes.append(
+                _Pass((st,), st.phase, {"step": st.index, "dim": st.dim}))
+        else:
+            run.append(st)
+            if per_step:
+                flush()
+    flush()
+    return tuple(passes)
+
+
+def _plan_passes(plan, itemsize: int, per_step: bool) -> tuple:
+    """``plan``'s passes for ``itemsize``-byte keys, compiled on first use
+    and cached on the plan."""
+    key = (itemsize, per_step)
+    passes = plan.passes.get(key)
+    if passes is None:
+        passes = plan.passes[key] = _compile_passes(
+            plan.steps, plan.num_nodes.bit_length() - 1, itemsize,
+            per_step=per_step)
+    return passes
+
+
+def _run_tile_pass(col: np.ndarray, scratch: np.ndarray, ps: _Pass) -> None:
+    """One tile pass over ``col`` in place, ping-ponging each tile with a
+    tile-sized slice of ``scratch``."""
+    size = 1 << ps.bits
+    for t in range(len(col) >> ps.bits):
+        tile = a = col[t * size:(t + 1) * size]
+        b = scratch[:size]
+        for layout, local in ps.segments:
+            if layout is not None:
+                nshape, axes, pshape, inverse = layout
+                np.copyto(b.reshape(pshape), a.reshape(nshape).transpose(axes))
+                a, b = b, a
+            for dim, dir_bit, descending, tile_bit in local:
+                if tile_bit is not None:
+                    descending = (t >> tile_bit) & 1
+                _compare_exchange(a, b, dim, dir_bit, descending)
+                a, b = b, a
+            if layout is not None:
+                np.copyto(b.reshape(nshape),
+                          a.reshape(pshape).transpose(inverse))
+                a, b = b, a
+        if a is not tile:
+            tile[...] = a
+
+
+def _run_pass(src: np.ndarray, dst: np.ndarray, ps: _Pass):
+    """Run one pass; returns ``(src, dst)`` with ``src`` holding the keys."""
+    if ps.bits is None:
+        st = ps.steps[0]
+        _compare_exchange(src, dst, st.dim, st.dir_bit, st.descending)
+        return dst, src
+    _run_tile_pass(src, dst, ps)
+    return src, dst
+
+
+def _run_passes(src: np.ndarray, dst: np.ndarray, passes, *, trace=None,
+                profiler=None) -> np.ndarray:
+    """Run compiled passes on key column ``src`` with ``dst`` idle; returns
+    the column holding the result.  ``trace`` records one snapshot per
+    pass (label of its last step), ``profiler`` one span per pass."""
+    for ps in passes:
+        if profiler is None:
+            src, dst = _run_pass(src, dst, ps)
+        else:
+            with profiler.span(ps.name, **ps.meta):
+                src, dst = _run_pass(src, dst, ps)
+        if trace is not None:
+            st = ps.steps[-1]
+            trace.record_array(
+                f"step {st.index:03d} dim {st.dim} [{st.phase}]", src)
+    return src
+
+
 # -- compare-exchange schedules ------------------------------------------------
 
 
@@ -593,9 +804,12 @@ def execute_schedule_replay(
 ) -> np.ndarray:
     """Run a compiled compare-exchange plan on a key array.
 
-    Keys stay in node-address order.  ``trace`` records ``input`` and one
-    snapshot per step (the engine's labels); ``profiler`` one span per
-    step, named by the step's recursion segment.
+    Keys stay in node-address order.  The plan runs as its compiled
+    passes; with ``trace`` attached each step is its own pass and the
+    trace records ``input`` and one snapshot per step (the engine's
+    labels).  ``profiler`` records one span per pass: a whole-column pass
+    is named by its step's recursion segment, a tile pass ``tile-pass``
+    with its step range and dimensions.
     """
     from repro.core.dual_sort import _check_policy
 
@@ -604,19 +818,11 @@ def execute_schedule_replay(
     _check_values(topo, arr, "keys")
     _check_counters(topo, counters)
     src = arr.copy()
-    dst = np.empty_like(src)
     if trace is not None:
         trace.record_array("input", src)
-    for st in plan.steps:
-        if profiler is None:
-            _compare_exchange(src, dst, st)
-        else:
-            with profiler.span(st.phase, step=st.index, dim=st.dim):
-                _compare_exchange(src, dst, st)
-        src, dst = dst, src
-        if trace is not None:
-            trace.record_array(
-                f"step {st.index:03d} dim {st.dim} [{st.phase}]", src)
+    passes = _plan_passes(plan, src.itemsize, trace is not None)
+    src = _run_passes(src, np.empty_like(src), passes, trace=trace,
+                      profiler=profiler)
     if counters is not None:
         counters.charge(plan.ledgers[payload_policy])
     return src

@@ -64,6 +64,7 @@ from repro.simulator.trace import TraceRecorder
 from repro.topology.base import Topology
 
 __all__ = [
+    "DEFAULT_MAX_CYCLES",
     "Engine",
     "EngineResult",
     "run_spmd",
@@ -75,6 +76,10 @@ Program = Callable[[NodeCtx], Generator[Request, Any, Any]]
 
 _DEFAULT_FAULT_PLAN: FaultPlan | None = None
 _DEFAULT_TIMELINE = None
+
+#: The ``max_cycles`` default of :class:`Engine` and :func:`run_spmd`: a
+#: run still pending after this many cycles raises :class:`DeadlockError`.
+DEFAULT_MAX_CYCLES = 1_000_000
 
 # IR names for the request-kind codes (indexed in _IDLE.._SHIFT order);
 # timelines tag each delivery with its sending leg's kind so recorded
@@ -202,7 +207,7 @@ class Engine:
         *,
         trace: TraceRecorder | None = None,
         log_messages: bool = False,
-        max_cycles: int = 1_000_000,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
         fault_plan: FaultPlan | None = None,
         timeline=None,
     ):
@@ -385,19 +390,18 @@ class Engine:
             # leg pairs with the matching opposite leg of a non-SendRecv.
             # An active fault plan additionally requires every leg's link
             # to be alive this cycle (a cut link simply never matches).
+            # A send leg tests neither the counterpart's kind nor the link:
+            # the receive leg it faces must itself survive, a SendRecv
+            # facing a non-SendRecv never does, and a surviving receive
+            # leg has tested the same (symmetric) link.
             if kind[rank] == SENDRECV:
                 p = send_to[rank]
                 if not (alive[p] and kind[p] == SENDRECV and send_to[p] == rank):
                     return False
                 return fp is None or fp.link_up(rank, p, cycle)
             st = send_to[rank]
-            if st >= 0:
-                if not (
-                    alive[st] and recv_from[st] == rank and kind[st] != SENDRECV
-                ):
-                    return False
-                if fp is not None and not fp.link_up(rank, st, cycle):
-                    return False
+            if st >= 0 and not (alive[st] and recv_from[st] == rank):
+                return False
             rf = recv_from[rank]
             if rf >= 0:
                 if not (
@@ -633,7 +637,7 @@ def run_spmd(
     *,
     trace: TraceRecorder | None = None,
     log_messages: bool = False,
-    max_cycles: int = 1_000_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     fault_plan: FaultPlan | None = None,
     timeline=None,
 ) -> EngineResult:

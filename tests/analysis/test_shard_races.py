@@ -1,9 +1,9 @@
 """Shard-disjointness race checker: span algebra, real plans, rejections.
 
 The checker must accept every plan the sharded prefix actually builds
-(contiguous rows of cluster state, exact disjoint covers of shared
-memory) and reject synthetic racing or escaping plans *before* any worker
-forks.
+(blocks of cluster columns of the position-major state, exact disjoint
+covers of shared memory) and reject synthetic racing or escaping plans
+*before* any worker forks.
 """
 
 import numpy as np
@@ -101,13 +101,23 @@ class TestRealPlansAccepted:
             )
             assert covered == frozenset(range(num))
 
+    def test_shard_spans_are_column_blocks(self):
+        # DualCube(3): 4x4 position-major class halves of 16 nodes.
+        (_, t), (_, s) = shard_task_spans(32, 2, [(1, 1, 3)])
+        assert t == WriteSpan(buffer="t", base=17, stride=4, count=4,
+                              block=2)
+        assert s.buffer == "s" and s.elements() == t.elements()
+        assert t.elements() == {16 + 4 * k + c for k in range(4)
+                                for c in (1, 2)}
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_columnar_rounds_disjoint_exact_partition(self, n):
-        # An ascend round pairs one bit of every cluster row of the whole
-        # input-position-indexed state.
+        # An ascend round pairs one position bit (address bit m..2m-1) of
+        # the whole position-major state.
         dc = DualCube(n)
         length = dc.num_nodes
-        for bit in range(dc.cluster_dim):
+        m = dc.cluster_dim
+        for bit in range(m, 2 * m):
             spans = check_columnar_round(length, bit)
             t_cover = frozenset().union(
                 *(s.elements() for name, s in spans if s.buffer == "t")

@@ -7,6 +7,8 @@ exact cycle and blocked set, and a livelocked program trips
 checked against the static extractor (see ``conftest.py``).
 """
 
+import inspect
+
 import pytest
 
 from repro.simulator import (
@@ -152,14 +154,17 @@ class TestAsymmetricDeadlocks:
 
 class TestLivelock:
     def test_max_cycles_guard_on_idle_spin(self):
-        # Bare only: the extractor's twin run would spin a million steps.
-        def program(ctx):
-            while True:
-                yield Idle()
+        # The default valve is one constant shared by Engine and run_spmd;
+        # test_max_cycles_configurable shows an idle spin firing it at
+        # max_cycles + 1, so no run spins a million cycles here.
+        from repro.simulator.engine import DEFAULT_MAX_CYCLES, Engine
 
-        with pytest.raises(DeadlockError) as exc:
-            run_spmd(Hypercube(1), program)
-        assert exc.value.cycle == 1_000_001  # the default valve
+        for fn in (Engine, run_spmd):
+            default = inspect.signature(fn).parameters["max_cycles"].default
+            assert default is DEFAULT_MAX_CYCLES
+        assert DEFAULT_MAX_CYCLES == 1_000_000
+        assert Engine(Hypercube(1), lambda ctx: iter(())).max_cycles == (
+            DEFAULT_MAX_CYCLES)
 
     def test_max_cycles_configurable(self, run):
         def program(ctx):
