@@ -16,9 +16,12 @@ long:
   of input order ``u*`` (see :mod:`repro.core.arrangement`).  An ascend
   round pairs address bit ``m + i``, one bit of ``k``, for every cluster
   at once, on rows of at least ``2**m`` values; the cross-edge exchange
-  (node ``(0, c, k)`` ↔ ``(1, k, c)``) is still a transpose of each
-  class half; the input load and the final fold go through a transposed
-  view of input order, so no arrangement gather runs.
+  of the cluster totals (node ``(0, c, k)`` ↔ ``(1, k, c)``) is a
+  transpose of each class half.  The input loads through a transposed
+  view of input order.  The return exchange needs no column of its own:
+  the partner half of ``s'``, read as stored, is already in input order,
+  so the fold reads it contiguously, reads ``s`` transposed and writes
+  the result contiguously; no arrangement gather runs.
 * A compare-exchange schedule runs as a short list of compiled passes
   (:func:`_compile_passes`, cached with the plan).  A step at a high
   dimension is one whole-column pass: it writes the min and max sides of
@@ -61,6 +64,7 @@ identical to the unsharded run.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -346,24 +350,29 @@ def _check_counters(topo, counters: CostCounters | None) -> None:
         )
 
 
-def _accumulation(dtype: np.dtype, op: AssocOp, n: int):
-    """How a prefix of ``n`` values of ``dtype`` accumulates under ``op``.
+def _accumulation(dtype: np.dtype, op: AssocOp):
+    """How a prefix of values of ``dtype`` accumulates under ``op``.
 
-    Returns ``(acc, ident, combine)``: the dtype ``t`` accumulates in, a
-    length-``n`` identity column and the in-place ``combine(a, b, out)``
-    (operand order preserved).  Bool and integers narrower than 64 bits
-    widen to an integer identity's dtype (numpy's ``add`` is a logical or
-    on bool, and narrow integers wrap; ``MIN``/``MAX`` never leave the
-    input's range).  An integer identity takes uint64's dtype (against
-    int64 it would promote to float64 and round above 2**53; ``ADD``'s 0
-    and ``MUL``'s 1 are uint64 values too).  Object values, or an
+    Returns ``(acc, ident, combine)``: the dtype ``t`` accumulates in, the
+    identity as a 0-d array that broadcasts into any column, and the
+    in-place ``combine(a, b, out)`` (operand order preserved).  Bool and
+    integers narrower than 64 bits widen to an integer identity's dtype
+    (numpy's ``add`` is a logical or on bool, and narrow integers wrap).
+    An integer identity takes uint64's dtype (against int64 it would
+    promote to float64 and round above 2**53; ``ADD``'s 0 and ``MUL``'s 1
+    are uint64 values too).  On integers, an infinite identity (``MIN``'s
+    +inf, ``MAX``'s -inf) becomes the dtype's extreme, so ``MIN``/``MAX``
+    keep the input's dtype and exact values.  Object values, or an
     operation without a ufunc or a numeric identity, accumulate as
     objects through :func:`~repro.core.ops.combine_into`.
     """
-    ident = op.identity_array(n)
+    ident = op.identity_array(1).reshape(())
     if op.ufunc is None or dtype == object or ident.dtype == object:
         return (np.dtype(object), ident,
                 lambda a, b, out: combine_into(op, a, b, out))
+    if dtype.kind in "iu" and op.identity in (np.inf, -np.inf):
+        info = np.iinfo(dtype)
+        ident = np.array(info.max if op.identity > 0 else info.min, dtype)
     acc = dtype
     narrow = dtype == bool or (dtype.kind in "iu" and dtype.itemsize < 8)
     if narrow and ident.dtype.kind == "i":
@@ -381,14 +390,14 @@ def ascend_prefix(values, op: AssocOp, bits, *, inclusive: bool = True):
     bits) runs one `Cube_prefix` instance, in place (:func:`_ascend`).
     Returns ``(t, s)``: the subcube totals and the inclusive (or
     diminished) prefixes.  ``t`` accumulates as :func:`_accumulation`
-    decides; a diminished ``s`` starts from the identity column, in the
-    wider of that dtype and the identity's.
+    decides; a diminished ``s`` starts from the identity, in the wider
+    of that dtype and the identity's.
     """
     vals = np.asarray(values)
-    acc, ident, combine = _accumulation(vals.dtype, op, len(vals))
+    acc, ident, combine = _accumulation(vals.dtype, op)
     t = vals.astype(acc)
-    s = t.copy() if inclusive else ident.astype(
-        np.result_type(acc, ident.dtype))
+    s = t.copy() if inclusive else np.full(
+        len(t), ident, np.result_type(acc, ident.dtype))
     _ascend(t, s, bits, combine)
     return t, s
 
@@ -412,12 +421,14 @@ def dual_prefix_replay(
     ``s``/``s'`` widen to the identity's dtype where it takes part, and
     the folds combine in the wider of the two.  State is position-major
     (see the module docstring), so the ``m`` ascend rounds pair address
-    bits ``m..2m-1``.  ``trace`` records the engine's snapshot labels in
-    node order; ``profiler`` records ``cluster-prefix`` (step 1),
-    ``cross`` (the cross-edge exchanges), ``block-prefix`` (step 3) and
-    ``fold`` (steps 4-5) spans.  ``shards=k`` (k >= 2) runs the
-    cluster-local ascend phases on ``k`` forked workers (numeric ufunc
-    operations only).
+    bits ``m..2m-1``; with clusters of ``2**_LOW_BITS`` nodes or more they
+    run under the short ufunc buffer (:func:`_short_buffer`).  ``trace``
+    records the engine's snapshot labels in node order; ``profiler``
+    records ``cluster-prefix`` (step 1), ``cross`` (the cross-edge
+    exchange of the totals), ``block-prefix`` (step 3) and ``fold``
+    (steps 4-5, whose return exchange is a transposed read) spans.
+    ``shards=k`` (k >= 2) runs the cluster-local ascend phases on ``k``
+    forked workers (numeric ufunc operations only).
     """
     vals = np.asarray(values)
     _check_values(dc, vals, "values")
@@ -430,7 +441,7 @@ def dual_prefix_replay(
     bits = [m + b for b in plan.rounds]
     prof = profiler if profiler is not None else NULL_PROFILER
 
-    dt_t, ident, combine = _accumulation(vals.dtype, op, n)
+    dt_t, ident, combine = _accumulation(vals.dtype, op)
     dt_s2 = np.result_type(dt_t, ident.dtype)
     dt_s = dt_t if inclusive else dt_s2
     pool = None
@@ -438,31 +449,36 @@ def dual_prefix_replay(
         pool = _ShardPool(dc, vals, op, shards, np.result_type(dt_s2, dt_s))
         dt_t = dt_s = dt_s2 = pool.dtype
 
+    def ascend(t, s, phase):
+        if pool is not None:
+            pool.ascend(phase)
+        elif w < 1 << _LOW_BITS:
+            _ascend(t, s, bits, combine)
+        else:
+            with _short_buffer():
+                _ascend(t, s, bits, combine)
+
     def input_order(col):
         # Position-major storage seen in input order: [cls, c, k].
         return col.reshape(2, w, w).transpose(0, 2, 1)
 
-    def record(label, state):
+    def record(label, state, *, in_input_order=False):
         if trace is not None:
-            trace.record_array(
-                label, input_order(state).reshape(-1)[arranged_index_v(dc)])
+            flat = state if in_input_order else input_order(state).reshape(-1)
+            trace.record_array(label, flat[arranged_index_v(dc)])
 
     try:
         if pool is not None:
             t, s, t2, s2 = pool.buffers
         else:
-            t, t2 = np.empty(n, dt_t), np.empty(n, dt_t)
-            s, s2 = np.empty(n, dt_s), np.empty(n, dt_s2)
+            t, t2, s = np.empty(n, dt_t), np.empty(n, dt_t), np.empty(n, dt_s)
         input_order(t)[...] = vals.reshape(2, w, w)
         s[...] = t if inclusive else ident
         record("(a) input", t)
 
         # Step 1: inclusive/diminished Cube_prefix inside every cluster.
         with prof.span("cluster-prefix", rounds=len(plan.rounds)):
-            if pool is not None:
-                pool.ascend(0)
-            else:
-                _ascend(t, s, bits, combine)
+            ascend(t, s, 0)
         record("(b) cluster prefix s", s)
         record("(b) cluster total t", t)
 
@@ -471,36 +487,38 @@ def dual_prefix_replay(
             _cross(t, t2)
         record("(c) cross total temp", t2)
 
-        # Step 3: diminished prefix of the other class's block totals.
+        # Step 3: diminished prefix of the other class's block totals; t
+        # is dead, so s' takes its column when the dtypes agree.
         with prof.span("block-prefix", rounds=len(plan.rounds)):
+            if pool is None:
+                s2 = t if dt_s2 == dt_t else np.empty(n, dt_s2)
             s2[...] = ident
-            if pool is not None:
-                pool.ascend(1)
-            else:
-                _ascend(t2, s2, bits, combine)
+            ascend(t2, s2, 1)
         record("(d) block-prefix s'", s2)
         record("(d) half total t'", t2)
 
         # Step 4: earlier-block composition returns over the cross-edge
-        # and pre-folds into s, written straight into input order.
-        with prof.span("cross"):
-            got = _cross(s2, np.empty_like(s2))
+        # and pre-folds into s.  Node (c, k) of one class is the partner
+        # of (k, c) of the other, so the other class half of s', as
+        # stored, is already in input order: res[c] = s'[1 - c] ⊕ s[c]ᵀ,
+        # one combine over both halves that reads s transposed and writes
+        # the result contiguously.
         with prof.span("fold"):
             res = np.empty(n, np.result_type(dt_s2, dt_s))
-            out = input_order(res)
-            combine(got.reshape(2, w, w), s.reshape(2, w, w), out)
-        record("(e) after s' fold", out)
+            out = res.reshape(2, w, w)
+            combine(s2.reshape(2, w, w)[::-1], input_order(s), out)
+        record("(e) after s' fold", res, in_input_order=True)
 
         # Step 5 (paper-literal: one redundant cross exchange, in the
         # plan's ledger only — see the dual_prefix module docstring), then
         # the class-1 pre-fold of the first-half total, which is class 1's
-        # own t'.
+        # own t': res[1] = t'[1]ᵀ ⊕ res[1].
         with prof.span("fold"):
-            combine(t2[half:].reshape(w, w), out[1], out[1])
+            combine(input_order(t2)[1], out[1], out[1])
             if counters is not None:
                 counters.charge(plan.ledger)
                 counters.record_comp_step(ops_each=1, ranks=range(half, n))
-        record("(f) final prefix", out)
+        record("(f) final prefix", res, in_input_order=True)
         return res
     finally:
         if pool is not None:
@@ -625,10 +643,31 @@ class _ShardPool:
 # L = min(_LOW_BITS, T // 2).  Columns shorter than ``2**_FUSE_BITS`` keys
 # run every step as a whole-column pass.  With a trace attached every
 # step is its own pass, so each step's snapshot can be recorded.
+#
+# NumPy stages a ufunc operand through its buffer (8,192 elements by
+# default) whenever the operand's rows are shorter than half of it, so a
+# row of 2**6-2**11 keys is copied in and out instead of read in place.
+# Every row a tile pass touches holds at least 2**L keys, and so does
+# every row of a `D_prefix` ascend round once clusters hold 2**_LOW_BITS
+# nodes, so both run under a buffer of 2**(_LOW_BITS + 1) elements, set
+# and restored once per pass or phase (:func:`_short_buffer`).  A casting
+# combine still buffers, in 128-element chunks.
 
 _TILE_BYTES = 1 << 19  # a tile and its scratch fill half of a 2 MiB L2
 _FUSE_BITS = 12
 _LOW_BITS = 6
+_BUFSIZE = 1 << (_LOW_BITS + 1)
+
+
+@contextmanager
+def _short_buffer():
+    """Run the body with numpy's ufunc buffer at ``_BUFSIZE`` elements and
+    restore the caller's size on the way out, also on an exception."""
+    old = np.setbufsize(_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 class _Pass(NamedTuple):
@@ -762,12 +801,14 @@ def _run_tile_pass(col: np.ndarray, scratch: np.ndarray, ps: _Pass) -> None:
 
 
 def _run_pass(src: np.ndarray, dst: np.ndarray, ps: _Pass):
-    """Run one pass; returns ``(src, dst)`` with ``src`` holding the keys."""
+    """Run one pass; returns ``(src, dst)`` with ``src`` holding the keys.
+    A tile pass runs under the short ufunc buffer."""
     if ps.bits is None:
         st = ps.steps[0]
         _compare_exchange(src, dst, st.dim, st.dir_bit, st.descending)
         return dst, src
-    _run_tile_pass(src, dst, ps)
+    with _short_buffer():
+        _run_tile_pass(src, dst, ps)
     return src, dst
 
 
@@ -904,7 +945,7 @@ def large_prefix_replay(
     # An object-dtype input stays object dtype (the CONCAT regression
     # test pins that); bool and narrow integers widen like D_prefix's.
     with prof.span("local-prefix", block=b):
-        local = blocks.astype(_accumulation(blocks.dtype, op, 1)[0])
+        local = blocks.astype(_accumulation(blocks.dtype, op)[0])
         for k in range(1, b):
             local[:, k] = combine_arrays(op, local[:, k - 1], local[:, k])
         if counters is not None and b > 1:

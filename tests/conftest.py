@@ -7,6 +7,24 @@ import pytest
 
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
 
+# NumPy's ufunc buffer size and floating-point error modes at session
+# start.  The array kernels set the buffer size for a pass and must
+# restore it, so no test may leave either changed.
+_NUMPY_STATE = (np.getbufsize(), np.geterr())
+
+
+@pytest.fixture(autouse=True)
+def numpy_state_unchanged():
+    yield
+    state = (np.getbufsize(), np.geterr())
+    if state != _NUMPY_STATE:
+        np.setbufsize(_NUMPY_STATE[0])
+        np.seterr(**_NUMPY_STATE[1])
+        pytest.fail(
+            f"numpy (bufsize, errstate) changed from {_NUMPY_STATE} to "
+            f"{state}"
+        )
+
 
 @pytest.fixture
 def rng():

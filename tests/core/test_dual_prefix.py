@@ -376,3 +376,75 @@ class TestNarrowDtypes:
                           (got, op.ufunc.accumulate(vals))):
             assert arr.dtype == np.int8
             assert arr.tolist() == want.tolist()
+
+
+class TestIntegerMinMax:
+    """Integer ``MIN``/``MAX`` take the dtype's extreme as identity, not
+    ±inf: against ±inf the values promoted to float64 and rounded above
+    2**53.  Inclusive prefixes equal ``np.minimum``/``np.maximum``
+    ``.accumulate`` in value and dtype; the exclusive identity slot holds
+    the extreme, where the engine returns ``inf``."""
+
+    BIG = 2**60 + 1
+    BASES = {np.int64: 2**60, np.uint64: 2**63}
+
+    def _values(self, dtype, num, seed):
+        low = np.random.default_rng(seed).integers(0, 2**12, num)
+        return (np.asarray(self.BASES[dtype], dtype) + low.astype(dtype))
+
+    @staticmethod
+    def _want(vals, op, inclusive):
+        want = op.ufunc.accumulate(vals)
+        if inclusive:
+            return want
+        info = np.iinfo(vals.dtype)
+        extreme = info.max if op is MIN else info.min
+        return np.concatenate([np.array([extreme], vals.dtype), want[:-1]])
+
+    def test_dual_prefix_min_is_exact(self):
+        got = dual_prefix(DualCube(2), np.full(8, self.BIG), MIN)
+        assert got.dtype == np.int64
+        assert got.tolist() == [self.BIG] * 8
+
+    def test_large_prefix_min_is_exact(self):
+        from repro.core.large_inputs import large_prefix
+
+        got = large_prefix(DualCube(2), np.full(16, self.BIG), MIN)
+        assert got.dtype == np.int64
+        assert got.tolist() == [self.BIG] * 16
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("op", [MIN, MAX], ids=["min", "max"])
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_dual_prefix_matches_accumulate(self, n, dtype, op, inclusive):
+        dc = DualCube(n)
+        vals = self._values(dtype, dc.num_nodes, n)
+        want = self._want(vals, op, inclusive)
+        got = dual_prefix(dc, vals, op, inclusive=inclusive)
+        _, s = cube_prefix_vec(vals, op, inclusive=inclusive)
+        for arr in (got, s):
+            assert arr.dtype == dtype
+            assert arr.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("op", [MIN, MAX], ids=["min", "max"])
+    def test_large_prefix_matches_accumulate(self, n, dtype, op):
+        from repro.core.large_inputs import large_prefix
+
+        dc = DualCube(n)
+        vals = self._values(dtype, 3 * dc.num_nodes, n)
+        got = large_prefix(dc, vals, op)
+        assert got.dtype == dtype
+        assert got.tolist() == op.ufunc.accumulate(vals).tolist()
+
+    def test_engine_keeps_inf_in_the_identity_slot(self):
+        dc = DualCube(2)
+        vals = np.full(8, self.BIG)
+        eng, _ = dual_prefix(dc, vals, MIN, backend="engine",
+                             inclusive=False)
+        got = dual_prefix(dc, vals, MIN, inclusive=False)
+        assert eng[0] == float("inf")
+        assert got[0] == np.iinfo(np.int64).max
+        assert eng[1:].tolist() == got[1:].tolist()
