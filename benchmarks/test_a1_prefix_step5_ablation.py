@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix
+from repro.core.dual_prefix import dual_prefix
 from repro.core.ops import ADD, CONCAT
 from repro.simulator import CostCounters
 from repro.topology import DualCube
@@ -77,7 +77,7 @@ def test_engine_wallclock_both_variants(benchmark, paper_literal):
     vals[:] = [(k,) for k in range(32)]
 
     def run():
-        return dual_prefix_engine(dc, vals, CONCAT, paper_literal=paper_literal)
+        return dual_prefix(dc, vals, CONCAT, paper_literal=paper_literal, backend="engine")
 
     out, res = benchmark(run)
     assert out[-1] == tuple(range(32))

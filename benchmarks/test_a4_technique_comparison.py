@@ -20,7 +20,7 @@ import pytest
 from repro.analysis.complexity import dual_prefix_comm_exact
 from repro.analysis.tables import format_table
 from repro.core.dual_prefix import dual_prefix
-from repro.core.emulation import emulated_cube_prefix, emulated_cube_prefix_vec
+from repro.core.emulation import emulated_cube_prefix
 from repro.core.ops import ADD
 from repro.simulator import CostCounters
 from repro.topology import DualCube, RecursiveDualCube
@@ -41,7 +41,7 @@ def comparison_rows():
         assert list(out_cluster) == list(np.cumsum(vals))
 
         c_emu = CostCounters(rdc.num_nodes)
-        _, out_emu = emulated_cube_prefix_vec(rdc, vals, ADD, counters=c_emu)
+        _, out_emu = emulated_cube_prefix(rdc, vals, ADD, counters=c_emu)
         assert list(out_emu) == list(np.cumsum(vals))
 
         rows.append(
@@ -89,8 +89,8 @@ def test_engine_validates_emulated_prefix(benchmark, n):
     vals = [int(x) for x in rng.integers(0, 100, rdc.num_nodes)]
 
     def run():
-        return emulated_cube_prefix(rdc, vals, ADD)
+        return emulated_cube_prefix(rdc, vals, ADD, backend="engine")
 
-    t, s, res = benchmark(run)
+    (t, s), res = benchmark(run)
     assert s == list(np.cumsum(vals))
     assert res.comm_steps == 6 * n - 5

@@ -13,8 +13,8 @@ applied to our own simulator.
 import numpy as np
 import pytest
 
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix
-from repro.core.dual_sort import dual_sort_engine, dual_sort
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 from repro.core.ops import ADD
 from repro.topology import DualCube, RecursiveDualCube
 
@@ -25,7 +25,7 @@ class TestPrefixThroughput:
         benchmark.group = f"prefix D_{n}"
         dc = DualCube(n)
         vals = np.arange(dc.num_nodes).astype(object)
-        out, _ = benchmark(lambda: dual_prefix_engine(dc, vals, ADD))
+        out, _ = benchmark(lambda: dual_prefix(dc, vals, ADD, backend="engine"))
         assert out[-1] == dc.num_nodes * (dc.num_nodes - 1) // 2
 
     def test_array(self, benchmark, n):
@@ -42,7 +42,7 @@ class TestSortThroughput:
         benchmark.group = f"sort D_{n}"
         rdc = RecursiveDualCube(n)
         keys = [int(k) for k in np.random.default_rng(n).permutation(rdc.num_nodes)]
-        out, _ = benchmark(lambda: dual_sort_engine(rdc, keys))
+        out, _ = benchmark(lambda: dual_sort(rdc, keys, backend="engine"))
         assert out == sorted(keys)
 
     def test_array(self, benchmark, n):

@@ -22,7 +22,7 @@ from repro.analysis.complexity import (
 )
 from repro.analysis.tables import format_table
 from repro.core.dual_sort import dual_sort
-from repro.core.ring_sort import ring_sort_engine, ring_sort_steps, ring_sort_vec
+from repro.core.ring_sort import ring_sort, ring_sort_steps
 from repro.simulator import CostCounters
 from repro.topology import RecursiveDualCube
 
@@ -71,7 +71,7 @@ def test_both_sorts_cycle_accurate(benchmark, n):
     keys = [int(k) for k in np.random.default_rng(n).permutation(rdc.num_nodes)]
 
     def run():
-        return ring_sort_engine(rdc, keys)
+        return ring_sort(rdc, keys, backend="engine")
 
     out, res = benchmark(run)
     assert out == sorted(keys)
@@ -83,7 +83,7 @@ def test_vectorized_agreement_at_scale(benchmark):
     keys = np.random.default_rng(0).permutation(rdc.num_nodes)
 
     def run():
-        a = ring_sort_vec(rdc, keys)
+        a = ring_sort(rdc, keys)
         c = CostCounters(rdc.num_nodes)
         b = dual_sort(rdc, keys, counters=c)
         return a, b, c

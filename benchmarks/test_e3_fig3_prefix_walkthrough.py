@@ -68,14 +68,14 @@ def test_figure3_panels(benchmark):
 
 def test_figure3_under_engine_matches(benchmark):
     """The cycle-accurate engine reproduces the identical panel states."""
-    from repro.core.dual_prefix import dual_prefix_engine
+    from repro.core.dual_prefix import dual_prefix
 
     dc = DualCube(3)
     values = np.arange(1, 33).astype(object)
 
     def run():
         trace = TraceRecorder()
-        out, res = dual_prefix_engine(dc, values, ADD, trace=trace)
+        out, res = dual_prefix(dc, values, ADD, trace=trace, backend="engine")
         return out, res, trace
 
     out, res, trace = benchmark(run)

@@ -18,7 +18,7 @@ from repro.analysis.complexity import (
     theorem1_comp_bound,
 )
 from repro.analysis.tables import format_table
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix
+from repro.core.dual_prefix import dual_prefix
 from repro.core.ops import ADD, CONCAT, MAX
 from repro.core.verify import check_prefix
 from repro.simulator import CostCounters
@@ -82,7 +82,7 @@ def test_engine_validates_vectorized_counts(benchmark, n):
     vals = rng.integers(0, 100, dc.num_nodes).astype(object)
 
     def run():
-        return dual_prefix_engine(dc, vals, ADD)
+        return dual_prefix(dc, vals, ADD, backend="engine")
 
     out, res = benchmark(run)
     check_prefix(list(vals), out, ADD)

@@ -21,7 +21,7 @@ from repro.analysis.complexity import (
 )
 from repro.analysis.tables import format_table
 from repro.core.bitonic import hypercube_bitonic_sort
-from repro.core.dual_sort import dual_sort_engine, dual_sort
+from repro.core.dual_sort import dual_sort
 from repro.simulator import CostCounters
 from repro.topology import RecursiveDualCube
 
@@ -90,7 +90,7 @@ def test_engine_validates_counts(benchmark, n, policy):
     keys = [int(k) for k in rng.integers(0, 1000, rdc.num_nodes)]
 
     def run():
-        return dual_sort_engine(rdc, keys, payload_policy=policy)
+        return dual_sort(rdc, keys, payload_policy=policy, backend="engine")
 
     out, res = benchmark(run)
     assert out == sorted(keys)

@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.tables import format_table
 from repro.routing import (
     allgather_engine,
-    allreduce_engine,
+    allreduce,
     broadcast_engine,
     gather_engine,
     scatter_engine,
@@ -35,7 +35,7 @@ def collective_rows(n: int):
 
     _, res = broadcast_engine(dc, 0, 42)
     rows.append(("broadcast", res.comm_steps, res.counters.messages, res.counters.payload_items))
-    _, res = allreduce_engine(dc, vals, ADD)
+    _, res = allreduce(dc, vals, ADD, backend="engine")
     rows.append(("allreduce", res.comm_steps, res.counters.messages, res.counters.payload_items))
     _, res = scatter_engine(dc, 0, vals)
     rows.append(("scatter", res.comm_steps, res.counters.messages, res.counters.payload_items))

@@ -18,7 +18,7 @@ from repro.analysis.complexity import (
     dual_sort_comm_exact,
 )
 from repro.core.large_inputs import large_prefix, large_sort
-from repro.routing import allreduce_vec
+from repro.routing import allreduce
 
 
 def main() -> None:
@@ -58,7 +58,7 @@ def main() -> None:
     print()
 
     print("=== Collectives ===")
-    totals = allreduce_vec(dc, values[: dc.num_nodes], ADD)
+    totals = allreduce(dc, values[: dc.num_nodes], ADD)
     print(f"allreduce on {dc.num_nodes} nodes: total {totals[0]} at every node "
           f"in {2 * n} steps")
     small = DualCube(3)

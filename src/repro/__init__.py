@@ -44,7 +44,6 @@ from repro.core import (
     dual_prefix,
     dual_sort,
     cube_prefix,
-    cube_prefix_vec,
     hypercube_bitonic_sort,
     dual_sort_schedule,
     bitonic_schedule,
@@ -54,7 +53,7 @@ from repro.core import (
     sequential_prefix,
 )
 from repro.simulator import CostCounters, TraceRecorder, run_spmd
-from repro.routing import route, broadcast_engine, allreduce_vec, allreduce_engine
+from repro.routing import route, broadcast_engine, allreduce
 
 __version__ = "1.0.0"
 
@@ -78,7 +77,6 @@ __all__ = [
     "dual_prefix",
     "dual_sort",
     "cube_prefix",
-    "cube_prefix_vec",
     "hypercube_bitonic_sort",
     "dual_sort_schedule",
     "bitonic_schedule",
@@ -91,7 +89,6 @@ __all__ = [
     "run_spmd",
     "route",
     "broadcast_engine",
-    "allreduce_vec",
-    "allreduce_engine",
+    "allreduce",
     "__version__",
 ]

@@ -169,7 +169,7 @@ def _cmd_hamiltonian(args) -> int:
 def _cmd_collectives(args) -> int:
     from repro.routing import (
         allgather_engine,
-        allreduce_engine,
+        allreduce,
         broadcast_engine,
         gather_engine,
         scatter_engine,
@@ -180,7 +180,7 @@ def _cmd_collectives(args) -> int:
     rows = []
     _, res = broadcast_engine(dc, 0, 42)
     rows.append(("broadcast", res.comm_steps, res.counters.messages, res.counters.payload_items))
-    _, res = allreduce_engine(dc, vals, ADD)
+    _, res = allreduce(dc, vals, ADD, backend="engine")
     rows.append(("allreduce", res.comm_steps, res.counters.messages, res.counters.payload_items))
     _, res = scatter_engine(dc, 0, vals)
     rows.append(("scatter", res.comm_steps, res.counters.messages, res.counters.payload_items))
@@ -321,12 +321,8 @@ def _run_recorded(algo: str, n: int, seed: int):
     the ground truth the recorded timeline is validated against.
     """
     from repro.analysis.static.extract import extract_schedule
-    from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_program
-    from repro.core.dual_sort import (
-        dual_sort_engine,
-        dual_sort_schedule,
-        schedule_program,
-    )
+    from repro.core.dual_prefix import dual_prefix_program
+    from repro.core.dual_sort import dual_sort_schedule, schedule_program
     from repro.obs import TimelineRecorder
     from repro.simulator import use_timeline
 
@@ -336,14 +332,14 @@ def _run_recorded(algo: str, n: int, seed: int):
         vals = [int(v) for v in rng.integers(0, 100, dc.num_nodes)]
         recorder = TimelineRecorder(num_nodes=dc.num_nodes)
         with use_timeline(recorder):
-            _, result = dual_prefix_engine(dc, vals, ADD)
+            _, result = dual_prefix(dc, vals, ADD, backend="engine")
         static = extract_schedule(dc, dual_prefix_program(dc, vals, ADD))
         return dc, recorder, result, static
     rdc = RecursiveDualCube(n)
     keys = [int(k) for k in rng.permutation(rdc.num_nodes)]
     recorder = TimelineRecorder(num_nodes=rdc.num_nodes)
     with use_timeline(recorder):
-        _, result = dual_sort_engine(rdc, keys)
+        _, result = dual_sort(rdc, keys, backend="engine")
     static = extract_schedule(
         rdc, schedule_program(rdc, keys, dual_sort_schedule(rdc.n))
     )

@@ -1,22 +1,26 @@
 """The paper's algorithms: parallel prefix and sorting in the dual-cube.
 
-Every algorithm exists in two executions:
+Each algorithm has one entry point (`cube_prefix`, `dual_prefix`,
+`dual_sort`, `hypercube_bitonic_sort`, `large_prefix`, `large_sort`,
+`emulated_cube_prefix`, `ring_sort`, and `repro.routing.allreduce`) with
+a ``backend=`` keyword selecting one of two executions:
 
-* an **engine program** — SPMD generator run on the cycle-accurate
+* ``engine`` — SPMD generator programs run on the cycle-accurate
   simulator, which *measures* communication/computation steps under the
   1-port model (this is what validates Theorems 1 and 2) and serves as
-  the reference oracle;
-* the **array backend** (``replay``) — the schedule compiled once per
-  (algorithm, topology, variant) into cached descriptors and run as
-  in-place numpy operations over reshape views of the whole network's
-  state; it charges the engine's exact cost ledger, records the engine's
-  trace labels, and scales the same schedules to D_9-D_11, optionally
-  sharding the prefix's cluster phases over worker processes.
+  the reference oracle; it returns ``(result, EngineResult)``;
+* ``replay`` (the default) — the array backend: the schedule compiled
+  once per (algorithm, topology, variant) into cached descriptors and
+  run as in-place numpy operations over reshape views of the whole
+  network's state; it charges the engine's exact cost ledger, records
+  the engine's trace labels, and scales the same schedules to D_9-D_11,
+  optionally sharding the prefix's cluster phases over worker processes.
 
-Backend selection is declarative: every entry point dispatches through
-:mod:`repro.core.backends`, where each backend registers its
-capabilities (counters/trace/profiler/shards support, return shape)
-exactly once.  All executions are cross-checked against each other and
+Every entry point dispatches through :mod:`repro.core.backends`, which
+checks its input once and declares each backend's capabilities
+(counters/trace/profiler/shards support, return shape) exactly once.
+The ``*_program`` factories expose the engine programs to the static
+analyzer.  All executions are cross-checked against each other and
 against sequential oracles in the test suite.
 """
 
@@ -37,15 +41,10 @@ from repro.core.arrangement import (
     arrange,
     dearrange,
 )
-from repro.core.cube_prefix import (
-    cube_prefix,
-    cube_prefix_vec,
-    cube_prefix_program,
-)
+from repro.core.cube_prefix import cube_prefix, cube_prefix_program
 from repro.core.dual_prefix import (
     dual_prefix,
     dual_prefix_program,
-    dual_prefix_engine,
     dual_suffix,
 )
 from repro.core.backends import (
@@ -58,46 +57,27 @@ from repro.core.backends import (
 from repro.core.bitonic import (
     is_bitonic,
     hypercube_bitonic_sort,
-    hypercube_bitonic_sort_engine,
     bitonic_schedule,
 )
 from repro.core.dual_sort import (
     dual_sort,
-    dual_sort_engine,
     dual_sort_schedule,
     schedule_program,
     ScheduleStep,
 )
-from repro.core.large_inputs import (
-    large_prefix,
-    large_prefix_engine,
-    large_sort,
-)
+from repro.core.large_inputs import large_prefix, large_sort
 from repro.core.replay import (
     clear_plan_cache,
-    dual_prefix_replay,
-    dual_sort_replay,
-    execute_schedule_replay,
-    hypercube_bitonic_sort_replay,
-    large_prefix_replay,
-    large_sort_replay,
     plan_cache_stats,
     registry_from_plan_cache,
 )
 from repro.core.emulation import (
     emulated_cube_prefix,
-    emulated_cube_prefix_vec,
     exchange_algorithm_program,
     run_exchange_algorithm_engine,
-    run_exchange_algorithm_vec,
     emulation_comm_steps,
 )
-from repro.core.ring_sort import (
-    ring_sort_engine,
-    ring_sort_program,
-    ring_sort_vec,
-    ring_sort_steps,
-)
+from repro.core.ring_sort import ring_sort, ring_sort_program, ring_sort_steps
 from repro.core.sorting_networks import (
     bitonic_sort_network,
     odd_even_merge_sort_network,
@@ -131,11 +111,9 @@ __all__ = [
     "arrange",
     "dearrange",
     "cube_prefix",
-    "cube_prefix_vec",
     "cube_prefix_program",
     "dual_prefix",
     "dual_prefix_program",
-    "dual_prefix_engine",
     "dual_suffix",
     "BackendSpec",
     "backend_names",
@@ -144,34 +122,22 @@ __all__ = [
     "resolve_backend",
     "is_bitonic",
     "hypercube_bitonic_sort",
-    "hypercube_bitonic_sort_engine",
     "bitonic_schedule",
     "dual_sort",
-    "dual_sort_engine",
     "dual_sort_schedule",
     "schedule_program",
     "ScheduleStep",
     "large_prefix",
-    "large_prefix_engine",
     "large_sort",
     "clear_plan_cache",
-    "dual_prefix_replay",
-    "dual_sort_replay",
-    "execute_schedule_replay",
-    "hypercube_bitonic_sort_replay",
-    "large_prefix_replay",
-    "large_sort_replay",
     "plan_cache_stats",
     "registry_from_plan_cache",
     "emulated_cube_prefix",
-    "emulated_cube_prefix_vec",
     "exchange_algorithm_program",
     "run_exchange_algorithm_engine",
-    "run_exchange_algorithm_vec",
     "emulation_comm_steps",
-    "ring_sort_engine",
+    "ring_sort",
     "ring_sort_program",
-    "ring_sort_vec",
     "ring_sort_steps",
     "bitonic_sort_network",
     "odd_even_merge_sort_network",

@@ -17,13 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.core.dual_sort import (
-    ScheduleStep,
-    check_sort_input,
-    execute_schedule_engine,
-)
+from repro.core.backends import dispatch
+from repro.core.dual_sort import ScheduleStep, execute_schedule_engine
 from repro.simulator import CostCounters, TraceRecorder
 from repro.topology.hypercube import Hypercube
 
@@ -31,14 +26,12 @@ __all__ = [
     "is_bitonic",
     "bitonic_schedule",
     "hypercube_bitonic_sort",
-    "hypercube_bitonic_sort_engine",
 ]
 
 
 def _sort_cube(n: int) -> Hypercube:
-    """The hypercube sorting ``n`` keys (``n`` must be a power of two)."""
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"key count must be a power of two, got {n}")
+    """The hypercube sorting ``n`` keys (a power of two, checked at
+    dispatch)."""
     return Hypercube(n.bit_length() - 1)
 
 
@@ -89,14 +82,8 @@ def bitonic_schedule(q: int, *, descending: bool = False) -> list[ScheduleStep]:
     return steps
 
 
-def hypercube_bitonic_sort_engine(
-    cube: Hypercube,
-    keys,
-    *,
-    descending: bool = False,
-    trace: TraceRecorder | None = None,
-):
-    """Cycle-accurate Batcher bitonic sort; returns ``(keys, EngineResult)``."""
+def _hypercube_bitonic_sort_engine(keys, *, descending: bool, trace):
+    cube = _sort_cube(len(keys))
     sched = bitonic_schedule(cube.q, descending=descending)
     return execute_schedule_engine(cube, keys, sched, trace=trace)
 
@@ -114,16 +101,9 @@ def hypercube_bitonic_sort(
     ``backend`` selects ``"replay"`` (the array backend; returns the
     sorted array) or ``"engine"`` (cycle-accurate; returns ``(keys,
     EngineResult)``); capabilities are declared in
-    :mod:`repro.core.backends`.  Float keys containing NaN are rejected
-    before dispatch, as in :func:`~repro.core.dual_sort.dual_sort`.
+    :mod:`repro.core.backends`.  The key count must be a power of two,
+    and float keys containing NaN are rejected before dispatch, as in
+    :func:`~repro.core.dual_sort.dual_sort`.
     """
-    from repro.core.backends import resolve_backend
-
-    check_sort_input(None, keys, "hypercube_bitonic_sort")
-    run = resolve_backend(
-        "bitonic",
-        backend,
-        counters=counters is not None,
-        trace=trace is not None,
-    )
-    return run(keys, descending=descending, counters=counters, trace=trace)
+    return dispatch("bitonic", backend, keys, descending=descending,
+                    counters=counters, trace=trace)

@@ -11,15 +11,15 @@ the sibling total of the lower half must be *pre*-composed, which is what
 this implementation does (``temp ⊕ x`` on the upper side) — the test suite
 checks this with tuple concatenation and matrix products.
 
-Three entry points share the logic:
+Two functions share the logic:
 
 * :func:`cube_prefix_program` — generator *phase* for SPMD programs
   (``yield from`` it inside larger algorithms such as `D_prefix`);
-* :func:`cube_prefix` — standalone engine run on a
-  :class:`~repro.topology.hypercube.Hypercube`;
-* :func:`cube_prefix_vec` — the array backend on a value array.
+* :func:`cube_prefix` — the entry point on ``2**q`` values: the array
+  backend's in-place ascend, or the program on the cycle-accurate
+  engine over :class:`~repro.topology.hypercube.Hypercube` ``Q_q``.
 
-All return/produce the pair ``(t, s)``: the cube-wide total and the
+Both produce the pair ``(t, s)``: the cube-wide total and the
 (inclusive or diminished) prefix, exactly Algorithm 1's outputs.
 """
 
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-import numpy as np
-
+from repro.core.backends import dispatch
 from repro.core.ops import AssocOp
 from repro.simulator import CostCounters, SendRecv, TraceRecorder, run_spmd
 from repro.simulator.node import NodeCtx
@@ -37,7 +36,6 @@ from repro.topology.hypercube import Hypercube
 __all__ = [
     "cube_prefix_program",
     "cube_prefix",
-    "cube_prefix_vec",
 ]
 
 
@@ -98,55 +96,46 @@ def cube_prefix_program(
 
 
 def cube_prefix(
-    cube: Hypercube,
     values,
     op: AssocOp,
     *,
+    backend: str = "replay",
     inclusive: bool = True,
+    counters: CostCounters | None = None,
     trace: TraceRecorder | None = None,
 ):
-    """Run Algorithm 1 on the cycle-accurate engine.
+    """Algorithm 1 over ``2**q`` values, one per node of ``Q_q``.
 
-    Returns ``(t_list, s_list, result)`` where ``t_list[u]``/``s_list[u]``
-    are node ``u``'s outputs and ``result`` the
-    :class:`~repro.simulator.engine.EngineResult` with cost counters.
+    Returns ``(t, s)``: the cube total at every node and the inclusive
+    (or diminished) prefixes.  ``backend="replay"`` (the default) returns
+    arrays and takes ``counters``; ``backend="engine"`` runs the
+    cycle-accurate simulator, takes ``trace`` and returns
+    ``((t, s), EngineResult)`` with ``t`` and ``s`` as lists.
+    Capabilities are declared in :mod:`repro.core.backends`.
     """
-    vals = list(values)
-    if len(vals) != cube.num_nodes:
-        raise ValueError(
-            f"expected {cube.num_nodes} values for {cube.name}, got {len(vals)}"
-        )
+    return dispatch("cube_prefix", backend, values, op, inclusive=inclusive,
+                    counters=counters, trace=trace)
 
+
+def _cube_prefix_engine(values, op: AssocOp, *, inclusive: bool, trace):
     def program(ctx):
         t, s = yield from cube_prefix_program(
-            ctx, vals[ctx.rank], op, inclusive=inclusive
+            ctx, values[ctx.rank], op, inclusive=inclusive
         )
         return (t, s)
 
-    result = run_spmd(cube, program, trace=trace)
-    t_list = [r[0] for r in result.returns]
-    s_list = [r[1] for r in result.returns]
-    return t_list, s_list, result
+    result = run_spmd(Hypercube(len(values).bit_length() - 1), program,
+                      trace=trace)
+    return ([r[0] for r in result.returns],
+            [r[1] for r in result.returns]), result
 
 
-def cube_prefix_vec(
-    values,
-    op: AssocOp,
-    *,
-    inclusive: bool = True,
-    counters: CostCounters | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm 1 over ``2**q`` values on the array backend's in-place
-    ascend (:func:`~repro.core.replay.ascend_prefix`); returns ``(t, s)``
-    arrays."""
+def _cube_prefix_replay(values, op: AssocOp, *, inclusive: bool, counters):
     from repro.core.replay import ascend_prefix
 
-    vals = np.asarray(values)
-    n = len(vals)
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"value count must be a power of two, got {n}")
+    n = len(values)
     q = n.bit_length() - 1
-    t, s = ascend_prefix(vals, op, range(q), inclusive=inclusive)
+    t, s = ascend_prefix(values, op, range(q), inclusive=inclusive)
     if counters is not None:
         for _ in range(q):
             counters.record_comm_step(messages=n)

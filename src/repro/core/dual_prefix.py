@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.arrangement import arrange, dearrange
-from repro.core.backends import resolve_backend
+from repro.core.backends import dispatch
 from repro.core.cube_prefix import cube_prefix_program
 from repro.core.ops import AssocOp
 from repro.simulator import CostCounters, SendRecv, TraceRecorder, run_spmd
@@ -41,7 +41,6 @@ from repro.topology.dualcube import DualCube
 
 __all__ = [
     "dual_prefix_program",
-    "dual_prefix_engine",
     "dual_prefix",
     "dual_suffix",
 ]
@@ -118,9 +117,9 @@ def dual_prefix_program(
 
     ``values`` is the input sequence in global index order.  Each rank
     returns its arranged-order prefix ``s``.  This is the exact program
-    :func:`dual_prefix_engine` runs; it is exposed so the static schedule
-    analyzer (:mod:`repro.analysis.static`) can extract its communication
-    schedule without an engine run.
+    the engine backend of :func:`dual_prefix` runs; it is exposed so the
+    static schedule analyzer (:mod:`repro.analysis.static`) can extract
+    its communication schedule without an engine run.
     """
     held = arrange(dc, np.asarray(values, dtype=object))
 
@@ -133,29 +132,8 @@ def dual_prefix_program(
     return program
 
 
-def dual_prefix_engine(
-    dc: DualCube,
-    values,
-    op: AssocOp,
-    *,
-    inclusive: bool = True,
-    paper_literal: bool = False,
-    trace: TraceRecorder | None = None,
-):
-    """Run Algorithm 2 on the cycle-accurate engine.
-
-    Parameters
-    ----------
-    values:
-        The input sequence ``c`` in global index order (one per node).
-    paper_literal:
-        Reproduce the paper's extra step-5 cross exchange (2n+1 comm
-        steps) instead of the locally-completed variant (2n).
-
-    Returns ``(prefixes, result)`` with ``prefixes`` in input-index order
-    (``prefixes[k] = c[0] ⊕ … ⊕ c[k]``) and ``result`` the engine result
-    carrying the cost counters.
-    """
+def _dual_prefix_engine(dc: DualCube, values, op: AssocOp, *,
+                        inclusive: bool, paper_literal: bool, trace):
     program = dual_prefix_program(
         dc, values, op, inclusive=inclusive, paper_literal=paper_literal
     )
@@ -180,6 +158,12 @@ def dual_prefix(
 ):
     """Parallel prefix on the dual-cube — the library's headline entry point.
 
+    ``values`` is the input sequence ``c`` in global index order (one
+    per node); the result is its prefix in the same order
+    (``out[k] = c[0] ⊕ … ⊕ c[k]``, or ``c[0] ⊕ … ⊕ c[k-1]`` when not
+    ``inclusive``).  ``paper_literal`` reproduces the paper's extra
+    step-5 cross exchange (2n+1 comm steps instead of 2n).
+
     ``backend`` selects ``"replay"`` (the array backend: a cached plan run
     on in-place views; returns the prefix array, takes ``counters``,
     ``trace``, ``profiler`` and ``shards`` for per-cluster
@@ -189,25 +173,10 @@ def dual_prefix(
     profiling hooks or sharding rejects the corresponding keyword with a
     ``ValueError``.
     """
-    run = resolve_backend(
-        "dual_prefix",
-        backend,
-        counters=counters is not None,
-        trace=trace is not None,
-        profiler=profiler is not None,
-        shards=shards is not None,
-    )
-    return run(
-        dc,
-        values,
-        op,
-        inclusive=inclusive,
-        paper_literal=paper_literal,
-        counters=counters,
-        trace=trace,
-        profiler=profiler,
-        shards=shards,
-    )
+    return dispatch("dual_prefix", backend, dc, values, op,
+                    inclusive=inclusive, paper_literal=paper_literal,
+                    counters=counters, trace=trace, profiler=profiler,
+                    shards=shards)
 
 
 def dual_suffix(
@@ -228,11 +197,6 @@ def dual_suffix(
     flipped = op if op.commutative else AssocOp(
         f"{op.name}-flipped", lambda a, b: op.fn(b, a), op.identity
     )
-    from repro.core.replay import dual_prefix_replay
-
-    vals = np.asarray(values)
-    rev = vals[::-1].copy()
-    out = dual_prefix_replay(
-        dc, rev, flipped, inclusive=inclusive, counters=counters
-    )
+    rev = np.asarray(values)[::-1].copy()
+    out = dual_prefix(dc, rev, flipped, inclusive=inclusive, counters=counters)
     return out[::-1].copy()

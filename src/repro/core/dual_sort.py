@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from repro.core.backends import dispatch
 from repro.simulator import (
     CostCounters,
     Idle,
@@ -54,8 +53,6 @@ __all__ = [
     "dual_sort_schedule",
     "schedule_program",
     "execute_schedule_engine",
-    "check_sort_input",
-    "dual_sort_engine",
     "dual_sort",
     "step_cycle_cost",
 ]
@@ -238,38 +235,8 @@ def execute_schedule_engine(
     return list(result.returns), result
 
 
-def check_sort_input(rdc, keys, entry: str) -> None:
-    """The sort entry points' input contract, checked before dispatch.
-
-    ``rdc`` must be a :class:`RecursiveDualCube` (``None`` skips the
-    check, for the hypercube baseline), and float keys must not contain
-    NaN: NaN has no place in a total order, so a compare-exchange network
-    would return an arbitrary arrangement (or NaN copies).
-    """
-    if rdc is not None and not isinstance(rdc, RecursiveDualCube):
-        raise TypeError(
-            f"{entry} needs a RecursiveDualCube (the schedule pairs its "
-            f"address bits), got {type(rdc).__name__} {rdc.name}"
-        )
-    arr = np.asarray(keys)
-    if arr.dtype.kind in "fc" and np.isnan(arr).any():
-        raise ValueError(f"{entry}: float keys contain NaN, which has no "
-                         f"place in a total order")
-
-
-def dual_sort_engine(
-    rdc: RecursiveDualCube,
-    keys,
-    *,
-    descending: bool = False,
-    payload_policy: str = "packed",
-    trace: TraceRecorder | None = None,
-):
-    """Run Algorithm 3 on the cycle-accurate engine.
-
-    ``keys`` are indexed by recursive-presentation node address; returns
-    ``(sorted_keys, EngineResult)``, sorted keys in address order.
-    """
+def _dual_sort_engine(rdc: RecursiveDualCube, keys, *, descending: bool,
+                      payload_policy: str, trace):
     sched = dual_sort_schedule(rdc.n, descending=descending)
     return execute_schedule_engine(
         rdc, keys, sched, payload_policy=payload_policy, trace=trace
@@ -289,33 +256,19 @@ def dual_sort(
 ):
     """Sorting on the dual-cube — the library's headline entry point.
 
-    ``backend`` selects ``"replay"`` (the array backend: a cached plan run
-    on in-place views; returns the sorted array) or ``"engine"``
-    (cycle-accurate; returns ``(keys, EngineResult)``).  Capabilities are
-    declared in :mod:`repro.core.backends`: ``profiler`` records
+    ``keys`` are indexed by recursive-presentation node address; the
+    result is sorted in address order.  ``backend`` selects ``"replay"``
+    (the array backend: a cached plan run on in-place views; returns the
+    sorted array) or ``"engine"`` (cycle-accurate; returns ``(keys,
+    EngineResult)``).  Capabilities are declared in
+    :mod:`repro.core.backends`: ``profiler`` records
     per-:class:`ScheduleStep` wallclock spans (array backend only).
 
     ``rdc`` must be a :class:`RecursiveDualCube` (the schedule pairs its
     address bits; the standard presentation lacks those links), and float
-    keys must not contain NaN (no total order) — both are rejected here,
-    before any backend runs.
+    keys must not contain NaN (no total order) — both are rejected before
+    any backend runs.
     """
-    from repro.core.backends import resolve_backend
-
-    check_sort_input(rdc, keys, "dual_sort")
-    run = resolve_backend(
-        "dual_sort",
-        backend,
-        counters=counters is not None,
-        trace=trace is not None,
-        profiler=profiler is not None,
-    )
-    return run(
-        rdc,
-        keys,
-        descending=descending,
-        payload_policy=payload_policy,
-        counters=counters,
-        trace=trace,
-        profiler=profiler,
-    )
+    return dispatch("dual_sort", backend, rdc, keys, descending=descending,
+                    payload_policy=payload_policy, counters=counters,
+                    trace=trace, profiler=profiler)

@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from repro.core.cube_prefix import cube_prefix_vec
+from repro.core.backends import dispatch
 from repro.core.dual_sort import _dim_mode, step_cycle_cost
 from repro.core.ops import AssocOp
 from repro.simulator import (
@@ -44,17 +42,13 @@ from repro.simulator import (
 )
 from repro.simulator.counters import charge_exchange_step
 from repro.topology.base import DimensionedTopology
-from repro.topology.hypercube import Hypercube
-from repro.topology.recursive import RecursiveDualCube
 
 __all__ = [
     "ExchangeRound",
     "exchange_value_program",
     "exchange_algorithm_program",
     "run_exchange_algorithm_engine",
-    "run_exchange_algorithm_vec",
     "emulated_cube_prefix",
-    "emulated_cube_prefix_vec",
     "emulation_comm_steps",
 ]
 
@@ -146,36 +140,7 @@ def run_exchange_algorithm_engine(
     return list(result.returns), result
 
 
-def run_exchange_algorithm_vec(
-    topo: DimensionedTopology,
-    initial: np.ndarray,
-    rounds: Sequence[tuple[int, Callable, Callable]],
-    *,
-    counters: CostCounters | None = None,
-) -> np.ndarray:
-    """Vectorized executor for dimension-exchange algorithms.
-
-    ``outgoing(states)`` and ``update(states, received, idx)`` operate on
-    whole arrays.  Counters charge 1 cycle for uniform dimensions and the
-    packed 3-cycle relay cost otherwise — identical to the engine.
-    """
-    states = np.asarray(initial).copy()
-    n = topo.num_nodes
-    if states.shape[0] != n:
-        raise ValueError(
-            f"expected {n} states for {topo.name}, got shape {states.shape}"
-        )
-    idx = np.arange(n, dtype=np.int64)
-    for dim, outgoing, update in rounds:
-        out_vals = outgoing(states)
-        received = out_vals[idx ^ (1 << dim)]
-        if counters is not None:
-            charge_exchange_step(counters, n, _dim_mode(topo, dim) == "direct")
-        states = update(states, received, idx)
-    return states
-
-
-def _prefix_rounds_scalar(q: int, op: AssocOp, inclusive: bool):
+def _prefix_rounds_scalar(q: int, op: AssocOp):
     """Algorithm 1's ascend rounds as scalar ExchangeRounds on (t, s) pairs."""
 
     def make_update(i: int):
@@ -195,48 +160,43 @@ def emulated_cube_prefix(
     values,
     op: AssocOp,
     *,
+    backend: str = "replay",
     inclusive: bool = True,
+    counters: CostCounters | None = None,
     trace: TraceRecorder | None = None,
 ):
-    """Algorithm 1 emulated on ``topo`` (engine backend).
+    """Algorithm 1 emulated on ``topo``, a hypercube or a recursive
+    dual-cube; the prefix order follows node addresses.
 
     On a hypercube this is plain `Cube_prefix`; on the recursive
     dual-cube every odd (class-0-unsupported) dimension is 3-hop
-    emulated.  The prefix order follows node addresses; returns
-    ``(t_list, s_list, EngineResult)``.
+    emulated.  Returns ``(t, s)`` like
+    :func:`~repro.core.cube_prefix.cube_prefix`: arrays from
+    ``backend="replay"`` (the default; takes ``counters`` and charges
+    every round as a dimension exchange on ``topo``), or
+    ``((t, s), EngineResult)`` from ``backend="engine"`` (takes
+    ``trace``).
     """
-    vals = list(values)
-    n = topo.num_nodes
-    if n & (n - 1):
-        raise ValueError("node count must be a power of two")
-    q = n.bit_length() - 1
-    init = [(v, v if inclusive else op.identity) for v in vals]
-    rounds = _prefix_rounds_scalar(q, op, inclusive)
-    finals, result = run_exchange_algorithm_engine(topo, init, rounds, trace=trace)
-    return [f[0] for f in finals], [f[1] for f in finals], result
+    return dispatch("emulated_cube_prefix", backend, topo, values, op,
+                    inclusive=inclusive, counters=counters, trace=trace)
 
 
-def emulated_cube_prefix_vec(
-    topo: DimensionedTopology,
-    values,
-    op: AssocOp,
-    *,
-    inclusive: bool = True,
-    counters: CostCounters | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array :func:`emulated_cube_prefix`; returns ``(t, s)`` arrays.
+def _emulated_cube_prefix_engine(topo, values, op: AssocOp, *,
+                                 inclusive: bool, trace):
+    init = [(v, v if inclusive else op.identity) for v in values]
+    rounds = _prefix_rounds_scalar(len(values).bit_length() - 1, op)
+    finals, result = run_exchange_algorithm_engine(topo, init, rounds,
+                                                   trace=trace)
+    return ([f[0] for f in finals], [f[1] for f in finals]), result
 
-    The values are :func:`~repro.core.cube_prefix.cube_prefix_vec`'s;
-    the ledger charges every round as a dimension exchange on ``topo``
-    (3-hop emulated where the dimension is unsupported).
-    """
-    vals = np.asarray(values)
-    n = topo.num_nodes
-    if vals.shape != (n,):
-        raise ValueError(f"expected {n} values, got shape {vals.shape}")
-    if n & (n - 1):
-        raise ValueError("node count must be a power of two")
-    t, s = cube_prefix_vec(vals, op, inclusive=inclusive)
+
+def _emulated_cube_prefix_replay(topo, values, op: AssocOp, *,
+                                 inclusive: bool, counters):
+    from repro.core.replay import ascend_prefix
+
+    n = len(values)
+    t, s = ascend_prefix(values, op, range(n.bit_length() - 1),
+                         inclusive=inclusive)
     if counters is not None:
         for i in range(n.bit_length() - 1):
             direct = _dim_mode(topo, i) == "direct"

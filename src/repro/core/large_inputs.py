@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dual_sort import check_sort_input
+from repro.core.backends import dispatch
 from repro.core.ops import AssocOp
 from repro.simulator import CostCounters
 from repro.topology.dualcube import DualCube
@@ -31,23 +31,14 @@ from repro.topology.recursive import RecursiveDualCube
 
 __all__ = [
     "large_prefix",
-    "large_prefix_engine",
     "large_sort",
 ]
 
 
-def _blocked(values, num_nodes: int) -> tuple[np.ndarray, int]:
-    """Reshape a flat input into (num_nodes, B) consecutive blocks."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a flat 1-D input, got shape {arr.shape}")
-    if len(arr) == 0 or len(arr) % num_nodes:
-        raise ValueError(
-            f"input length {len(arr)} must be a positive multiple of the "
-            f"network size {num_nodes}"
-        )
-    b = len(arr) // num_nodes
-    return arr.reshape(num_nodes, b), b
+def _blocked(values: np.ndarray, num_nodes: int) -> tuple[np.ndarray, int]:
+    """Reshape a checked flat input into (num_nodes, B) consecutive blocks."""
+    b = len(values) // num_nodes
+    return values.reshape(num_nodes, b), b
 
 
 def _local_sort_ops(b: int) -> int:
@@ -76,43 +67,23 @@ def large_prefix(
     ``[kB, (k+1)B)``.  Communication cost equals plain `D_prefix`.
 
     ``backend`` is ``"replay"``, the array backend (its network phase
-    runs the cached `D_prefix` plan and takes ``shards``); the
-    cycle-accurate variant is :func:`large_prefix_engine`.  Capabilities
-    are declared in :mod:`repro.core.backends`.
+    runs the cached `D_prefix` plan and takes ``shards``), or
+    ``"engine"``, cycle-accurate: node ``u`` holds the block at arranged
+    position ``arranged_index(u)``, and the network phase is the
+    diminished `D_prefix` program (single-total messages); it returns
+    ``(prefix_array, EngineResult)``.  Capabilities are declared in
+    :mod:`repro.core.backends`.
     ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`) records
     wallclock spans for the three phases the cost model distinguishes:
     ``local-prefix`` (B-1 local rounds), ``network`` (the diminished
     `D_prefix` on block totals — the only communicating phase), and
     ``fold`` (B offset applications).
     """
-    from repro.core.backends import resolve_backend
-
-    run = resolve_backend(
-        "large_prefix",
-        backend,
-        counters=counters is not None,
-        profiler=profiler is not None,
-        shards=shards is not None,
-    )
-    return run(
-        dc, values, op, counters=counters, profiler=profiler, shards=shards
-    )
+    return dispatch("large_prefix", backend, dc, values, op,
+                    counters=counters, profiler=profiler, shards=shards)
 
 
-def large_prefix_engine(
-    dc: DualCube,
-    values,
-    op: AssocOp,
-):
-    """Cycle-accurate blocked prefix: the N = P schedule with local work.
-
-    Node ``u`` holds the consecutive block at arranged position
-    ``arranged_index(u)``; each node computes its local prefix, the
-    network runs the diminished `D_prefix` on block totals (2n steps,
-    single-total messages), and the offset folds into every local value.
-    Returns ``(prefix_array, EngineResult)`` with the prefix in global
-    index order.
-    """
+def _large_prefix_engine(dc: DualCube, values, op: AssocOp):
     from repro.core.arrangement import arranged_index
     from repro.core.dual_prefix import _dual_prefix_node_program
     from repro.simulator import run_spmd
@@ -162,23 +133,8 @@ def large_sort(
     declared in :mod:`repro.core.backends`.  ``profiler`` records one
     wallclock span per merge-split round, named by the round's recursion
     segment (``step.phase``), plus a ``local-sort`` span for the initial
-    per-block sort.  The topology and NaN checks of
-    :func:`~repro.core.dual_sort.dual_sort` apply.
+    per-block sort.
     """
-    from repro.core.backends import resolve_backend
-
-    check_sort_input(rdc, keys, "large_sort")
-    run = resolve_backend(
-        "large_sort",
-        backend,
-        counters=counters is not None,
-        profiler=profiler is not None,
-    )
-    return run(
-        rdc,
-        keys,
-        descending=descending,
-        payload_policy=payload_policy,
-        counters=counters,
-        profiler=profiler,
-    )
+    return dispatch("large_sort", backend, rdc, keys, descending=descending,
+                    payload_policy=payload_policy, counters=counters,
+                    profiler=profiler)

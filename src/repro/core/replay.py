@@ -47,8 +47,9 @@ Cost accounting is the ledger the engine measures, recorded once per plan
 at compile time and charged in one call (the `D_prefix` class-1 fold is
 the one separate charge), so step counts, message/payload tallies,
 per-rank computation arrays and attached timelines agree exactly with the
-engine and the static :class:`CommSchedule`.  Counters sized for another
-network are rejected with a ``ValueError``.  ``trace=`` snapshots carry
+engine and the static :class:`CommSchedule`.  The runners here take
+input already checked by :func:`~repro.core.backends.dispatch` (length,
+counters' size, topology type).  ``trace=`` snapshots carry
 the engine's labels in node order (a traced schedule runs one pass per
 step), and ``profiler=`` records one span per phase or pass.
 
@@ -334,22 +335,6 @@ def _merge_split(src: np.ndarray, dst: np.ndarray, st, b: int) -> None:
 # -- D_prefix ------------------------------------------------------------------
 
 
-def _check_values(topo, vals: np.ndarray, what: str) -> None:
-    if vals.shape != (topo.num_nodes,):
-        raise ValueError(
-            f"expected {topo.num_nodes} {what} for {topo.name}, "
-            f"got shape {vals.shape}"
-        )
-
-
-def _check_counters(topo, counters: CostCounters | None) -> None:
-    if counters is not None and counters.num_nodes != topo.num_nodes:
-        raise ValueError(
-            f"counters are sized for {counters.num_nodes} nodes, but "
-            f"{topo.name} has {topo.num_nodes}"
-        )
-
-
 def _accumulation(dtype: np.dtype, op: AssocOp):
     """How a prefix of values of ``dtype`` accumulates under ``op``.
 
@@ -431,8 +416,6 @@ def dual_prefix_replay(
     forked workers (numeric ufunc operations only).
     """
     vals = np.asarray(values)
-    _check_values(dc, vals, "values")
-    _check_counters(dc, counters)
     if shards is not None and shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     plan = get_prefix_plan(dc, paper_literal=paper_literal)
@@ -855,10 +838,7 @@ def execute_schedule_replay(
     from repro.core.dual_sort import _check_policy
 
     _check_policy(payload_policy)
-    arr = np.asarray(keys)
-    _check_values(topo, arr, "keys")
-    _check_counters(topo, counters)
-    src = arr.copy()
+    src = np.asarray(keys).copy()
     if trace is not None:
         trace.record_array("input", src)
     passes = _plan_passes(plan, src.itemsize, trace is not None)
@@ -939,7 +919,6 @@ def large_prefix_replay(
     from repro.core.large_inputs import _blocked
 
     blocks, b = _blocked(values, dc.num_nodes)
-    _check_counters(dc, counters)
     prof = profiler if profiler is not None else NULL_PROFILER
 
     # An object-dtype input stays object dtype (the CONCAT regression
@@ -983,7 +962,6 @@ def large_sort_replay(
 
     _check_policy(payload_policy)
     blocks, b = _blocked(keys, rdc.num_nodes)
-    _check_counters(rdc, counters)
     if blocks.dtype == object:
         raise TypeError("large_sort supports numeric keys only")
     prof = profiler if profiler is not None else NULL_PROFILER

@@ -11,7 +11,7 @@ Versus `D_sort`'s 6n²-7n+2 steps this loses badly asymptotically
 crossover experiment E15 regenerates, a textbook illustration of why the
 paper builds logarithmic-depth networks instead of systolic ones.
 
-Keys end sorted by *ring position*; :func:`ring_sort_vec` reports them in
+Keys end sorted by *ring position*; :func:`ring_sort` reports them in
 ring order, and the node-order view is available through the cycle.
 """
 
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.backends import dispatch
 from repro.simulator import CostCounters, Idle, SendRecv, run_spmd
 from repro.topology.hamiltonian import hamiltonian_cycle
 from repro.topology.recursive import RecursiveDualCube
 
 __all__ = [
+    "ring_sort",
     "ring_sort_program",
-    "ring_sort_engine",
-    "ring_sort_vec",
     "ring_sort_steps",
 ]
 
@@ -36,23 +36,27 @@ def ring_sort_steps(num_nodes: int) -> int:
     return num_nodes
 
 
-def ring_sort_vec(
+def ring_sort(
     rdc: RecursiveDualCube,
     keys,
     *,
+    backend: str = "replay",
     counters: CostCounters | None = None,
-) -> np.ndarray:
-    """Vectorized odd-even transposition over ring positions.
+):
+    """Odd-even transposition over the ring positions of ``rdc``.
 
-    ``keys[u]`` is node ``u``'s key; returns the sorted sequence in ring
-    order (position 0 smallest).
+    ``keys[u]`` is node ``u``'s key; the result is the sorted sequence in
+    ring order (position 0 smallest).  ``backend="replay"`` (the default)
+    returns an array and takes ``counters``; ``backend="engine"`` runs
+    the cycle-accurate simulator and returns ``(keys, EngineResult)``.
     """
-    arr = np.asarray(keys)
+    return dispatch("ring_sort", backend, rdc, keys, counters=counters)
+
+
+def _ring_sort_replay(rdc: RecursiveDualCube, keys, *, counters):
     v = rdc.num_nodes
-    if arr.shape != (v,):
-        raise ValueError(f"expected {v} keys for {rdc.name}, got shape {arr.shape}")
-    cycle = hamiltonian_cycle(rdc.n)
-    line = arr[np.array(cycle)].copy()  # keys laid out by ring position
+    cycle = np.array(hamiltonian_cycle(rdc.n))
+    line = keys[cycle]  # keys laid out by ring position
     for phase in range(v):
         start = phase % 2
         # Compare positions (start, start+1), (start+2, start+3), ...
@@ -66,7 +70,11 @@ def ring_sort_vec(
         if counters is not None:
             pairs = len(lo)
             counters.record_comm_step(messages=2 * pairs)
-            counters.record_comp_step(ops_each=1)
+            # Odd phases leave both ends of the ring idle.
+            if start == 0:
+                counters.record_comp_step(ops_each=1)
+            elif pairs:
+                counters.record_comp_step(ops_each=1, ranks=cycle[1:-1])
     return line
 
 
@@ -76,9 +84,10 @@ def ring_sort_program(
 ):
     """The SPMD program realizing odd-even transposition on the ring.
 
-    This is the exact program :func:`ring_sort_engine` runs; it is exposed
-    so the static schedule analyzer (:mod:`repro.analysis.static`) can
-    extract its communication schedule without an engine run.
+    This is the exact program the engine backend of :func:`ring_sort`
+    runs; it is exposed so the static schedule analyzer
+    (:mod:`repro.analysis.static`) can extract its communication schedule
+    without an engine run.
     """
     vals = list(keys)
     v = rdc.num_nodes
@@ -109,16 +118,8 @@ def ring_sort_program(
     return program
 
 
-def ring_sort_engine(
-    rdc: RecursiveDualCube,
-    keys,
-):
-    """Cycle-accurate odd-even transposition on the embedded ring.
-
-    Returns ``(sorted_in_ring_order, EngineResult)``.
-    """
+def _ring_sort_engine(rdc: RecursiveDualCube, keys):
     program = ring_sort_program(rdc, keys)
     cycle = hamiltonian_cycle(rdc.n)
-    v = rdc.num_nodes
     result = run_spmd(rdc, program)
-    return [result.returns[cycle[k]] for k in range(v)], result
+    return [result.returns[u] for u in cycle], result

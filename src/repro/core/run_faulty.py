@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.arrangement import arranged_index_v
-from repro.core.dual_prefix import dual_prefix_engine
-from repro.core.dual_sort import dual_sort_engine
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 from repro.core.ops import ADD, AssocOp
 from repro.routing.fault_tolerant import adaptive_route, ft_route
 from repro.simulator.counters import Packed
@@ -349,10 +349,10 @@ def run_faulty(
             raise ValueError("mode='retry' takes transient faults via plan=")
         with use_fault_plan(plan):
             if kind == "prefix":
-                out, result = dual_prefix_engine(topo, data, op)
+                out, result = dual_prefix(topo, data, op, backend="engine")
             else:
-                out, result = dual_sort_engine(
-                    topo, data, descending=descending
+                out, result = dual_sort(
+                    topo, data, descending=descending, backend="engine"
                 )
         return FaultyRunResult(
             values=list(out),

@@ -11,7 +11,7 @@ communication steps, the diameter.
 
 from repro.routing.dualcube_routing import route, route_length, dimension_order_route
 from repro.routing.broadcast import broadcast_engine, broadcast_steps
-from repro.routing.collectives import allreduce_engine, allreduce_vec, reduce_engine
+from repro.routing.collectives import allreduce, reduce_engine
 from repro.routing.advanced_collectives import (
     scatter_engine,
     gather_engine,
@@ -33,8 +33,7 @@ __all__ = [
     "dimension_order_route",
     "broadcast_engine",
     "broadcast_steps",
-    "allreduce_engine",
-    "allreduce_vec",
+    "allreduce",
     "reduce_engine",
     "scatter_engine",
     "gather_engine",

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.backends import dispatch
 from repro.core.cube_prefix import cube_prefix_program
 from repro.core.ops import AssocOp, combine_arrays
 from repro.simulator import CostCounters, SendRecv, run_spmd
 from repro.topology.dualcube import DualCube
 
-__all__ = ["allreduce_engine", "allreduce_vec", "reduce_engine"]
+__all__ = ["allreduce", "reduce_engine"]
 
 
 def _allreduce_program(ctx, dc: DualCube, value, op: AssocOp):
@@ -50,49 +51,40 @@ def _allreduce_program(ctx, dc: DualCube, value, op: AssocOp):
     return op(t2, own_half)
 
 
-def allreduce_engine(dc: DualCube, values, op: AssocOp):
-    """Cycle-accurate allreduce; returns ``(totals, result)``.
+def allreduce(
+    dc: DualCube,
+    values,
+    op: AssocOp,
+    *,
+    backend: str = "replay",
+    counters: CostCounters | None = None,
+):
+    """The op-reduction of all inputs, in *arranged* (global index)
+    order, at every node; 2n communication steps.
 
-    ``totals[u]`` is the op-reduction of all inputs in *arranged* (global
-    index) order — identical at every node.  ``result.comm_steps == 2n``.
+    ``backend="replay"`` (the default) returns the per-node totals array
+    and takes ``counters``; ``backend="engine"`` runs the cycle-accurate
+    simulator and returns ``(totals, EngineResult)``.
     """
-    # Python scalars, as in `dual_prefix_program`: numpy bool ADD is a
-    # logical or and narrow ints wrap.
-    vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if len(vals) != dc.num_nodes:
-        raise ValueError(
-            f"expected {dc.num_nodes} values for {dc.name}, got {len(vals)}"
-        )
+    return dispatch("allreduce", backend, dc, values, op, counters=counters)
 
+
+def _allreduce_engine(dc: DualCube, values, op: AssocOp):
     def program(ctx):
-        total = yield from _allreduce_program(ctx, dc, vals[ctx.rank], op)
+        total = yield from _allreduce_program(ctx, dc, values[ctx.rank], op)
         return total
 
     result = run_spmd(dc, program)
     return list(result.returns), result
 
 
-def allreduce_vec(
-    dc: DualCube,
-    values,
-    op: AssocOp,
-    *,
-    counters: CostCounters | None = None,
-) -> np.ndarray:
-    """Array allreduce; returns the per-node totals array.
-
-    Class-0 clusters span address bits ``0..m-1`` of the lower half and
+def _allreduce_replay(dc: DualCube, values, op: AssocOp, *, counters):
+    """Class-0 clusters span address bits ``0..m-1`` of the lower half and
     class-1 clusters bits ``m..2m-1`` of the upper half, so each phase is
     :func:`~repro.core.replay.ascend_prefix` over one half, and the cross
-    exchange (``u ↔ u ^ 2**(2m)``) swaps the halves.
-    """
+    exchange (``u ↔ u ^ 2**(2m)``) swaps the halves."""
     from repro.core.replay import ascend_prefix
 
-    vals = np.asarray(values)
-    if vals.shape != (dc.num_nodes,):
-        raise ValueError(
-            f"expected {dc.num_nodes} values for {dc.name}, got shape {vals.shape}"
-        )
     n, m = dc.num_nodes, dc.cluster_dim
     half = n >> 1
 
@@ -104,7 +96,7 @@ def allreduce_vec(
         return (ascend_prefix(lo, op, range(m))[0],
                 ascend_prefix(hi, op, range(m, 2 * m))[0])
 
-    t0, t1 = cluster_totals(vals[:half], vals[half:])
+    t0, t1 = cluster_totals(values[:half], values[half:])
     if counters is not None:
         counters.record_comm_step(messages=n)
     # Each class now holds the other's cluster totals, so t2 is the other
@@ -125,5 +117,5 @@ def reduce_engine(dc: DualCube, values, op: AssocOp, root: int):
     program and reports the root's value.
     """
     dc.check_node(root)
-    totals, result = allreduce_engine(dc, values, op)
+    totals, result = allreduce(dc, values, op, backend="engine")
     return totals[root], result

@@ -95,7 +95,7 @@ def use_fault_plan(plan: FaultPlan | None):
     context manager routes those internal runs through a fault schedule::
 
         with use_fault_plan(FaultPlan(drop_rate=0.05, seed=7)):
-            prefixes, result = dual_prefix_engine(dc, values, ADD)
+            prefixes, result = dual_prefix(dc, values, ADD, backend="engine")
     """
     global _DEFAULT_FAULT_PLAN
     if plan is not None and not isinstance(plan, FaultPlan):
@@ -134,7 +134,7 @@ def use_timeline(recorder):
 
         tl = TimelineRecorder(dc.num_nodes)
         with use_timeline(tl):
-            prefixes, result = dual_prefix_engine(dc, values, ADD)
+            prefixes, result = dual_prefix(dc, values, ADD, backend="engine")
 
     The recorder is duck-typed (anything with ``record_fault``,
     ``bulk_load_messages`` and ``set_cycles``) so the simulator has no

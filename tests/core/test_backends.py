@@ -2,6 +2,8 @@
 matrix for every entry point, and the uniformly-worded dispatch errors
 (unknown backend + capability guards) the registry pins."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core import (
     resolve_backend,
     sequential_prefix,
 )
+from repro.core.backends import FEATURES
 from repro.obs.profile import PhaseProfiler
 from repro.obs.timeline import TimelineRecorder
 from repro.simulator import CostCounters, TraceRecorder
@@ -30,21 +33,32 @@ ARRAY_BACKENDS = ("replay",)
 class TestRegistryIntrospection:
     def test_entry_points(self):
         assert entry_points() == (
+            "allreduce",
             "bitonic",
+            "cube_prefix",
             "dual_prefix",
             "dual_sort",
+            "emulated_cube_prefix",
             "large_prefix",
             "large_sort",
+            "ring_sort",
         )
 
     def test_backend_names(self):
-        assert backend_names("dual_prefix") == ("engine", "replay")
-        assert backend_names("dual_sort") == ("engine", "replay")
-        assert backend_names("bitonic") == ("engine", "replay")
-        # The large-input entry points have no backend="engine": the
-        # cycle-accurate variant is the separate large_prefix_engine.
-        assert backend_names("large_prefix") == ("replay",)
-        assert backend_names("large_sort") == ("replay",)
+        for ep in entry_points():
+            # Only the blocked sort has no cycle-accurate program.
+            want = ("replay",) if ep == "large_sort" else ("engine", "replay")
+            assert backend_names(ep) == want, ep
+
+    def test_runners_take_only_declared_features(self):
+        # dispatch passes a runner only the features its spec declares,
+        # so no runner needs an adapter that drops the others.
+        for ep in entry_points():
+            for name in backend_names(ep):
+                spec = backend_spec(ep, name)
+                params = inspect.signature(spec.loader()).parameters
+                assert FEATURES.intersection(params) == spec.features, (
+                    ep, name)
 
     def test_specs_declare_capabilities_once(self):
         spec = backend_spec("dual_prefix", "replay")
@@ -115,15 +129,15 @@ class TestUnknownBackendMessages:
         ):
             hypercube_bitonic_sort(np.arange(8), backend="vectorized")
 
-    def test_large_prefix_names_the_engine_entry_point(self):
+    def test_large_prefix(self):
         dc = DualCube(2)
         with pytest.raises(
             ValueError,
-            match=r"unknown backend 'engine' for large_prefix; choose one "
-                  r"of 'replay' \(large_prefix_engine is the cycle-accurate "
-                  r"entry point\)",
+            match=r"unknown backend 'vectorized' for large_prefix; choose "
+                  r"one of 'engine', 'replay'$",
         ):
-            large_prefix(dc, np.arange(dc.num_nodes), ADD, backend="engine")
+            large_prefix(dc, np.arange(dc.num_nodes), ADD,
+                         backend="vectorized")
 
     def test_large_sort(self):
         rdc = RecursiveDualCube(2)

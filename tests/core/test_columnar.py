@@ -24,13 +24,8 @@ from repro.core import (
     sequential_prefix,
 )
 from repro.analysis.static.compile import compile_schedule_plan
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_program
-from repro.core.dual_sort import (
-    dual_sort_engine,
-    dual_sort_schedule,
-    schedule_program,
-)
-from repro.core.large_inputs import large_prefix_engine
+from repro.core.dual_prefix import dual_prefix_program
+from repro.core.dual_sort import dual_sort_schedule, schedule_program
 from repro.core.replay import (
     bit_pair_views,
     dir_bit_views,
@@ -121,9 +116,9 @@ class TestPrefixDifferential:
             for inclusive in (True, False):
                 for paper_literal in (False, True):
                     cc = CostCounters(dc.num_nodes)
-                    a, res = dual_prefix_engine(
+                    a, res = dual_prefix(
                         dc, vals, op, inclusive=inclusive,
-                        paper_literal=paper_literal,
+                        paper_literal=paper_literal, backend="engine",
                     )
                     b = dual_prefix_replay(
                         dc, vals, op, inclusive=inclusive,
@@ -140,8 +135,8 @@ class TestPrefixDifferential:
             got = dual_prefix_replay(
                 dc, vals, CONCAT, inclusive=inclusive, counters=cc
             )
-            want, res = dual_prefix_engine(
-                dc, vals, CONCAT, inclusive=inclusive
+            want, res = dual_prefix(
+                dc, vals, CONCAT, inclusive=inclusive, backend="engine"
             )
             assert list(got) == list(want)
             e = res.counters
@@ -160,9 +155,9 @@ class TestSortDifferential:
         keys = rng.integers(0, 999, rdc.num_nodes)
         for descending in (False, True):
             cc = CostCounters(rdc.num_nodes)
-            a, res = dual_sort_engine(
+            a, res = dual_sort(
                 rdc, [int(k) for k in keys], descending=descending,
-                payload_policy=policy,
+                payload_policy=policy, backend="engine",
             )
             b = dual_sort_replay(
                 rdc, keys, descending=descending,
@@ -176,8 +171,8 @@ class TestSortDifferential:
         keys = rng.integers(0, 999, rdc.num_nodes)
         cc = CostCounters(rdc.num_nodes)
         got = dual_sort_replay(rdc, keys, payload_policy=policy, counters=cc)
-        want, res = dual_sort_engine(
-            rdc, [int(k) for k in keys], payload_policy=policy
+        want, res = dual_sort(
+            rdc, [int(k) for k in keys], payload_policy=policy, backend="engine"
         )
         assert list(got) == want
         e = res.counters
@@ -221,7 +216,7 @@ class TestLargeVariants:
         dc = DualCube(n)
         vals = rng.integers(0, 100, dc.num_nodes * block)
         cc = CostCounters(dc.num_nodes)
-        a, res = large_prefix_engine(dc, vals, ADD)
+        a, res = large_prefix(dc, vals, ADD, backend="engine")
         b = large_prefix_replay(dc, vals, ADD, counters=cc)
         assert b.tolist() == list(a) == np.cumsum(vals).tolist()
         assert _ledger(res.counters) == _ledger(cc)
@@ -229,7 +224,7 @@ class TestLargeVariants:
     def test_large_prefix_concat_objects(self, rng):
         dc = DualCube(2)
         vals = _obj([(i,) for i in range(dc.num_nodes * 3)])
-        a, _ = large_prefix_engine(dc, vals, CONCAT)
+        a, _ = large_prefix(dc, vals, CONCAT, backend="engine")
         b = large_prefix_replay(dc, vals, CONCAT)
         assert list(a) == list(b)
         assert b[-1] == tuple(range(dc.num_nodes * 3))
@@ -318,7 +313,9 @@ class TestDispatchers:
             ValueError, match=r"choose one of 'engine', 'replay'$"
         ):
             dual_prefix(dc, np.zeros(dc.num_nodes), ADD, backend="columnar")
-        with pytest.raises(ValueError, match=r"choose one of 'replay' \("):
+        with pytest.raises(
+            ValueError, match=r"choose one of 'engine', 'replay'$"
+        ):
             large_prefix(dc, np.zeros(dc.num_nodes), ADD, backend="nope")
 
     def test_degenerate_schedule_step_rejected(self):
@@ -381,7 +378,7 @@ class TestTimelineMirroring:
         tl = TimelineRecorder(num_nodes=dc.num_nodes)
         c.attach_timeline(tl)
         dual_prefix_replay(dc, vals, ADD, counters=c)
-        _, res = dual_prefix_engine(dc, vals, ADD)
+        _, res = dual_prefix(dc, vals, ADD, backend="engine")
         kinds = [s.kind for s in tl.steps]
         assert kinds.count("comm") == res.counters.comm_steps
         assert kinds.count("comp") == res.counters.comp_steps

@@ -11,12 +11,13 @@ from repro.analysis.complexity import (
     theorem1_comm_bound,
     theorem1_comp_bound,
 )
-from repro.core.cube_prefix import cube_prefix_vec
-from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
-from repro.core.emulation import emulated_cube_prefix_vec
+from repro.core.cube_prefix import cube_prefix
+from repro.core.dual_prefix import dual_prefix
+from repro.core.emulation import emulated_cube_prefix
+from repro.core.large_inputs import large_prefix
 from repro.core.ops import ADD, CONCAT, MATMUL2, MAX, MIN, MUL
 from repro.core.verify import check_prefix
-from repro.routing import allreduce_vec
+from repro.routing import allreduce
 from repro.simulator import CostCounters, TraceRecorder
 from repro.topology import DualCube, RecursiveDualCube
 
@@ -30,18 +31,18 @@ def tuple_values(n, rng):
 class TestCorrectness:
     def test_engine_inclusive_concat(self, dc, rng):
         vals = tuple_values(dc.num_nodes, rng)
-        pre, _ = dual_prefix_engine(dc, vals, CONCAT)
+        pre, _ = dual_prefix(dc, vals, CONCAT, backend="engine")
         check_prefix(list(vals), pre, CONCAT)
 
     def test_engine_diminished_concat(self, dc, rng):
         vals = tuple_values(dc.num_nodes, rng)
-        pre, _ = dual_prefix_engine(dc, vals, CONCAT, inclusive=False)
+        pre, _ = dual_prefix(dc, vals, CONCAT, inclusive=False, backend="engine")
         check_prefix(list(vals), pre, CONCAT, inclusive=False)
 
     def test_engine_paper_literal_same_output(self, dc, rng):
         vals = tuple_values(dc.num_nodes, rng)
-        a, _ = dual_prefix_engine(dc, vals, CONCAT, paper_literal=False)
-        b, _ = dual_prefix_engine(dc, vals, CONCAT, paper_literal=True)
+        a, _ = dual_prefix(dc, vals, CONCAT, paper_literal=False, backend="engine")
+        b, _ = dual_prefix(dc, vals, CONCAT, paper_literal=True, backend="engine")
         assert list(a) == list(b)
 
     def test_vectorized_add_matches_cumsum(self, dc, rng):
@@ -70,7 +71,7 @@ class TestCorrectness:
 
     def test_engine_vec_identical_results(self, dc, rng):
         vals = tuple_values(dc.num_nodes, rng)
-        a, _ = dual_prefix_engine(dc, vals, CONCAT)
+        a, _ = dual_prefix(dc, vals, CONCAT, backend="engine")
         b = dual_prefix(dc, vals, CONCAT)
         assert list(a) == list(b)
 
@@ -95,7 +96,7 @@ class TestTheorem1Costs:
     def test_engine_step_counts(self, n, paper_literal, rng):
         dc = DualCube(n)
         vals = tuple_values(dc.num_nodes, rng)
-        _, res = dual_prefix_engine(dc, vals, CONCAT, paper_literal=paper_literal)
+        _, res = dual_prefix(dc, vals, CONCAT, paper_literal=paper_literal, backend="engine")
         assert res.comm_steps == dual_prefix_comm_exact(
             n, paper_literal=paper_literal
         )
@@ -121,7 +122,7 @@ class TestTheorem1Costs:
 
     def test_counters_fully_match_between_backends(self, dc, rng):
         vals = tuple_values(dc.num_nodes, rng)
-        _, res = dual_prefix_engine(dc, vals, CONCAT)
+        _, res = dual_prefix(dc, vals, CONCAT, backend="engine")
         c = CostCounters(dc.num_nodes)
         dual_prefix(dc, vals, CONCAT, counters=c)
         assert c.comm_steps == res.comm_steps
@@ -148,7 +149,7 @@ class TestTraces:
         dc = DualCube(2)
         vals = tuple_values(8, rng)
         t1, t2 = TraceRecorder(), TraceRecorder()
-        dual_prefix_engine(dc, vals, CONCAT, trace=t1)
+        dual_prefix(dc, vals, CONCAT, trace=t1, backend="engine")
         dual_prefix(dc, vals, CONCAT, trace=t2)
         for lbl in t2.labels():
             assert t1.snapshot(lbl, 8) == t2.snapshot(lbl, 8), lbl
@@ -304,8 +305,6 @@ class TestNarrowDtypes:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_large_prefix_matches_cumsum(self, n, dtype):
-        from repro.core.large_inputs import large_prefix
-
         dc = DualCube(n)
         vals = self._values(dtype, 3 * dc.num_nodes)
         acc = self._acc(dtype)
@@ -313,30 +312,44 @@ class TestNarrowDtypes:
         assert got.dtype == acc
         assert got.tolist() == np.cumsum(vals, dtype=acc).tolist()
 
-    ASCEND_PATHS = {
-        "cube_prefix_vec": lambda n, vals, op, inclusive: cube_prefix_vec(
-            vals, op, inclusive=inclusive),
-        "emulated_cube_prefix_vec": lambda n, vals, op, inclusive:
-            emulated_cube_prefix_vec(
-                RecursiveDualCube(n), vals, op, inclusive=inclusive),
-    }
+    # The blocked large_prefix is inclusive only.
+    ASCEND_CASES = [("cube_prefix", True), ("cube_prefix", False),
+                    ("emulated_cube_prefix", True),
+                    ("emulated_cube_prefix", False), ("large_prefix", True)]
 
-    @pytest.mark.parametrize("path", list(ASCEND_PATHS))
+    @staticmethod
+    def _ascend(path, n, vals, op, inclusive, engine=False):
+        """``(t, s)`` of one ascend path: lists from the engine, arrays
+        from replay; ``large_prefix`` has no ``t``."""
+        backend = "engine" if engine else "replay"
+        if path == "large_prefix":
+            out = large_prefix(DualCube(n), vals, op, backend=backend)
+            return None, out[0] if engine else out
+        topo = (RecursiveDualCube(n),) if path == "emulated_cube_prefix" else ()
+        run = emulated_cube_prefix if topo else cube_prefix
+        out = run(*topo, vals, op, inclusive=inclusive, backend=backend)
+        return out[0] if engine else out
+
+    @pytest.mark.parametrize("path,inclusive", ASCEND_CASES)
+    @pytest.mark.parametrize("engine", [False, True], ids=["replay", "engine"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("inclusive", [True, False])
-    def test_ascend_paths_match_cumsum(self, path, n, dtype, inclusive):
-        num = DualCube(n).num_nodes
+    def test_ascend_paths_match_cumsum(self, path, inclusive, engine, n,
+                                       dtype):
+        # The engine's ⊕ runs on Python scalars: exact, like an object
+        # cumsum (numpy's bool + is a logical or, narrow ints wrap).
+        num = DualCube(n).num_nodes * (2 if path == "large_prefix" else 1)
         vals = self._values(dtype, num)
         acc = self._acc(dtype)
-        want = np.cumsum(vals, dtype=acc)
+        want = np.cumsum(vals, dtype=object if engine else acc)
         total = want[-1]
         if not inclusive:
             want = np.concatenate([np.zeros(1, acc), want[:-1]])
-        t, s = self.ASCEND_PATHS[path](n, vals, ADD, inclusive)
-        assert (t.dtype, s.dtype) == (acc, acc)
-        assert s.tolist() == want.tolist()
-        assert t.tolist() == [total] * num
+        t, s = self._ascend(path, n, vals, ADD, inclusive, engine)
+        if not engine:
+            assert s.dtype == acc and (t is None or t.dtype == acc)
+        assert list(s) == want.tolist()
+        assert t is None or list(t) == [total] * num
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -344,17 +357,17 @@ class TestNarrowDtypes:
         dc = DualCube(n)
         vals = self._values(dtype, dc.num_nodes)
         acc = self._acc(dtype)
-        got = allreduce_vec(dc, vals, ADD)
+        got = allreduce(dc, vals, ADD)
         assert got.dtype == acc
         assert got.tolist() == [np.sum(vals, dtype=acc)] * dc.num_nodes
 
-    @pytest.mark.parametrize("path", list(ASCEND_PATHS))
+    @pytest.mark.parametrize("path", ["cube_prefix", "emulated_cube_prefix"])
     def test_exclusive_python_int_product_is_exact(self, path):
         # Regression: the diminished s used to start from the int64
         # identity column, so the products overflowed int64 and raised.
         vals = np.empty(32, dtype=object)
         vals[:] = list(range(2, 34))
-        _, s = self.ASCEND_PATHS[path](3, vals, MUL, False)
+        _, s = self._ascend(path, 3, vals, MUL, False)
         want, acc = [], 1
         for v in range(2, 34):
             want.append(acc)
@@ -365,12 +378,10 @@ class TestNarrowDtypes:
     @pytest.mark.parametrize("op", [MIN, MAX], ids=["min", "max"])
     def test_min_max_keep_the_narrow_dtype(self, op):
         # MIN/MAX never leave the input's range, so only ADD/MUL widen.
-        from repro.core.large_inputs import large_prefix
-
         dc = DualCube(3)
         vals = np.random.default_rng(7).integers(
             -128, 128, 3 * dc.num_nodes).astype(np.int8)
-        _, s = cube_prefix_vec(vals[:dc.num_nodes], op)
+        _, s = cube_prefix(vals[:dc.num_nodes], op)
         got = large_prefix(dc, vals, op)
         for arr, want in ((s, op.ufunc.accumulate(vals[:dc.num_nodes])),
                           (got, op.ufunc.accumulate(vals))):
@@ -422,7 +433,7 @@ class TestIntegerMinMax:
         vals = self._values(dtype, dc.num_nodes, n)
         want = self._want(vals, op, inclusive)
         got = dual_prefix(dc, vals, op, inclusive=inclusive)
-        _, s = cube_prefix_vec(vals, op, inclusive=inclusive)
+        _, s = cube_prefix(vals, op, inclusive=inclusive)
         for arr in (got, s):
             assert arr.dtype == dtype
             assert arr.tolist() == want.tolist()

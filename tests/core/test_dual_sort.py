@@ -15,7 +15,6 @@ from repro.analysis.complexity import (
 from repro.core.dual_sort import (
     ScheduleStep,
     dual_sort,
-    dual_sort_engine,
     dual_sort_schedule,
     dual_sort,
     step_cycle_cost,
@@ -100,13 +99,13 @@ class TestCorrectness:
     def test_engine_sorts(self, n, policy, rng):
         rdc = RecursiveDualCube(n)
         keys = [int(k) for k in rng.integers(0, 1000, rdc.num_nodes)]
-        out, _ = dual_sort_engine(rdc, keys, payload_policy=policy)
+        out, _ = dual_sort(rdc, keys, payload_policy=policy, backend="engine")
         assert out == sorted(keys)
 
     def test_engine_object_keys(self):
         rdc = RecursiveDualCube(2)
         keys = ["pear", "apple", "fig", "date", "plum", "kiwi", "lime", "yuzu"]
-        out, _ = dual_sort_engine(rdc, keys)
+        out, _ = dual_sort(rdc, keys, backend="engine")
         assert out == sorted(keys)
 
     def test_all_equal(self):
@@ -147,7 +146,7 @@ class TestTheorem2Costs:
     def test_engine_comm_steps(self, n, policy, rng):
         rdc = RecursiveDualCube(n)
         keys = [int(k) for k in rng.integers(0, 100, rdc.num_nodes)]
-        _, res = dual_sort_engine(rdc, keys, payload_policy=policy)
+        _, res = dual_sort(rdc, keys, payload_policy=policy, backend="engine")
         assert res.comm_steps == dual_sort_comm_exact(n, payload_policy=policy)
         assert res.comp_steps == dual_sort_comp_exact(n)
 
@@ -171,7 +170,7 @@ class TestTheorem2Costs:
         rdc = RecursiveDualCube(2)
         keys = [int(k) for k in rng.integers(0, 100, 8)]
         for policy in ("packed", "single"):
-            _, res = dual_sort_engine(rdc, keys, payload_policy=policy)
+            _, res = dual_sort(rdc, keys, payload_policy=policy, backend="engine")
             c = CostCounters(8)
             dual_sort(rdc, np.array(keys), counters=c, payload_policy=policy)
             assert c.comm_steps == res.comm_steps
@@ -182,9 +181,9 @@ class TestTheorem2Costs:
     def test_packed_messages_carry_at_most_two_keys(self, rng):
         rdc = RecursiveDualCube(2)
         keys = [int(k) for k in rng.integers(0, 100, 8)]
-        _, res = dual_sort_engine(rdc, keys, payload_policy="packed")
+        _, res = dual_sort(rdc, keys, payload_policy="packed", backend="engine")
         assert res.counters.max_message_payload == 2
-        _, res1 = dual_sort_engine(rdc, keys, payload_policy="single")
+        _, res1 = dual_sort(rdc, keys, payload_policy="single", backend="engine")
         assert res1.counters.max_message_payload == 1
 
     def test_comparisons_equal_hypercube_baseline(self):

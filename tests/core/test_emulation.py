@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.emulation import (
     emulated_cube_prefix,
-    emulated_cube_prefix_vec,
     emulation_comm_steps,
     run_exchange_algorithm_engine,
-    run_exchange_algorithm_vec,
 )
 from repro.core.ops import ADD, CONCAT, MAX
 from repro.core.verify import check_prefix
@@ -23,7 +21,7 @@ class TestEmulatedPrefix:
     def test_engine_correct_on_dual_cube(self, n, rng):
         rdc = RecursiveDualCube(n)
         vals = [int(x) for x in rng.integers(0, 100, rdc.num_nodes)]
-        t, s, _ = emulated_cube_prefix(rdc, vals, ADD)
+        (t, s), _ = emulated_cube_prefix(rdc, vals, ADD, backend="engine")
         check_prefix(vals, s, ADD)
         assert all(x == sum(vals) for x in t)
 
@@ -31,26 +29,26 @@ class TestEmulatedPrefix:
     def test_vec_matches_cumsum(self, n, rng):
         rdc = RecursiveDualCube(n)
         vals = rng.integers(0, 100, rdc.num_nodes)
-        _, s = emulated_cube_prefix_vec(rdc, vals, ADD)
+        _, s = emulated_cube_prefix(rdc, vals, ADD)
         assert list(s) == list(np.cumsum(vals))
 
     def test_non_commutative(self, rng):
         rdc = RecursiveDualCube(2)
         vals = np.empty(8, dtype=object)
         vals[:] = [(int(x),) for x in rng.integers(0, 9, 8)]
-        _, s = emulated_cube_prefix_vec(rdc, vals, CONCAT)
+        _, s = emulated_cube_prefix(rdc, vals, CONCAT)
         check_prefix(list(vals), s, CONCAT)
 
     def test_diminished(self, rng):
         rdc = RecursiveDualCube(2)
         vals = rng.integers(0, 50, 8)
-        _, s = emulated_cube_prefix_vec(rdc, vals, ADD, inclusive=False)
+        _, s = emulated_cube_prefix(rdc, vals, ADD, inclusive=False)
         assert list(s) == [0] + list(np.cumsum(vals[:-1]))
 
     def test_on_plain_hypercube_costs_q(self, rng):
         cube = Hypercube(4)
         vals = [int(x) for x in rng.integers(0, 100, 16)]
-        _, s, res = emulated_cube_prefix(cube, vals, ADD)
+        (_, s), res = emulated_cube_prefix(cube, vals, ADD, backend="engine")
         check_prefix(vals, s, ADD)
         assert res.comm_steps == 4  # all dimensions direct
 
@@ -59,10 +57,10 @@ class TestEmulatedPrefix:
         """dim 0 direct + 3 cycles for each of the other 2n-2 dims."""
         rdc = RecursiveDualCube(n)
         vals = [int(x) for x in rng.integers(0, 100, rdc.num_nodes)]
-        _, _, res = emulated_cube_prefix(rdc, vals, ADD)
+        _, res = emulated_cube_prefix(rdc, vals, ADD, backend="engine")
         assert res.comm_steps == 6 * n - 5
         c = CostCounters(rdc.num_nodes)
-        emulated_cube_prefix_vec(rdc, np.array(vals), ADD, counters=c)
+        emulated_cube_prefix(rdc, np.array(vals), ADD, counters=c)
         assert c.comm_steps == 6 * n - 5
 
     def test_cluster_technique_beats_emulation(self):
@@ -76,14 +74,14 @@ class TestEmulatedPrefix:
     def test_rejects_bad_sizes(self):
         rdc = RecursiveDualCube(2)
         with pytest.raises(ValueError):
-            emulated_cube_prefix_vec(rdc, np.arange(7), ADD)
+            emulated_cube_prefix(rdc, np.arange(7), ADD)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(-100, 100), min_size=32, max_size=32))
     def test_property_matches_dual_prefix_result_order(self, vals):
         """Emulated prefix scans in recursive-address order (by definition)."""
         rdc = RecursiveDualCube(3)
-        _, s = emulated_cube_prefix_vec(rdc, np.array(vals), ADD)
+        _, s = emulated_cube_prefix(rdc, np.array(vals), ADD)
         assert list(s) == list(np.cumsum(vals))
 
 
@@ -99,22 +97,6 @@ class TestGenericExecutor:
         finals, res = run_exchange_algorithm_engine(rdc, vals, rounds)
         assert finals == [max(vals)] * 8
         assert res.comm_steps == 1 + 3 + 3  # dim 0 direct, dims 1-2 relayed
-
-    def test_vec_executor_matches_engine(self, rng):
-        rdc = RecursiveDualCube(2)
-        vals = rng.integers(0, 1000, 8)
-        rounds_vec = [
-            (
-                d,
-                lambda st: st,
-                lambda st, got, idx: np.maximum(st, got),
-            )
-            for d in range(3)
-        ]
-        c = CostCounters(8)
-        out = run_exchange_algorithm_vec(rdc, vals, rounds_vec, counters=c)
-        assert list(out) == [vals.max()] * 8
-        assert c.comm_steps == 7
 
     def test_executor_validates_length(self):
         rdc = RecursiveDualCube(2)

@@ -14,7 +14,7 @@ exactly over every plan the plan validation covers:
   allreduce on D_1..D_4;
 * the blocked ``large_prefix`` / ``large_sort`` with blocks 1, 2, 3 and 8
   on D_2 and D_3;
-* both dimension-exchange emulation executors;
+* the emulated `Cube_prefix` on a recursive dual-cube and a hypercube;
 * one :class:`CostCounters` reused across a prefix and a sort call.
 
 The ledgers in ``golden_ledgers.json`` were recorded while every
@@ -35,18 +35,15 @@ import pytest
 
 from repro.core import (
     ADD,
-    cube_prefix_vec,
+    cube_prefix,
     dual_prefix,
     dual_sort,
+    emulated_cube_prefix,
     hypercube_bitonic_sort,
-)
-from repro.core.emulation import (
-    emulated_cube_prefix_vec,
-    run_exchange_algorithm_vec,
 )
 from repro.core.large_inputs import large_prefix, large_sort
 from repro.obs import TimelineRecorder
-from repro.routing import allreduce_vec
+from repro.routing import allreduce
 from repro.simulator import CostCounters
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
 
@@ -73,13 +70,13 @@ def _bitonic(q, descending):
 
 
 def _cube_prefix(q, inclusive):
-    return 1 << q, lambda c: cube_prefix_vec(
+    return 1 << q, lambda c: cube_prefix(
         np.arange(1 << q), ADD, inclusive=inclusive, counters=c)
 
 
 def _allreduce(n):
     dc = DualCube(n)
-    return dc.num_nodes, lambda c: allreduce_vec(
+    return dc.num_nodes, lambda c: allreduce(
         dc, np.arange(dc.num_nodes), ADD, counters=c)
 
 
@@ -97,16 +94,8 @@ def _large_sort(n, b, policy):
 
 
 def _emulated_prefix(topo):
-    return topo.num_nodes, lambda c: emulated_cube_prefix_vec(
+    return topo.num_nodes, lambda c: emulated_cube_prefix(
         topo, np.arange(topo.num_nodes), ADD, counters=c)
-
-
-def _exchange(topo):
-    q = topo.num_nodes.bit_length() - 1
-    rounds = [(d, lambda s: s, lambda s, got, idx: np.maximum(s, got))
-              for d in range(q)]
-    return topo.num_nodes, lambda c: run_exchange_algorithm_vec(
-        topo, np.arange(topo.num_nodes), rounds, counters=c)
 
 
 def _reused(n):
@@ -149,7 +138,6 @@ for _n in (2, 3):
 for _name, _topo in (("RD1", RecursiveDualCube(1)),
                      ("RD3", RecursiveDualCube(3)), ("Q3", Hypercube(3))):
     CASES[f"emulated_prefix-{_name}"] = (_emulated_prefix, (_topo,))
-    CASES[f"exchange-{_name}"] = (_exchange, (_topo,))
 CASES["reused-D3"] = (_reused, (3,))
 
 

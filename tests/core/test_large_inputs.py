@@ -151,20 +151,16 @@ class TestLargePrefixEngine:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("b", [1, 2, 4])
     def test_matches_cumsum(self, n, b, rng):
-        from repro.core.large_inputs import large_prefix_engine
-
         dc = DualCube(n)
         vals = rng.integers(0, 100, b * dc.num_nodes)
-        out, res = large_prefix_engine(dc, vals.astype(object), ADD)
+        out, res = large_prefix(dc, vals.astype(object), ADD, backend="engine")
         assert list(out) == list(np.cumsum(vals))
         assert res.comm_steps == dual_prefix_comm_exact(n)
 
     def test_parity_with_vectorized_counters(self, rng):
-        from repro.core.large_inputs import large_prefix_engine
-
         dc = DualCube(2)
         vals = rng.integers(0, 100, 4 * 8)
-        out, res = large_prefix_engine(dc, vals.astype(object), ADD)
+        out, res = large_prefix(dc, vals.astype(object), ADD, backend="engine")
         c = CostCounters(8)
         vec = large_prefix(dc, vals, ADD, counters=c)
         assert list(out) == list(vec)
@@ -173,12 +169,10 @@ class TestLargePrefixEngine:
         assert res.counters.messages == c.messages
 
     def test_non_commutative(self, rng):
-        from repro.core.large_inputs import large_prefix_engine
-
         dc = DualCube(2)
         vals = np.empty(2 * 8, dtype=object)
         vals[:] = [(int(x),) for x in rng.integers(0, 9, 16)]
-        out, _ = large_prefix_engine(dc, vals, CONCAT)
+        out, _ = large_prefix(dc, vals, CONCAT, backend="engine")
         acc = ()
         for k, v in enumerate(vals):
             acc = acc + v

@@ -27,24 +27,24 @@ from repro.core import (
     bitonic_schedule,
     clear_plan_cache,
     dual_prefix,
-    dual_prefix_engine,
-    dual_prefix_replay,
     dual_sort,
-    dual_sort_engine,
-    dual_sort_replay,
     hypercube_bitonic_sort,
-    hypercube_bitonic_sort_engine,
-    hypercube_bitonic_sort_replay,
-    large_prefix_engine,
-    large_prefix_replay,
-    large_sort_replay,
+    large_prefix,
     plan_cache_stats,
     registry_from_plan_cache,
     sequential_prefix,
 )
 from repro.core.dual_prefix import dual_prefix_program
 from repro.core.dual_sort import dual_sort_schedule, schedule_program
-from repro.core.replay import get_prefix_plan, get_schedule_plan
+from repro.core.replay import (
+    dual_prefix_replay,
+    dual_sort_replay,
+    get_prefix_plan,
+    get_schedule_plan,
+    hypercube_bitonic_sort_replay,
+    large_prefix_replay,
+    large_sort_replay,
+)
 from repro.obs import TimelineRecorder, cross_validate_timeline
 from repro.simulator import CostCounters, TraceRecorder, run_spmd
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
@@ -207,13 +207,15 @@ class TestPlanValidation:
 
 
 class TestCountersSize:
-    """Counters sized for another network are rejected on every replay
-    entry point; a ledger of the wrong length used to report silently
-    wrong ``comp_steps`` and ``total_ops``."""
+    """Counters sized for another network are rejected on every entry
+    point's array backend; a ledger of the wrong length used to report
+    silently wrong ``comp_steps`` and ``total_ops``."""
 
     @staticmethod
     def _calls(n):
+        from repro.core import cube_prefix, emulated_cube_prefix, ring_sort
         from repro.core.large_inputs import large_prefix, large_sort
+        from repro.routing import allreduce
 
         dc, rdc = DualCube(n), RecursiveDualCube(n)
         num = dc.num_nodes
@@ -228,11 +230,21 @@ class TestCountersSize:
                 rdc, np.arange(2 * num)[::-1], counters=c),
             "bitonic": lambda c: hypercube_bitonic_sort(
                 np.arange(num)[::-1], counters=c),
+            "cube_prefix": lambda c: cube_prefix(
+                np.arange(num), ADD, counters=c),
+            "emulated_cube_prefix": lambda c: emulated_cube_prefix(
+                rdc, np.arange(num), ADD, counters=c),
+            "allreduce": lambda c: allreduce(
+                dc, np.arange(num), ADD, counters=c),
+            "ring_sort": lambda c: ring_sort(
+                rdc, np.arange(num)[::-1], counters=c),
         }
 
     @pytest.mark.parametrize("entry", ["dual_prefix", "dual_sort",
                                        "large_prefix", "large_sort",
-                                       "bitonic"])
+                                       "bitonic", "cube_prefix",
+                                       "emulated_cube_prefix", "allreduce",
+                                       "ring_sort"])
     @pytest.mark.parametrize("size", [4, 31, 33, 1000])
     def test_wrong_size_rejected(self, entry, size):
         c = CostCounters(size)
@@ -300,7 +312,7 @@ class TestTraceAndTimeline:
 
 
 def _engine_prefix(dc, vals, **kw):
-    out, res = dual_prefix_engine(dc, vals, ADD, **kw)
+    out, res = dual_prefix(dc, vals, ADD, **kw, backend="engine")
     return [int(x) for x in out], res.counters.summary()
 
 
@@ -346,8 +358,9 @@ class TestDualPrefixReplay:
 
     def test_shape_check(self):
         dc = DualCube(2)
-        with pytest.raises(ValueError, match="expected 8 values"):
-            dual_prefix_replay(dc, np.arange(7), ADD)
+        for backend in ("replay", "engine"):
+            with pytest.raises(ValueError, match="expected 8 values"):
+                dual_prefix(dc, np.arange(7), ADD, backend=backend)
 
     def test_timeline_mirrors_vectorized(self, rng):
         # The bulk step records match the plan's static schedule step for
@@ -427,7 +440,7 @@ class TestScheduleReplay:
         )
         assert rep.tolist() == sorted(keys.tolist())
         if n <= 3:
-            eng, res = dual_sort_engine(rdc, keys, payload_policy=policy)
+            eng, res = dual_sort(rdc, keys, payload_policy=policy, backend="engine")
             assert rep.tolist() == [int(k) for k in eng]
             assert c_rep.summary() == res.counters.summary()
 
@@ -444,7 +457,7 @@ class TestScheduleReplay:
         c_rep = CostCounters(rdc.num_nodes)
         rep = dual_sort_replay(rdc, keys, counters=c_rep)
         assert rep.dtype == object
-        eng, res = dual_sort_engine(rdc, keys)
+        eng, res = dual_sort(rdc, keys, backend="engine")
         assert rep.tolist() == list(eng) == sorted(keys.tolist())
         assert c_rep.summary() == res.counters.summary()
 
@@ -453,17 +466,16 @@ class TestScheduleReplay:
         keys = rng.permutation(2**q)
         c_rep = CostCounters(len(keys))
         rep = hypercube_bitonic_sort_replay(keys, counters=c_rep)
-        eng, res = hypercube_bitonic_sort_engine(
-            Hypercube(q), list(keys)
-        )
+        eng, res = hypercube_bitonic_sort(list(keys), backend="engine")
         assert rep.tolist() == [int(k) for k in eng] == sorted(keys.tolist())
         assert c_rep.summary() == res.counters.summary()
 
     def test_bitonic_power_of_two_check(self):
-        with pytest.raises(
-            ValueError, match="key count must be a power of two, got 6"
-        ):
-            hypercube_bitonic_sort_replay(np.arange(6))
+        for backend in ("replay", "engine"):
+            with pytest.raises(
+                ValueError, match="key count must be a power of two, got 6"
+            ):
+                hypercube_bitonic_sort(np.arange(6), backend=backend)
 
 
 class TestLargeInputReplay:
@@ -474,7 +486,7 @@ class TestLargeInputReplay:
         vals = rng.integers(0, 1000, dc.num_nodes * b)
         c_rep = CostCounters(dc.num_nodes)
         rep = large_prefix_replay(dc, vals, ADD, counters=c_rep)
-        eng, res = large_prefix_engine(dc, vals, ADD)
+        eng, res = large_prefix(dc, vals, ADD, backend="engine")
         assert rep.tolist() == [int(x) for x in eng] == np.cumsum(
             vals).tolist()
         assert c_rep.summary() == res.counters.summary()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ring_sort import ring_sort_engine, ring_sort_steps, ring_sort_vec
+from repro.core.ring_sort import ring_sort, ring_sort_steps
 from repro.simulator import CostCounters
 from repro.topology import RecursiveDualCube
 
@@ -15,31 +15,31 @@ class TestRingSort:
     def test_vec_sorts_permutations(self, n, rng):
         rdc = RecursiveDualCube(n)
         keys = rng.permutation(rdc.num_nodes)
-        assert list(ring_sort_vec(rdc, keys)) == list(range(rdc.num_nodes))
+        assert list(ring_sort(rdc, keys)) == list(range(rdc.num_nodes))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_engine_matches_vec(self, n, rng):
         rdc = RecursiveDualCube(n)
         keys = rng.integers(0, 50, rdc.num_nodes)
-        vec = ring_sort_vec(rdc, keys)
-        eng, res = ring_sort_engine(rdc, [int(k) for k in keys])
+        vec = ring_sort(rdc, keys)
+        eng, res = ring_sort(rdc, [int(k) for k in keys], backend="engine")
         assert eng == list(vec) == sorted(keys)
         assert res.comm_steps == ring_sort_steps(rdc.num_nodes)
 
     def test_duplicates_and_negatives(self, rng):
         rdc = RecursiveDualCube(3)
         keys = rng.integers(-3, 3, 32)
-        assert list(ring_sort_vec(rdc, keys)) == sorted(keys)
+        assert list(ring_sort(rdc, keys)) == sorted(keys)
 
     def test_already_sorted_and_reversed(self):
         rdc = RecursiveDualCube(2)
-        assert list(ring_sort_vec(rdc, np.arange(8))) == list(range(8))
-        assert list(ring_sort_vec(rdc, np.arange(7, -1, -1))) == list(range(8))
+        assert list(ring_sort(rdc, np.arange(8))) == list(range(8))
+        assert list(ring_sort(rdc, np.arange(7, -1, -1))) == list(range(8))
 
     def test_step_counts(self, rng):
         rdc = RecursiveDualCube(2)
         c = CostCounters(8)
-        ring_sort_vec(rdc, rng.integers(0, 9, 8), counters=c)
+        ring_sort(rdc, rng.integers(0, 9, 8), counters=c)
         assert c.comm_steps == 8
         assert c.comp_steps == 8
 
@@ -55,12 +55,12 @@ class TestRingSort:
     def test_shape_validation(self):
         rdc = RecursiveDualCube(2)
         with pytest.raises(ValueError):
-            ring_sort_vec(rdc, np.arange(7))
+            ring_sort(rdc, np.arange(7))
         with pytest.raises(ValueError):
-            ring_sort_engine(rdc, list(range(9)))
+            ring_sort(rdc, list(range(9)), backend="engine")
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 100), min_size=8, max_size=8))
     def test_property_sorts_anything(self, keys):
         rdc = RecursiveDualCube(2)
-        assert list(ring_sort_vec(rdc, np.array(keys))) == sorted(keys)
+        assert list(ring_sort(rdc, np.array(keys))) == sorted(keys)

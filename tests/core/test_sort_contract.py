@@ -1,12 +1,22 @@
-"""The sort entry points' input contract, enforced once before dispatch:
-NaN keys and the standard-presentation topology are rejected with the
-same error on every backend."""
+"""The entry points' input contract, enforced once before dispatch: NaN
+sort keys and a topology of the wrong type are rejected with the same
+error on every backend."""
 
 import numpy as np
 import pytest
 
-from repro.core import dual_sort, hypercube_bitonic_sort, large_sort
-from repro.topology import DualCube, RecursiveDualCube
+from repro.core import (
+    ADD,
+    dual_prefix,
+    dual_sort,
+    emulated_cube_prefix,
+    hypercube_bitonic_sort,
+    large_prefix,
+    large_sort,
+    ring_sort,
+)
+from repro.routing import allreduce
+from repro.topology import DualCube, Hypercube, Metacube, RecursiveDualCube
 
 NAN_KEYS = [3, np.nan, 1, 2, 0.5, 7, np.nan, 4]
 
@@ -23,6 +33,13 @@ class TestNaNKeysRejected:
     def test_bitonic(self, backend):
         with pytest.raises(ValueError, match="NaN"):
             hypercube_bitonic_sort(np.array(NAN_KEYS), backend=backend)
+
+    def test_ring_sort(self, backend):
+        rdc = RecursiveDualCube(2)
+        with pytest.raises(ValueError, match="ring_sort: float keys contain NaN"):
+            ring_sort(rdc, np.array(NAN_KEYS), backend=backend)
+        with pytest.raises(ValueError, match="NaN"):
+            ring_sort(rdc, NAN_KEYS, backend=backend)
 
     def test_infinities_still_sort(self, backend):
         rdc = RecursiveDualCube(2)
@@ -50,3 +67,41 @@ def test_large_sort_rejects_standard_presentation():
     dc = DualCube(2)
     with pytest.raises(TypeError, match="RecursiveDualCube"):
         large_sort(dc, np.arange(dc.num_nodes * 2))
+
+
+# (entry point, call on a topology, the class the entry point needs)
+WRONG_TOPOLOGY = {
+    "dual_prefix": (lambda t, b: dual_prefix(
+        t, np.arange(t.num_nodes), ADD, backend=b), "DualCube"),
+    "large_prefix": (lambda t, b: large_prefix(
+        t, np.arange(t.num_nodes), ADD, backend=b), "DualCube"),
+    "allreduce": (lambda t, b: allreduce(
+        t, np.arange(t.num_nodes), ADD, backend=b), "DualCube"),
+    "emulated_cube_prefix": (lambda t, b: emulated_cube_prefix(
+        t, np.arange(t.num_nodes), ADD, backend=b),
+        "Hypercube or RecursiveDualCube"),
+    "ring_sort": (lambda t, b: ring_sort(
+        t, np.arange(t.num_nodes)[::-1], backend=b), "RecursiveDualCube"),
+}
+
+
+@pytest.mark.parametrize("backend", ["engine", "replay"])
+@pytest.mark.parametrize("entry,topo", [
+    ("dual_prefix", RecursiveDualCube(2)),
+    ("dual_prefix", Hypercube(3)),
+    ("large_prefix", RecursiveDualCube(2)),
+    ("allreduce", RecursiveDualCube(2)),
+    ("allreduce", Hypercube(3)),
+    ("emulated_cube_prefix", DualCube(2)),
+    ("emulated_cube_prefix", Metacube(1, 2)),
+    ("ring_sort", DualCube(2)),
+])
+def test_wrong_topology_rejected(entry, topo, backend):
+    # Each of these used to fail differently per backend: an
+    # AttributeError ('cluster_dim'), a LinkError from the engine, or
+    # values from the array side.
+    call, need = WRONG_TOPOLOGY[entry]
+    with pytest.raises(TypeError, match=rf"^{entry} needs a {need}, got "
+                                        rf"{type(topo).__name__}$"):
+        call(topo, backend)
+

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
-from repro.core.dual_sort import dual_sort, dual_sort_engine
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 from repro.core.large_inputs import large_prefix, large_sort
 from repro.core.ops import ADD
 from repro.core.run_faulty import run_faulty
@@ -109,12 +109,12 @@ def _core(n: int) -> dict:
     vals = rng.integers(0, 1000, size)
     out["dual_prefix", "replay", n] = _counted(
         size, lambda c: dual_prefix(dc, vals, ADD, counters=c))
-    _, res = dual_prefix_engine(dc, rng.integers(0, 1000, size), ADD)
+    _, res = dual_prefix(dc, rng.integers(0, 1000, size), ADD, backend="engine")
     out["dual_prefix", "engine", n] = _fields(res.counters)
     keys = rng.permutation(size)
     out["dual_sort", "replay", n] = _counted(
         size, lambda c: dual_sort(rdc, keys, counters=c))
-    _, res = dual_sort_engine(rdc, rng.permutation(size))
+    _, res = dual_sort(rdc, rng.permutation(size), backend="engine")
     out["dual_sort", "engine", n] = _fields(res.counters)
     vals = rng.integers(0, 1000, BLOCK * size)
     out[f"large_prefix_b{BLOCK}", "replay", n] = _counted(

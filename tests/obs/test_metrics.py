@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.core.dual_prefix import dual_prefix_engine
+from repro.core.dual_prefix import dual_prefix
 from repro.core.ops import ADD
 from repro.obs import (
     Histogram,
@@ -136,7 +136,7 @@ class TestExporterGoldens:
 class TestFeeds:
     def test_registry_from_counters_covers_ledger(self):
         dc = DualCube(2)
-        _, result = dual_prefix_engine(dc, list(range(dc.num_nodes)), ADD)
+        _, result = dual_prefix(dc, list(range(dc.num_nodes)), ADD, backend="engine")
         reg = registry_from_counters(result.counters)
         by_name = {m.name: m for m in reg.metrics()}
         assert by_name["repro_messages"].value == result.counters.messages
@@ -147,7 +147,7 @@ class TestFeeds:
         dc = DualCube(2)
         t = TimelineRecorder(num_nodes=dc.num_nodes)
         with use_timeline(t):
-            dual_prefix_engine(dc, list(range(dc.num_nodes)), ADD)
+            dual_prefix(dc, list(range(dc.num_nodes)), ADD, backend="engine")
         reg = registry_from_timeline(t)
         by_name = {m.name: m for m in reg.metrics() if not m.labels}
         assert by_name["repro_timeline_cycles"].value == t.num_cycles
@@ -167,7 +167,7 @@ class TestFeeds:
         dc = DualCube(2)
         t = TimelineRecorder(num_nodes=dc.num_nodes)
         with use_timeline(t):
-            _, result = dual_prefix_engine(dc, list(range(dc.num_nodes)), ADD)
+            _, result = dual_prefix(dc, list(range(dc.num_nodes)), ADD, backend="engine")
         reg = registry_from_counters(result.counters)
         out = registry_from_timeline(t, registry=reg)
         assert out is reg

@@ -9,13 +9,9 @@ collapse to one end-of-run blob).
 import pytest
 
 from repro.analysis.static.extract import extract_schedule
-from repro.core.dual_prefix import (
-    dual_prefix_engine,
-    dual_prefix_program,
-    dual_prefix,
-)
+from repro.core.dual_prefix import dual_prefix, dual_prefix_program
 from repro.core.dual_sort import (
-    dual_sort_engine,
+    dual_sort,
     dual_sort_schedule,
     schedule_program,
 )
@@ -85,7 +81,7 @@ class TestEngineWiring:
         vals = list(range(dc.num_nodes))
         t = TimelineRecorder(num_nodes=dc.num_nodes)
         with use_timeline(t):
-            dual_prefix_engine(dc, vals, ADD)
+            dual_prefix(dc, vals, ADD, backend="engine")
         per_cycle = [a.messages for a in t.cycle_aggregates()]
         assert len(per_cycle) == t.num_cycles > 1
         assert sum(per_cycle) == len(t.events)
@@ -113,7 +109,7 @@ class TestEngineWiring:
     def test_use_timeline_reaches_nested_run_spmd(self):
         t = TimelineRecorder()
         with use_timeline(t):
-            dual_prefix_engine(DualCube(2), list(range(8)), ADD)
+            dual_prefix(DualCube(2), list(range(8)), ADD, backend="engine")
         assert t.events  # the inner run_spmd picked up the ambient recorder
 
 
@@ -189,7 +185,7 @@ class TestCrossValidation:
         vals = list(range(dc.num_nodes))
         t = TimelineRecorder(num_nodes=dc.num_nodes)
         with use_timeline(t):
-            dual_prefix_engine(dc, vals, ADD)
+            dual_prefix(dc, vals, ADD, backend="engine")
         static = extract_schedule(dc, dual_prefix_program(dc, vals, ADD))
         assert cross_validate_timeline(t, static) == []
 
@@ -199,7 +195,7 @@ class TestCrossValidation:
         keys = list(range(rdc.num_nodes))[::-1]
         t = TimelineRecorder(num_nodes=rdc.num_nodes)
         with use_timeline(t):
-            dual_sort_engine(rdc, keys)
+            dual_sort(rdc, keys, backend="engine")
         static = extract_schedule(
             rdc, schedule_program(rdc, keys, dual_sort_schedule(rdc.n))
         )

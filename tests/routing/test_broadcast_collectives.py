@@ -6,8 +6,7 @@ import pytest
 from repro.core.arrangement import dearrange
 from repro.core.ops import ADD, CONCAT, MAX
 from repro.routing import (
-    allreduce_engine,
-    allreduce_vec,
+    allreduce,
     broadcast_engine,
     broadcast_steps,
     reduce_engine,
@@ -47,7 +46,7 @@ class TestAllreduce:
     def test_sum_everywhere(self, n, rng):
         dc = DualCube(n)
         vals = rng.integers(-100, 100, dc.num_nodes)
-        tot, res = allreduce_engine(dc, [int(v) for v in vals], ADD)
+        tot, res = allreduce(dc, [int(v) for v in vals], ADD, backend="engine")
         assert tot == [int(vals.sum())] * dc.num_nodes
         assert res.comm_steps == 2 * n
 
@@ -55,8 +54,8 @@ class TestAllreduce:
     def test_vec_matches_engine(self, n, rng):
         dc = DualCube(n)
         vals = rng.integers(0, 50, dc.num_nodes)
-        tot, _ = allreduce_engine(dc, [int(v) for v in vals], ADD)
-        vec = allreduce_vec(dc, vals, ADD)
+        tot, _ = allreduce(dc, [int(v) for v in vals], ADD, backend="engine")
+        vec = allreduce(dc, vals, ADD)
         assert list(vec) == tot
 
     @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
@@ -71,8 +70,8 @@ class TestAllreduce:
             vals = np.full(dc.num_nodes, 100, dtype=np.uint8)
         else:
             vals = np.full(dc.num_nodes, 2**40 + 1, dtype=np.int64)
-        vec = allreduce_vec(dc, vals, ADD).tolist()
-        tot, _ = allreduce_engine(dc, vals, ADD)
+        vec = allreduce(dc, vals, ADD).tolist()
+        tot, _ = allreduce(dc, vals, ADD, backend="engine")
         total, _ = reduce_engine(dc, vals, ADD, root=dc.num_nodes - 1)
         assert tot == vec
         assert total == vec[-1]
@@ -81,30 +80,30 @@ class TestAllreduce:
     def test_max(self, rng):
         dc = DualCube(3)
         vals = rng.integers(-1000, 1000, 32)
-        out = allreduce_vec(dc, vals, MAX)
+        out = allreduce(dc, vals, MAX)
         assert all(out == vals.max())
 
     def test_non_commutative_fold_order_is_arranged_order(self, dc):
         vals = np.empty(dc.num_nodes, dtype=object)
         vals[:] = [(u,) for u in dc.nodes()]
         expected = CONCAT.reduce(dearrange(dc, vals))
-        tot, _ = allreduce_engine(dc, list(vals), CONCAT)
+        tot, _ = allreduce(dc, list(vals), CONCAT, backend="engine")
         assert all(t == expected for t in tot)
-        vec = allreduce_vec(dc, vals, CONCAT)
+        vec = allreduce(dc, vals, CONCAT)
         assert all(t == expected for t in vec)
 
     def test_vec_counters(self, rng):
         dc = DualCube(3)
         c = CostCounters(32)
-        allreduce_vec(dc, rng.integers(0, 10, 32), ADD, counters=c)
+        allreduce(dc, rng.integers(0, 10, 32), ADD, counters=c)
         assert c.comm_steps == 6
 
     def test_shape_validation(self):
         dc = DualCube(2)
         with pytest.raises(ValueError):
-            allreduce_vec(dc, np.arange(7), ADD)
+            allreduce(dc, np.arange(7), ADD)
         with pytest.raises(ValueError):
-            allreduce_engine(dc, [1, 2, 3], ADD)
+            allreduce(dc, [1, 2, 3], ADD, backend="engine")
 
 
 class TestReduce:

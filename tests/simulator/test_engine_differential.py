@@ -26,18 +26,18 @@ import numpy as np
 import pytest
 
 from repro.analysis.static import extract_schedule
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_program
+from repro.core.dual_prefix import dual_prefix, dual_prefix_program
 from repro.core.dual_sort import (
-    dual_sort_engine,
+    dual_sort,
     dual_sort_schedule,
     schedule_program,
 )
-from repro.core.large_inputs import large_prefix_engine
+from repro.core.large_inputs import large_prefix
 from repro.core.ops import ADD, MAX, AssocOp
 from repro.obs import TimelineRecorder, cross_validate_timeline
 from repro.routing import (
     allgather_engine,
-    allreduce_engine,
+    allreduce,
     broadcast_engine,
     gather_engine,
     scatter_engine,
@@ -126,8 +126,8 @@ class TestCoreAlgorithms:
             expected.append(v if not expected else op(expected[-1], v))
 
         def run():
-            out, result = dual_prefix_engine(
-                dc, vals, op, paper_literal=paper_literal
+            out, result = dual_prefix(
+                dc, vals, op, paper_literal=paper_literal, backend="engine"
             )
             assert list(out) == expected
             return result
@@ -141,7 +141,7 @@ class TestCoreAlgorithms:
         vals = [f"<{k}>" for k in range(dc.num_nodes)]
 
         def run():
-            out, result = dual_prefix_engine(dc, vals, strcat)
+            out, result = dual_prefix(dc, vals, strcat, backend="engine")
             assert out[-1] == "".join(vals)
             return result
 
@@ -153,8 +153,8 @@ class TestCoreAlgorithms:
         keys = [int(x) for x in rng.permutation(rdc.num_nodes)]
 
         def run():
-            out, result = dual_sort_engine(
-                rdc, keys, payload_policy=payload_policy
+            out, result = dual_sort(
+                rdc, keys, payload_policy=payload_policy, backend="engine"
             )
             assert out == sorted(keys)
             return result
@@ -168,7 +168,7 @@ class TestCoreAlgorithms:
     def test_large_prefix_engine(self, rng):
         dc = DualCube(2)
         vals = [int(x) for x in rng.integers(0, 50, dc.num_nodes * 4)]
-        out, result = large_prefix_engine(dc, vals, ADD)
+        out, result = large_prefix(dc, vals, ADD, backend="engine")
         assert list(out) == list(np.cumsum(vals))
         assert_matches_golden("large_prefix/D_2", result)
 
@@ -183,7 +183,7 @@ class TestCollectives:
     def test_allreduce(self, small_n, rng):
         dc = DualCube(small_n)
         vals = [int(x) for x in rng.integers(0, 100, dc.num_nodes)]
-        totals, result = allreduce_engine(dc, vals, ADD)
+        totals, result = allreduce(dc, vals, ADD, backend="engine")
         assert totals == [sum(vals)] * dc.num_nodes
         assert_matches_golden(f"allreduce/D_{small_n}", result)
 

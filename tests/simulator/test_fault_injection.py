@@ -11,8 +11,8 @@ whose fault events must account for the run's fault counters.
 
 import pytest
 
-from repro.core.dual_prefix import dual_prefix_engine
-from repro.core.dual_sort import dual_sort_engine
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 from repro.core.ops import ADD
 from repro.obs import TimelineRecorder
 from repro.simulator import (
@@ -175,17 +175,17 @@ class TestEmptyPlanDifferential:
     def test_dual_prefix_identical(self):
         dc = DualCube(2)
         vals = list(range(dc.num_nodes))
-        _, bare = dual_prefix_engine(dc, vals, ADD)
+        _, bare = dual_prefix(dc, vals, ADD, backend="engine")
         with use_fault_plan(FaultPlan()):
-            _, planned = dual_prefix_engine(dc, vals, ADD)
+            _, planned = dual_prefix(dc, vals, ADD, backend="engine")
         assert _fingerprint(planned) == _fingerprint(bare)
 
     def test_dual_sort_identical(self):
         rdc = RecursiveDualCube(2)
         keys = [(i * 5) % rdc.num_nodes for i in range(rdc.num_nodes)]
-        _, bare = dual_sort_engine(rdc, keys)
+        _, bare = dual_sort(rdc, keys, backend="engine")
         with use_fault_plan(FaultPlan()):
-            _, planned = dual_sort_engine(rdc, keys)
+            _, planned = dual_sort(rdc, keys, backend="engine")
         assert _fingerprint(planned) == _fingerprint(bare)
 
 
@@ -479,10 +479,10 @@ class TestDowntimeEngine:
     def test_dual_prefix_values_survive_churn(self):
         dc = DualCube(2)
         vals = list(range(dc.num_nodes))
-        expect, _ = dual_prefix_engine(dc, vals, ADD)
+        expect, _ = dual_prefix(dc, vals, ADD, backend="engine")
         plan = FaultPlan(downtimes=[(0, 2, 4), (6, 3, 7)])
         with use_fault_plan(plan):
-            got, _ = dual_prefix_engine(dc, vals, ADD)
+            got, _ = dual_prefix(dc, vals, ADD, backend="engine")
         assert list(got) == list(expect)
 
     def test_partner_timeout_can_fire_while_peer_is_down(self, faulty_run):
