@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.arrangement import arrange, dearrange
-from repro.core.backends import dispatch
+from repro.core.backends import _items, dispatch
 from repro.core.cube_prefix import cube_prefix_program
 from repro.core.ops import AssocOp
 from repro.simulator import CostCounters, SendRecv, TraceRecorder, run_spmd
@@ -119,9 +119,11 @@ def dual_prefix_program(
     returns its arranged-order prefix ``s``.  This is the exact program
     the engine backend of :func:`dual_prefix` runs; it is exposed so the
     static schedule analyzer (:mod:`repro.analysis.static`) can extract
-    its communication schedule without an engine run.
+    its communication schedule without an engine run.  It takes the
+    items :func:`dual_prefix` takes: a list of tuples is one tuple per
+    node.
     """
-    held = arrange(dc, np.asarray(values, dtype=object))
+    held = arrange(dc, _items(values).astype(object))
 
     def program(ctx):
         s = yield from _dual_prefix_node_program(
@@ -197,6 +199,6 @@ def dual_suffix(
     flipped = op if op.commutative else AssocOp(
         f"{op.name}-flipped", lambda a, b: op.fn(b, a), op.identity
     )
-    rev = np.asarray(values)[::-1].copy()
+    rev = _items(values)[::-1].copy()
     out = dual_prefix(dc, rev, flipped, inclusive=inclusive, counters=counters)
     return out[::-1].copy()

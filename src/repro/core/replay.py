@@ -85,6 +85,7 @@ __all__ = [
     "bit_pair_views",
     "dir_bit_views",
     "ascend_prefix",
+    "ascend_totals",
     "clear_plan_cache",
     "plan_cache_stats",
     "registry_from_plan_cache",
@@ -264,14 +265,16 @@ def dir_bit_views(
     return view[:, 0, :, 0], view[:, 0, :, 1], view[:, 1, :, 0], view[:, 1, :, 1]
 
 
-def _ascend(t: np.ndarray, s: np.ndarray, bits, combine) -> None:
+def _ascend(t: np.ndarray, s: np.ndarray | None, bits, combine) -> None:
     """The cluster ascend rounds in place: per pair, the upper side folds
-    the lower side's subcube total into ``s`` (operand order preserved)
-    and both sides end with ``t = t_lo ⊕ t_hi``."""
+    the lower side's subcube total into ``s`` (operand order preserved;
+    skipped when ``s`` is None) and both sides end with
+    ``t = t_lo ⊕ t_hi``."""
     for b in bits:
         t_lo, t_hi = bit_pair_views(t, b)
-        s_hi = bit_pair_views(s, b)[1]
-        combine(t_lo, s_hi, s_hi)
+        if s is not None:
+            s_hi = bit_pair_views(s, b)[1]
+            combine(t_lo, s_hi, s_hi)
         combine(t_lo, t_hi, t_hi)
         t_lo[...] = t_hi
 
@@ -385,6 +388,16 @@ def ascend_prefix(values, op: AssocOp, bits, *, inclusive: bool = True):
         len(t), ident, np.result_type(acc, ident.dtype))
     _ascend(t, s, bits, combine)
     return t, s
+
+
+def ascend_totals(values, op: AssocOp, bits) -> np.ndarray:
+    """``ascend_prefix(values, op, bits)[0]`` without the prefixes: the
+    same rounds on the subcube totals alone."""
+    vals = np.asarray(values)
+    acc, _, combine = _accumulation(vals.dtype, op)
+    t = vals.astype(acc)
+    _ascend(t, None, bits, combine)
+    return t
 
 
 def dual_prefix_replay(

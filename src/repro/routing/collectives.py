@@ -81,9 +81,9 @@ def _allreduce_engine(dc: DualCube, values, op: AssocOp):
 def _allreduce_replay(dc: DualCube, values, op: AssocOp, *, counters):
     """Class-0 clusters span address bits ``0..m-1`` of the lower half and
     class-1 clusters bits ``m..2m-1`` of the upper half, so each phase is
-    :func:`~repro.core.replay.ascend_prefix` over one half, and the cross
+    :func:`~repro.core.replay.ascend_totals` over one half, and the cross
     exchange (``u ↔ u ^ 2**(2m)``) swaps the halves."""
-    from repro.core.replay import ascend_prefix
+    from repro.core.replay import ascend_totals
 
     n, m = dc.num_nodes, dc.cluster_dim
     half = n >> 1
@@ -93,8 +93,8 @@ def _allreduce_replay(dc: DualCube, values, op: AssocOp, *, counters):
             for _ in range(m):
                 counters.record_comm_step(messages=n)
                 counters.record_comp_step(ops_each=2)
-        return (ascend_prefix(lo, op, range(m))[0],
-                ascend_prefix(hi, op, range(m, 2 * m))[0])
+        return (ascend_totals(lo, op, range(m)),
+                ascend_totals(hi, op, range(m, 2 * m)))
 
     t0, t1 = cluster_totals(values[:half], values[half:])
     if counters is not None:

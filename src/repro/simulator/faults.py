@@ -57,15 +57,22 @@ _TAG_DROP = 0x9E3779B97F4A7C15
 _TAG_DELAY = 0xC2B2AE3D27D4EB4F
 
 
+def _mix(x: int, v: int) -> int:
+    """One splitmix round: the 64-bit hash state ``x`` with ``v`` mixed in."""
+    x = (x + (v + 1) * 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def _prefix(seed: int, tag: int, a: int, b: int) -> int:
+    """The hash state of ``_u01(seed, tag, a, b, ·)`` before its last round."""
+    return _mix(_mix((seed ^ tag) & _M64, a), b)
+
+
 def _u01(seed: int, tag: int, a: int, b: int, c: int) -> float:
     """Deterministic uniform in [0, 1) from a splitmix-style mix."""
-    x = (seed ^ tag) & _M64
-    for v in (a + 1, b + 1, c + 1):
-        x = (x + v * 0x9E3779B97F4A7C15) & _M64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-        x ^= x >> 31
-    return x / 2**64
+    return _mix(_prefix(seed, tag, a, b), c) / 2**64
 
 
 class _Faulted:
@@ -270,6 +277,16 @@ class FaultPlan:
             return False
         return not (self.down(u, cycle) or self.down(v, cycle))
 
+    def link_can_fail(self, u: int, v: int) -> bool:
+        """Whether :meth:`link_up` can answer False for ``{u, v}`` at all:
+        the link is cut at some cycle or an endpoint crashes or goes
+        offline."""
+        if (min(u, v), max(u, v)) in self.link_cuts:
+            return True
+        return any(
+            r in self.node_crashes or r in self.downtimes for r in (u, v)
+        )
+
     def dropped(self, src: int, dst: int, cycle: int) -> bool:
         """Whether the message ``src -> dst`` completing at ``cycle`` is lost."""
         if self.drops and (src, dst, cycle) in self.drops:
@@ -277,6 +294,16 @@ class FaultPlan:
         if self.drop_rate == 0.0:
             return False
         return _u01(self.seed, _TAG_DROP, src, dst, cycle) < self.drop_rate
+
+    def drop_state(self, src: int, dst: int) -> int:
+        """The drop hash of link ``src -> dst`` before the cycle is mixed in.
+
+        For a caller that asks about one link many times:
+        ``_mix(drop_state(src, dst), cycle) / 2**64 < drop_rate`` is the
+        rate draw of :meth:`dropped` (which also honours the explicit
+        ``drops`` triggers).
+        """
+        return _prefix(self.seed, _TAG_DROP, src, dst)
 
     def issue_delay(self, rank: int, issue_cycle: int) -> int:
         """Extra cycles the request issued by ``rank`` at ``issue_cycle`` waits."""

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.simulator.faults import FaultPlan
+from repro.simulator.faults import FaultPlan, _mix
 from repro.simulator.traffic import _validated_path, random_pairs
 from repro.topology.base import Topology
 
@@ -390,38 +390,45 @@ def _percentile(sorted_vals: Sequence[float], q: float) -> float:
 
 # Event kinds, ordered deliberately: at one instant, departures run
 # before arrivals (a slot freed at time t is available to a time-t
-# arrival), and retries after fresh arrivals.  The int is the heap
-# tie-break after time; `seq` below breaks remaining ties by creation
-# order, so the schedule is a pure function of the inputs.
+# arrival), and retries after fresh arrivals.  The int is the tie-break
+# after time; `seq` below breaks remaining ties by creation order, so the
+# schedule is a pure function of the inputs.  Arrivals never enter the
+# heap: they are read from the sorted arrival array in order and merged
+# with the heap top by the same (time, kind) key.
 _DEPART = 0
 _ARRIVE = 1
 _RETRY_INJECT = 2
+# The merge key once the arrivals run out: it sorts after every heap entry.
+_NO_ARRIVAL = (math.inf, _RETRY_INJECT + 1)
 
 
 class _Request:
-    __slots__ = (
-        "rid", "t_arrive", "src", "dst", "path", "hop", "tries", "crossed",
-        "deadline",
-    )
+    __slots__ = ("t_arrive", "src", "links", "hop", "tries", "crossed",
+                 "deadline")
 
-    def __init__(self, rid, t_arrive, src, dst, path, deadline):
-        self.rid = rid
+    def __init__(self, t_arrive, src, links, deadline):
         self.t_arrive = t_arrive
         self.src = src
-        self.dst = dst
-        self.path = path
-        self.hop = 0          # index into path: current link is path[hop]->path[hop+1]
+        self.links = links    # the path's _LinkQ objects, in hop order
+        self.hop = 0          # index into links: the current link
         self.tries = 0        # fault-drop retransmissions of the current hop
         self.crossed = False  # current hop already counted as a crossing
         self.deadline = deadline
 
 
 class _LinkQ:
-    """Directed link ``a -> b``: one deterministic server plus FIFO buffer."""
+    """Directed link ``a -> b``: one deterministic server plus FIFO buffer.
+
+    It also carries the link's fault state, fixed for the run: the drop
+    hash with the plan's seed and both endpoints mixed in, the explicit
+    drop triggers on this link, and whether a structural fault can ever
+    take it down.
+    """
 
     __slots__ = (
         "a", "b", "queue", "current", "served", "busy_since", "busy_time",
-        "q_area", "q_last_t", "max_queue",
+        "q_area", "q_last_t", "max_queue", "drop_state", "triggers",
+        "fragile",
     )
 
     def __init__(self, a: int, b: int):
@@ -435,10 +442,9 @@ class _LinkQ:
         self.q_area = 0.0   # integral of queue length over time
         self.q_last_t = 0.0
         self.max_queue = 0
-
-    def note_queue_change(self, t: float) -> None:
-        self.q_area += len(self.queue) * (t - self.q_last_t)
-        self.q_last_t = t
+        self.drop_state = 0
+        self.triggers: frozenset | set = frozenset()
+        self.fragile = False
 
 
 def run_serving(
@@ -504,9 +510,13 @@ def run_serving(
             "policy='block' with finite queue_capacity requires a horizon: "
             "cyclic backpressure can hold messages forever"
         )
+    budget = cfg.deadline if cfg.deadline is not None else math.inf
     # Which fault classes the plan has is fixed for the run, so a plan
     # query that can only answer "no" (or 0) is never made.
     structural = drops = delays = False
+    drop_rate = 0.0
+    max_retries = 0
+    triggers: dict[tuple[int, int], set] = {}  # explicit drop cycles by link
     if fault_plan is not None:
         fault_plan.validate_for(topo)
         structural = bool(
@@ -516,9 +526,33 @@ def run_serving(
         )
         drops = bool(fault_plan.drop_rate or fault_plan.drops)
         delays = bool(fault_plan.delay_rate or fault_plan.delays)
+        drop_rate = fault_plan.drop_rate
+        max_retries = fault_plan.max_retries
+        for s, d, c in fault_plan.drops:
+            triggers.setdefault((s, d), set()).add(c)
 
     num_nodes = topo.num_nodes
-    links: dict[int, _LinkQ] = {}  # keyed by a * num_nodes + b
+    # Every link on an admitted request's path, keyed by a * num_nodes + b;
+    # only those a service ever started on are reported.
+    links: dict[int, _LinkQ] = {}
+
+    def new_link(a: int, b: int) -> _LinkQ:
+        lq = links[a * num_nodes + b] = _LinkQ(a, b)
+        if drops:
+            lq.drop_state = fault_plan.drop_state(a, b)
+            lq.triggers = triggers.get((a, b), lq.triggers)
+        if structural:
+            lq.fragile = fault_plan.link_can_fail(a, b)
+        return lq
+
+    def delayed(a: int, t: float) -> float:
+        """End of a service started at ``t`` on a link out of ``a``,
+        stretched by the plan's delay schedule."""
+        return t + (service + fault_plan.issue_delay(a, int(t) + 1) * service)
+
+    def record_fault(t: float, kind: str, rank: int, a=None, b=None) -> None:
+        if timeline is not None:
+            timeline.record_fault(int(t) + 1, kind, rank=rank, src=a, dst=b)
 
     # Aggregate counters.
     n_arrivals = n_completions = n_drops = n_misses = 0
@@ -530,84 +564,6 @@ def run_serving(
     next_checkpoint = (
         cfg.checkpoint_every if cfg.checkpoint_every is not None else math.inf
     )
-
-    heap: list = []
-    seq = 0
-
-    def push(t: float, kind: int, payload) -> None:
-        nonlocal seq
-        heappush(heap, (t, kind, seq, payload))
-        seq += 1
-
-    # Pre-route each request lazily at arrival (routers may be stateful
-    # caches); requests beyond the horizon never arrive at all.
-    for i, t in enumerate(times):
-        if horizon is not None and t > horizon:
-            break
-        push(float(t), _ARRIVE, i)
-
-    def cycle_of(t: float) -> int:
-        return int(math.floor(t)) + 1
-
-    def record_fault(t: float, kind: str, req: _Request, a=None, b=None):
-        if timeline is not None:
-            timeline.record_fault(
-                cycle_of(t), kind, rank=req.src, src=a, dst=b
-            )
-
-    def link_of(req: _Request) -> tuple[int, int]:
-        return (req.path[req.hop], req.path[req.hop + 1])
-
-    def start_service(lq: _LinkQ, req: _Request, t: float):
-        lq.current = req
-        lq.busy_since = t
-        if delays:
-            delay = fault_plan.issue_delay(lq.a, cycle_of(t))
-            push(t + (service + delay * service), _DEPART, lq)
-        else:
-            push(t + service, _DEPART, lq)
-
-    def finish_request(req: _Request, t: float) -> None:
-        nonlocal n_completions, n_misses
-        sojourn = t - req.t_arrive
-        sojourns.append(sojourn)
-        if req.deadline is not None and t > req.deadline:
-            n_misses += 1
-            record_fault(t, "timeout", req)
-        else:
-            n_completions += 1
-
-    def offer(req: _Request, t: float) -> bool:
-        """Try to place ``req`` on its current link; False when full."""
-        a = req.path[req.hop]
-        b = req.path[req.hop + 1]
-        key = a * num_nodes + b
-        lq = links.get(key)
-        if lq is None:
-            lq = links[key] = _LinkQ(a, b)
-        if lq.current is None:
-            start_service(lq, req, t)
-            return True
-        if capacity is not None and len(lq.queue) >= capacity:
-            return False
-        lq.note_queue_change(t)
-        lq.queue.append(req)
-        if len(lq.queue) > lq.max_queue:
-            lq.max_queue = len(lq.queue)
-        return True
-
-    def free_server(lq: _LinkQ, t: float) -> None:
-        lq.busy_time += t - lq.busy_since
-        lq.current = None
-        if lq.queue:
-            lq.note_queue_change(t)
-            nxt = lq.queue.popleft()
-            start_service(lq, nxt, t)
-
-    def drop_request(req: _Request, t: float, a: int, b: int) -> None:
-        nonlocal n_drops
-        n_drops += 1
-        record_fault(t, "drop", req, a, b)
 
     def take_checkpoint(upto: float) -> None:
         nonlocal next_checkpoint
@@ -627,97 +583,189 @@ def run_serving(
             )
             next_checkpoint += cfg.checkpoint_every
 
+    # Requests beyond the horizon never arrive at all.  The rest are
+    # routed lazily at arrival (routers may be stateful caches).
+    arrival_times = times.tolist()
+    num_live = len(arrival_times)
+    if horizon is not None:
+        num_live = int(np.searchsorted(times, horizon, side="right"))
+    i = 0
+    upcoming = (arrival_times[0], _ARRIVE) if num_live else _NO_ARRIVAL
+
+    # The heap holds departures and retry-injections as (t, kind, seq, obj).
+    heap: list = []
+    seq = 0
     last_t = 0.0
-    while heap:
-        t, kind, _, payload = heappop(heap)
-        if horizon is not None and t > horizon:
+    # A cycle key is floor(t) + 1; t >= 0 here, so int(t) + 1 is that.
+    while True:
+        if heap and heap[0] < upcoming:
+            t, kind, _, obj = heappop(heap)
+            if horizon is not None and t > horizon:
+                break
+        elif i < num_live:
+            t = upcoming[0]
+            kind = _ARRIVE
+        else:
             break
         if next_checkpoint <= t:
             take_checkpoint(t)
         last_t = t
 
-        if kind == _ARRIVE or kind == _RETRY_INJECT:
-            if kind == _ARRIVE:
-                i = payload
-                src, dst = pairs[i]
-                path = _validated_path(topo, router, src, dst)
-                n_arrivals += 1
-                deadline = (
-                    t + cfg.deadline if cfg.deadline is not None else None
-                )
-                req = _Request(i, t, src, dst, path, deadline)
-                if structural and fault_plan.down(src, cycle_of(t)):
-                    # The ingress node is crashed or offline (downtime):
-                    # the request is refused at admission and counts as a
-                    # drop — the availability SLO's numerator.
-                    drop_request(req, t, src, src)
-                    continue
-                if len(path) == 1:
-                    finish_request(req, t)
-                    continue
+        if kind == _DEPART:
+            # The link finished one service period.
+            lq = obj
+            req = lq.current
+            if not req.crossed:
+                # This completion is a genuine crossing attempt.
+                lq.served += 1
+                hops_served += 1
+                if (
+                    drops
+                    and (
+                        hops_served in lq.triggers
+                        or (
+                            drop_rate
+                            and _mix(lq.drop_state, hops_served) / 2**64
+                            < drop_rate
+                        )
+                    )
+                ) or (
+                    # A cut link or a down endpoint (crash/downtime) loses
+                    # the crossing exactly like a transient drop: the
+                    # attempt counter advanced, so drop-schedule verdicts
+                    # for plans without structural faults are unchanged
+                    # bit-for-bit.
+                    lq.fragile
+                    and not fault_plan.link_up(lq.a, lq.b, int(t) + 1)
+                ):
+                    retransmissions += 1
+                    req.tries += 1
+                    record_fault(t, "drop", req.src, lq.a, lq.b)
+                    if req.tries <= max_retries:
+                        # Retransmit in place.
+                        lq.busy_since = t
+                        done = delayed(lq.a, t) if delays else t + service
+                        heappush(heap, (done, _DEPART, seq, lq))
+                        seq += 1
+                        continue
+                    n_drops += 1
+                    record_fault(t, "drop", req.src, lq.a, lq.b)
+                    req = None
+                else:
+                    path_hops += 1
+                    req.crossed = True
+                    if timeline is not None:
+                        timeline.record_message(
+                            int(t) + 1, lq.a, lq.b, 1, "send"
+                        )
+            if req is not None:
+                hop = req.hop + 1
+                if hop == len(req.links):
+                    sojourns.append(t - req.t_arrive)
+                    if t > req.deadline:
+                        n_misses += 1
+                        record_fault(t, "timeout", req.src)
+                    else:
+                        n_completions += 1
+                else:
+                    # Hand off to the next link on the path.
+                    nq = req.links[hop]
+                    if nq.current is None:
+                        req.hop = hop
+                        req.tries = 0
+                        req.crossed = False
+                        nq.current = req
+                        nq.busy_since = t
+                        done = delayed(nq.a, t) if delays else t + service
+                        heappush(heap, (done, _DEPART, seq, nq))
+                        seq += 1
+                    elif capacity is None or len(nq.queue) < capacity:
+                        req.hop = hop
+                        req.tries = 0
+                        req.crossed = False
+                        nq.q_area += len(nq.queue) * (t - nq.q_last_t)
+                        nq.q_last_t = t
+                        nq.queue.append(req)
+                        if len(nq.queue) > nq.max_queue:
+                            nq.max_queue = len(nq.queue)
+                    elif blocking:
+                        # Hold the server and re-offer downstream after a
+                        # service time.
+                        blocked_retries += 1
+                        heappush(heap, (t + service, _DEPART, seq, lq))
+                        seq += 1
+                        continue
+                    else:
+                        n_drops += 1
+                        record_fault(t, "drop", req.src, nq.a, nq.b)
+            # Free the server; the head of its queue starts at once.
+            lq.busy_time += t - lq.busy_since
+            if lq.queue:
+                lq.q_area += len(lq.queue) * (t - lq.q_last_t)
+                lq.q_last_t = t
+                lq.current = lq.queue.popleft()
+                lq.busy_since = t
+                done = delayed(lq.a, t) if delays else t + service
+                heappush(heap, (done, _DEPART, seq, lq))
+                seq += 1
             else:
-                req = payload
-            if not offer(req, t):
-                if blocking:
-                    blocked_retries += 1
-                    push(t + service, _RETRY_INJECT, req)
-                else:
-                    a, b = link_of(req)
-                    drop_request(req, t, a, b)
+                lq.current = None
             continue
 
-        # _DEPART: the link finished one service period.
-        lq = payload
-        req = lq.current
-
-        if not req.crossed:
-            # This completion is a genuine crossing attempt.
-            a = lq.a
-            b = lq.b
-            lq.served += 1
-            hops_served += 1
-            if (drops and fault_plan.dropped(a, b, hops_served)) or (
-                # A cut link or a down endpoint (crash/downtime) loses the
-                # crossing exactly like a transient drop: the attempt
-                # counter advanced, so drop-schedule verdicts for plans
-                # without structural faults are unchanged bit-for-bit.
-                structural and not fault_plan.link_up(a, b, cycle_of(t))
-            ):
-                retransmissions += 1
-                req.tries += 1
-                record_fault(t, "drop", req, a, b)
-                if req.tries > fault_plan.max_retries:
-                    drop_request(req, t, a, b)
-                    free_server(lq, t)
-                else:
-                    start_service(lq, req, t)  # retransmit in place
+        if kind == _ARRIVE:
+            src, dst = pairs[i]
+            path = _validated_path(topo, router, src, dst)
+            i += 1
+            upcoming = (
+                (arrival_times[i], _ARRIVE) if i < num_live else _NO_ARRIVAL
+            )
+            n_arrivals += 1
+            if structural and fault_plan.down(src, int(t) + 1):
+                # The ingress node is crashed or offline (downtime): the
+                # request is refused at admission and counts as a drop —
+                # the availability SLO's numerator.
+                n_drops += 1
+                record_fault(t, "drop", src, src, src)
                 continue
-            path_hops += 1
-            req.crossed = True
-            if timeline is not None:
-                timeline.record_message(cycle_of(t), a, b, 1, "send")
+            if len(path) == 1:
+                # A self pair finishes on arrival, within any deadline.
+                sojourns.append(0.0)
+                n_completions += 1
+                continue
+            req = _Request(
+                t,
+                src,
+                [
+                    links.get(a * num_nodes + b) or new_link(a, b)
+                    for a, b in zip(path, path[1:])
+                ],
+                t + budget,
+            )
+        else:  # _RETRY_INJECT
+            req = obj
 
-        if req.hop + 2 >= len(req.path):
-            finish_request(req, t)
-            free_server(lq, t)
-            continue
-
-        # Hand off to the next link on the path.
-        req.hop += 1
-        req.tries = 0
-        req.crossed = False
-        if offer(req, t):
-            free_server(lq, t)
+        # Inject the request on its first link.
+        lq = req.links[0]
+        if lq.current is None:
+            lq.current = req
+            lq.busy_since = t
+            done = delayed(lq.a, t) if delays else t + service
+            heappush(heap, (done, _DEPART, seq, lq))
+            seq += 1
+        elif capacity is None or len(lq.queue) < capacity:
+            lq.q_area += len(lq.queue) * (t - lq.q_last_t)
+            lq.q_last_t = t
+            lq.queue.append(req)
+            if len(lq.queue) > lq.max_queue:
+                lq.max_queue = len(lq.queue)
         elif blocking:
-            # Hold the server and re-offer downstream after a service time.
+            # The request waits at the source NIC.
             blocked_retries += 1
-            req.hop -= 1
-            req.crossed = True
-            push(t + service, _DEPART, lq)
+            heappush(heap, (t + service, _RETRY_INJECT, seq, req))
+            seq += 1
         else:
-            a, b = link_of(req)
-            drop_request(req, t, a, b)
-            free_server(lq, t)
+            n_drops += 1
+            record_fault(t, "drop", req.src, lq.a, lq.b)
 
     # The observation window is the *full* configured horizon: the run is
     # open-loop, so a drained event heap just means the tail of the window
@@ -734,6 +782,8 @@ def run_serving(
     occupancy = {}
     link_loads: dict[tuple[int, int], int] = {}
     for _, lq in sorted(links.items()):
+        if lq.current is None and not lq.served:
+            continue  # on some request's path, but never reached
         if lq.current is not None:  # still busy at the horizon
             lq.busy_time += max(0.0, elapsed - lq.busy_since)
         lq.q_area += len(lq.queue) * max(0.0, elapsed - lq.q_last_t)

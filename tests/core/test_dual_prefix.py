@@ -188,6 +188,44 @@ class TestProperties:
         np.testing.assert_allclose(got, np.cumsum(vals), rtol=1e-9, atol=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+class TestTupleListInput:
+    """A plain list of tuples is one ``CONCAT`` payload per node for the
+    program factory and the suffix scan too, as it is for ``dual_prefix``
+    (NumPy alone would read it as an (N, 1) array)."""
+
+    def test_program_matches_the_engine_and_extracts(self, n):
+        from repro.analysis.static import extract_schedule
+        from repro.core.dual_prefix import dual_prefix_program
+        from repro.simulator import run_spmd
+
+        dc = DualCube(n)
+        items = [(k,) for k in range(dc.num_nodes)]
+        _, engine = dual_prefix(dc, items, CONCAT, backend="engine")
+        program = lambda: dual_prefix_program(dc, items, CONCAT)
+        assert run_spmd(dc, program()).returns == engine.returns
+        schedule = extract_schedule(dc, program())
+        assert schedule.completed
+        as_array = np.empty(dc.num_nodes, dtype=object)
+        as_array[:] = items
+        assert schedule == extract_schedule(
+            dc, dual_prefix_program(dc, as_array, CONCAT)
+        )
+
+    def test_suffix_matches_the_engine(self, n):
+        from repro.core.dual_prefix import dual_suffix
+        from repro.core.ops import AssocOp
+
+        dc = DualCube(n)
+        size = dc.num_nodes
+        items = [(k,) for k in range(size)]
+        flipped = AssocOp("concat-flipped", lambda a, b: b + a, ())
+        mirror, _ = dual_prefix(dc, items[::-1], flipped, backend="engine")
+        suffix = dual_suffix(dc, items, CONCAT)
+        assert list(suffix) == list(mirror[::-1])
+        assert list(suffix) == [tuple(range(k, size)) for k in range(size)]
+
+
 class TestSuffixScan:
     def test_suffix_sum(self, rng):
         from repro.core.dual_prefix import dual_suffix

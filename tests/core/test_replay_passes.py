@@ -12,12 +12,14 @@ tile-index directions occur at sizes the engine also runs."""
 import numpy as np
 import pytest
 
-from repro.core import ADD, MIN, dual_prefix, dual_sort
+from repro.core import ADD, CONCAT, MIN, dual_prefix, dual_sort
 from repro.core.bitonic import _sort_cube, bitonic_schedule
 from repro.core.replay import (
     _compile_passes,
     _dual_sort_plan,
     _run_passes,
+    ascend_prefix,
+    ascend_totals,
     bit_pair_views,
     clear_plan_cache,
     dir_bit_views,
@@ -222,3 +224,25 @@ class TestOracleD9:
         want = np.sort(keys)
         assert out.dtype == want.dtype
         assert np.array_equal(out, want)
+
+
+class TestAscendTotals:
+    """``ascend_totals`` (the rounds ``allreduce`` runs) is
+    ``ascend_prefix``'s ``t`` without the prefixes, in value and dtype."""
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint8", "bool", "float64"])
+    @pytest.mark.parametrize("op", [ADD, MIN], ids=["add", "min"])
+    @pytest.mark.parametrize("bits", [range(3), range(3, 6), range(6)])
+    def test_equals_the_prefix_totals(self, dtype, op, bits, rng):
+        vals = rng.integers(0, 200, 64).astype(dtype)
+        want = ascend_prefix(vals, op, bits)[0]
+        got = ascend_totals(vals, op, bits)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_object_payloads_keep_operand_order(self):
+        vals = np.empty(16, dtype=object)
+        vals[:] = [(k,) for k in range(16)]
+        got = ascend_totals(vals, CONCAT, range(2, 4))
+        assert got.tolist() == ascend_prefix(vals, CONCAT, range(2, 4))[0].tolist()
+        assert got[0] == (0, 4, 8, 12)

@@ -289,6 +289,39 @@ class TestTimelineCli:
         assert "# TYPE repro_messages counter" in prom.read_text()
 
 
+class TestServeCli:
+    def test_heatmap_table_and_exports(self, tmp_path, capsys):
+        """``repro serve`` end to end; it is the caller that records a
+        serving timeline."""
+        from repro.cli import main
+
+        jsonl = tmp_path / "serve.jsonl"
+        prom = tmp_path / "serve.prom"
+        assert main([
+            "serve", "-n", "2", "--requests", "200", "--drop-rate", "0.05",
+            "--heatmap", "--export-jsonl", str(jsonl),
+            "--export-prom", str(prom),
+        ]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert "D_2 queue activity:" in lines and "Q_3 queue activity:" in lines
+        # The 5% drop plan fires on both networks: each heatmap has a
+        # faults row.
+        assert sum(line.startswith("faults") for line in lines) == 2
+        assert "Open-loop serving: poisson arrivals" in out
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in lines
+            if line.split("|")[0].strip() in ("D_2", "Q_3")
+        ]
+        assert [row[0] for row in rows] == ["D_2", "Q_3"]
+        assert all(row[1] == "200" for row in rows)  # arrivals
+        exported = jsonl.read_text()
+        assert '"topology": "D_2"' in exported
+        assert '"topology": "Q_3"' in exported
+        assert "# TYPE serving_arrivals counter" in prom.read_text()
+
+
 class TestCheckFaultsCli:
     def test_clean_run_exits_zero(self, capsys):
         from repro.cli import main
