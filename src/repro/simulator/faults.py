@@ -75,6 +75,12 @@ def _u01(seed: int, tag: int, a: int, b: int, c: int) -> float:
     return _mix(_prefix(seed, tag, a, b), c) / 2**64
 
 
+def _rate_dropped(state: int, cycle: int, rate: float) -> bool:
+    """The rate verdict of :meth:`FaultPlan.dropped` at ``cycle`` for the
+    link whose drop hash is ``state`` (:meth:`FaultPlan._drop_state`)."""
+    return _mix(state, cycle) / 2**64 < rate
+
+
 class _Faulted:
     """Singleton resumed into a program whose request timed out (cancel mode)."""
 
@@ -277,32 +283,18 @@ class FaultPlan:
             return False
         return not (self.down(u, cycle) or self.down(v, cycle))
 
-    def link_can_fail(self, u: int, v: int) -> bool:
-        """Whether :meth:`link_up` can answer False for ``{u, v}`` at all:
-        the link is cut at some cycle or an endpoint crashes or goes
-        offline."""
-        if (min(u, v), max(u, v)) in self.link_cuts:
-            return True
-        return any(
-            r in self.node_crashes or r in self.downtimes for r in (u, v)
-        )
-
     def dropped(self, src: int, dst: int, cycle: int) -> bool:
         """Whether the message ``src -> dst`` completing at ``cycle`` is lost."""
         if self.drops and (src, dst, cycle) in self.drops:
             return True
         if self.drop_rate == 0.0:
             return False
-        return _u01(self.seed, _TAG_DROP, src, dst, cycle) < self.drop_rate
+        return _rate_dropped(self._drop_state(src, dst), cycle, self.drop_rate)
 
-    def drop_state(self, src: int, dst: int) -> int:
-        """The drop hash of link ``src -> dst`` before the cycle is mixed in.
-
-        For a caller that asks about one link many times:
-        ``_mix(drop_state(src, dst), cycle) / 2**64 < drop_rate`` is the
-        rate draw of :meth:`dropped` (which also honours the explicit
-        ``drops`` triggers).
-        """
+    def _drop_state(self, src: int, dst: int) -> int:
+        """The drop hash of link ``src -> dst`` before the cycle is mixed
+        in: a caller that asks about one link many times computes it once
+        and passes it to :func:`_rate_dropped`."""
         return _prefix(self.seed, _TAG_DROP, src, dst)
 
     def issue_delay(self, rank: int, issue_cycle: int) -> int:

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.simulator.faults import FaultPlan, _mix
+from repro.simulator.faults import FaultPlan, _rate_dropped
 from repro.simulator.traffic import _validated_path, random_pairs
 from repro.topology.base import Topology
 
@@ -419,16 +419,13 @@ class _Request:
 class _LinkQ:
     """Directed link ``a -> b``: one deterministic server plus FIFO buffer.
 
-    It also carries the link's fault state, fixed for the run: the drop
-    hash with the plan's seed and both endpoints mixed in, the explicit
-    drop triggers on this link, and whether a structural fault can ever
-    take it down.
+    It also carries the link's drop hash (the plan's seed and both
+    endpoints mixed in), fixed for the run.
     """
 
     __slots__ = (
         "a", "b", "queue", "current", "served", "busy_since", "busy_time",
-        "q_area", "q_last_t", "max_queue", "drop_state", "triggers",
-        "fragile",
+        "q_area", "q_last_t", "max_queue", "drop_state",
     )
 
     def __init__(self, a: int, b: int):
@@ -443,8 +440,6 @@ class _LinkQ:
         self.q_last_t = 0.0
         self.max_queue = 0
         self.drop_state = 0
-        self.triggers: frozenset | set = frozenset()
-        self.fragile = False
 
 
 def run_serving(
@@ -513,10 +508,10 @@ def run_serving(
     budget = cfg.deadline if cfg.deadline is not None else math.inf
     # Which fault classes the plan has is fixed for the run, so a plan
     # query that can only answer "no" (or 0) is never made.
-    structural = drops = delays = False
+    structural = delays = False
     drop_rate = 0.0
+    explicit: frozenset = frozenset()  # the plan's (src, dst, cycle) drops
     max_retries = 0
-    triggers: dict[tuple[int, int], set] = {}  # explicit drop cycles by link
     if fault_plan is not None:
         fault_plan.validate_for(topo)
         structural = bool(
@@ -524,12 +519,10 @@ def run_serving(
             or fault_plan.link_cuts
             or fault_plan.downtimes
         )
-        drops = bool(fault_plan.drop_rate or fault_plan.drops)
         delays = bool(fault_plan.delay_rate or fault_plan.delays)
         drop_rate = fault_plan.drop_rate
+        explicit = fault_plan.drops
         max_retries = fault_plan.max_retries
-        for s, d, c in fault_plan.drops:
-            triggers.setdefault((s, d), set()).add(c)
 
     num_nodes = topo.num_nodes
     # Every link on an admitted request's path, keyed by a * num_nodes + b;
@@ -538,11 +531,8 @@ def run_serving(
 
     def new_link(a: int, b: int) -> _LinkQ:
         lq = links[a * num_nodes + b] = _LinkQ(a, b)
-        if drops:
-            lq.drop_state = fault_plan.drop_state(a, b)
-            lq.triggers = triggers.get((a, b), lq.triggers)
-        if structural:
-            lq.fragile = fault_plan.link_can_fail(a, b)
+        if drop_rate:
+            lq.drop_state = fault_plan._drop_state(a, b)
         return lq
 
     def delayed(a: int, t: float) -> float:
@@ -619,24 +609,23 @@ def run_serving(
                 # This completion is a genuine crossing attempt.
                 lq.served += 1
                 hops_served += 1
+                # First FaultPlan.dropped's two tests, with the link's drop
+                # hash computed once, when its queue was made.
                 if (
-                    drops
-                    and (
-                        hops_served in lq.triggers
-                        or (
-                            drop_rate
-                            and _mix(lq.drop_state, hops_served) / 2**64
-                            < drop_rate
-                        )
+                    (explicit and (lq.a, lq.b, hops_served) in explicit)
+                    or (
+                        drop_rate
+                        and _rate_dropped(lq.drop_state, hops_served, drop_rate)
                     )
-                ) or (
                     # A cut link or a down endpoint (crash/downtime) loses
                     # the crossing exactly like a transient drop: the
                     # attempt counter advanced, so drop-schedule verdicts
                     # for plans without structural faults are unchanged
                     # bit-for-bit.
-                    lq.fragile
-                    and not fault_plan.link_up(lq.a, lq.b, int(t) + 1)
+                    or (
+                        structural
+                        and not fault_plan.link_up(lq.a, lq.b, int(t) + 1)
+                    )
                 ):
                     retransmissions += 1
                     req.tries += 1

@@ -160,27 +160,20 @@ class TestDeterminism:
 
     def test_per_link_drop_state_gives_the_rate_verdicts(self):
         """A caller that hashes a link's endpoints once (the serving loop)
-        gets :meth:`FaultPlan.dropped`'s rate verdicts from the last round
-        alone."""
-        from repro.simulator.faults import _mix
+        gets :meth:`FaultPlan.dropped`'s rate verdicts, which are the
+        whole-hash draws ``_u01`` gives."""
+        from repro.simulator.faults import _TAG_DROP, _rate_dropped, _u01
 
         plan = FaultPlan(drop_rate=0.3, seed=2**40 + 11)
         for s, d in [(0, 1), (1, 0), (5, 3), (1000, 2047)]:
-            state = plan.drop_state(s, d)
+            state = plan._drop_state(s, d)
             cycles = range(1, 400)
-            assert [_mix(state, c) / 2**64 < plan.drop_rate
-                    for c in cycles] == [plan.dropped(s, d, c) for c in cycles]
-
-    def test_link_can_fail_iff_some_cycle_is_down(self):
-        plan = FaultPlan(
-            node_crashes={2: 5}, link_cuts={(4, 0): 3}, downtimes=[(7, 2, 4)]
-        )
-        for u in range(8):
-            for v in range(8):
-                if u != v:
-                    down = any(not plan.link_up(u, v, c) for c in range(1, 12))
-                    assert plan.link_can_fail(u, v) == down, (u, v)
-        assert not FaultPlan(drop_rate=0.5).link_can_fail(0, 1)
+            verdicts = [plan.dropped(s, d, c) for c in cycles]
+            assert [_rate_dropped(state, c, plan.drop_rate)
+                    for c in cycles] == verdicts
+            assert [_u01(plan.seed, _TAG_DROP, s, d, c) < plan.drop_rate
+                    for c in cycles] == verdicts
+            assert any(verdicts) and not all(verdicts)
 
     def test_delay_draws_bounded(self):
         plan = FaultPlan(delay_rate=1.0, max_delay=3, seed=5)
