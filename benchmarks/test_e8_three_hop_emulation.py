@@ -15,7 +15,8 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.core.dual_sort import ScheduleStep, _compare_exchange_program, step_cycle_cost
-from repro.simulator import Engine, Packed
+from repro.obs import TimelineRecorder
+from repro.simulator import run_spmd
 from repro.topology import RecursiveDualCube
 
 from benchmarks._util import emit
@@ -30,7 +31,8 @@ def run_one_dim(rdc, dim, policy):
         key = yield from _compare_exchange_program(ctx, rdc, step, keys[ctx.rank], policy)
         return key
 
-    return keys, Engine(rdc, program, log_messages=True).run()
+    tl = TimelineRecorder(rdc.num_nodes)
+    return keys, run_spmd(rdc, program, timeline=tl), tl.events
 
 
 def hop_table_rows(n: int):
@@ -74,27 +76,28 @@ def test_hop_histogram(benchmark, n):
 
 @pytest.mark.parametrize("policy,expect_cycles", [("packed", 3), ("single", 4)])
 def test_one_port_schedule_audit(benchmark, policy, expect_cycles):
-    """Independent audit via the raw message log: 1-port discipline holds
-    and the step finishes in the claimed number of cycles."""
+    """Independent audit via the per-delivery timeline: 1-port discipline
+    holds and the step finishes in the claimed number of cycles."""
     rdc = RecursiveDualCube(3)
 
     def run():
         return run_one_dim(rdc, 3, policy)
 
-    keys, res = benchmark(run)
+    keys, res, events = benchmark(run)
     assert res.comm_steps == expect_cycles
-    per_cycle_src = Counter((m.cycle, m.src) for m in res.message_log)
-    per_cycle_dst = Counter((m.cycle, m.dst) for m in res.message_log)
+    per_cycle_src = Counter((e.cycle, e.src) for e in events)
+    per_cycle_dst = Counter((e.cycle, e.dst) for e in events)
     assert all(v == 1 for v in per_cycle_src.values())
     assert all(v == 1 for v in per_cycle_dst.values())
-    for m in res.message_log:
-        assert rdc.has_edge(m.src, m.dst)
-    packed_msgs = [m for m in res.message_log if isinstance(m.payload, Packed)]
+    for e in events:
+        assert rdc.has_edge(e.src, e.dst)
+    # A packed relay message carries two keys; every other message one.
+    packed_msgs = [e for e in events if e.size == 2]
     if policy == "packed":
         assert len(packed_msgs) == rdc.num_nodes // 2
-        assert all(len(m.payload) == 2 for m in packed_msgs)
     else:
         assert not packed_msgs
+    assert all(e.size in (1, 2) for e in events)
     # Every pair still computes the correct compare-exchange.
     for u in rdc.nodes():
         v = u ^ (1 << 3)

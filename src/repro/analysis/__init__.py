@@ -18,7 +18,7 @@ from repro.analysis.complexity import (
     hypercube_same_size_dim,
 )
 from repro.analysis.tables import format_table, format_markdown_table
-from repro.analysis.io import ExperimentRecord, save_record, load_record, collect_artifacts
+from repro.analysis.io import collect_artifacts
 
 __all__ = [
     "theorem1_comm_bound",
@@ -38,8 +38,5 @@ __all__ = [
     "hypercube_same_size_dim",
     "format_table",
     "format_markdown_table",
-    "ExperimentRecord",
-    "save_record",
-    "load_record",
     "collect_artifacts",
 ]

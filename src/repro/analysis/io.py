@@ -1,67 +1,15 @@
 """Persistence of experiment results.
 
 Benchmark runs persist their regenerated artifacts as plain text under
-``benchmarks/out/``; this module adds structured JSON records for
-programmatic consumers (cost counters + parameters + environment), and
-the collector the ``report`` CLI uses to enumerate what a run produced.
+``benchmarks/out/``; :func:`collect_artifacts` enumerates what a run
+produced for the ``report`` CLI.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.simulator.counters import CostCounters
-
-__all__ = ["ExperimentRecord", "save_record", "load_record", "collect_artifacts"]
-
-
-@dataclass
-class ExperimentRecord:
-    """One structured measurement: what ran, on what, and what it cost."""
-
-    experiment: str
-    parameters: dict
-    counters: dict
-    notes: str = ""
-    environment: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_counters(
-        cls,
-        experiment: str,
-        parameters: dict,
-        counters: CostCounters,
-        *,
-        notes: str = "",
-    ) -> "ExperimentRecord":
-        """Snapshot a counters object into a record."""
-        return cls(
-            experiment=experiment,
-            parameters=dict(parameters),
-            counters=counters.summary(),
-            notes=notes,
-            environment={
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-            },
-        )
-
-
-def save_record(record: ExperimentRecord, path) -> Path:
-    """Write a record as JSON; returns the path."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(asdict(record), indent=2, sort_keys=True) + "\n")
-    return p
-
-
-def load_record(path) -> ExperimentRecord:
-    """Read a record written by :func:`save_record`."""
-    data = json.loads(Path(path).read_text())
-    return ExperimentRecord(**data)
+__all__ = ["collect_artifacts"]
 
 
 def collect_artifacts(directory) -> dict[str, str]:

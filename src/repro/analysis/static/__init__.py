@@ -9,8 +9,8 @@ dynamic run:
 * :mod:`repro.analysis.static.schedule` — the :class:`CommSchedule` IR:
   a topology-agnostic per-step record of every message transfer;
 * :mod:`repro.analysis.static.extract` — obtains a :class:`CommSchedule`
-  from any SPMD program (record-only lockstep interpretation) or from an
-  engine message log;
+  from any SPMD program by record-only lockstep interpretation, the
+  oracle an engine timeline is cross-checked against;
 * :mod:`repro.analysis.static.checkers` — edge legality against any
   :class:`~repro.topology.base.Topology`, send/recv pairing with
   wait-for-graph deadlock/orphan diagnosis, 1-port and per-link
@@ -44,7 +44,6 @@ from repro.analysis.static.schedule import (
 from repro.analysis.static.extract import (
     RecordingCtx,
     extract_schedule,
-    schedule_from_messages,
 )
 from repro.analysis.static.checkers import (
     EXIT_CODES,
@@ -113,7 +112,6 @@ __all__ = [
     "Violation",
     "RecordingCtx",
     "extract_schedule",
-    "schedule_from_messages",
     "check_bounds",
     "check_congestion",
     "check_edge_legality",

@@ -2,8 +2,9 @@
 
 Each checker returns a list of
 :class:`~repro.analysis.static.schedule.Violation` (empty = clean) and is
-pure over the IR, so the same checks apply to extracted schedules, engine
-message logs, and hand-built fixtures alike.
+pure over the IR, so the same checks apply to extracted schedules,
+recorded engine timelines (``TimelineRecorder.to_comm_schedule``), and
+hand-built fixtures alike.
 
 * :func:`check_edge_legality` — every transfer (delivered or blocked)
   must traverse an actual edge of the given topology;

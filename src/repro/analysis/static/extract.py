@@ -21,10 +21,10 @@ dynamic execution is kept.  Because the interpreter takes the same
 lockstep small-steps as the engine, the extracted ``steps`` count equals
 the engine's measured ``comm_steps`` for any program that completes.
 
-:func:`schedule_from_messages` is the second extraction path: it rebuilds
-a :class:`CommSchedule` from an engine run captured with
-``log_messages=True``, for cross-validating the extractor against the
-real engine.
+The extractor is the engine's independent oracle: a timeline recorded
+from an engine run (:class:`~repro.obs.timeline.TimelineRecorder`) must
+equal the extracted schedule event for event
+(:func:`~repro.obs.timeline.cross_validate_timeline`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.simulator.errors import ProgramError
 from repro.simulator.requests import Idle, Recv, Request, Send, SendRecv, Shift
 from repro.topology.base import Topology
 
-__all__ = ["RecordingCtx", "extract_schedule", "schedule_from_messages"]
+__all__ = ["RecordingCtx", "extract_schedule"]
 
 
 class RecordingCtx:
@@ -296,38 +296,4 @@ def extract_schedule(
         blocked=blocked,
         stalled_at=stalled_at,
         truncated=truncated,
-    )
-
-
-def schedule_from_messages(result, topo: Topology) -> CommSchedule:
-    """Rebuild a :class:`CommSchedule` from an engine run's message log.
-
-    ``result`` is an :class:`~repro.simulator.engine.EngineResult`
-    produced with ``log_messages=True``.  Send-leg kinds are not
-    recoverable from the log, so every event is tagged ``"send"``; step
-    numbering, endpoints, and payload sizes match the engine exactly,
-    which makes this the cross-validation oracle for
-    :func:`extract_schedule`.
-    """
-    if result.message_log is None:
-        raise ValueError(
-            "engine result has no message log; run with log_messages=True"
-        )
-    events = tuple(
-        CommEvent(
-            step=m.cycle,
-            src=m.src,
-            dst=m.dst,
-            kind="send",
-            size=payload_size(m.payload),
-        )
-        for m in result.message_log
-    )
-    return CommSchedule(
-        num_nodes=topo.num_nodes,
-        topology=topo.name,
-        events=events,
-        steps=result.comm_steps,
-        comp_steps=result.comp_steps,
-        completed=True,
     )

@@ -5,7 +5,7 @@ communicate: one :class:`CommEvent` per delivered message (lockstep step,
 source, destination, request kind, payload item count), plus the requests
 still pending if the program can never finish (:class:`BlockedOp`).  The
 IR is plain data: checkers consume it without caring whether it came from
-the record-only extractor, an engine message log, or a hand-written
+the record-only extractor, a recorded engine timeline, or a hand-written
 fixture in a test.
 
 Step numbering matches the engine's cycle count, so ``comm_steps`` of an
@@ -96,10 +96,6 @@ class CommSchedule:
     def messages(self) -> int:
         """Total delivered messages."""
         return len(self.events)
-
-    def events_at(self, step: int) -> tuple[CommEvent, ...]:
-        """All transfers completing at lockstep step ``step``."""
-        return tuple(e for e in self.events if e.step == step)
 
     def link_loads(self) -> dict[tuple[int, int], int]:
         """Messages per undirected link ``(min, max)`` over the whole run."""

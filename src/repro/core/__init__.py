@@ -69,7 +69,6 @@ from repro.core.large_inputs import large_prefix, large_sort
 from repro.core.replay import (
     clear_plan_cache,
     plan_cache_stats,
-    registry_from_plan_cache,
 )
 from repro.core.emulation import (
     emulated_cube_prefix,
@@ -131,7 +130,6 @@ __all__ = [
     "large_sort",
     "clear_plan_cache",
     "plan_cache_stats",
-    "registry_from_plan_cache",
     "emulated_cube_prefix",
     "exchange_algorithm_program",
     "run_exchange_algorithm_engine",

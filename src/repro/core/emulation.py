@@ -140,21 +140,6 @@ def run_exchange_algorithm_engine(
     return list(result.returns), result
 
 
-def _prefix_rounds_scalar(q: int, op: AssocOp):
-    """Algorithm 1's ascend rounds as scalar ExchangeRounds on (t, s) pairs."""
-
-    def make_update(i: int):
-        def update(state, got, rank):
-            t, s = state
-            if (rank >> i) & 1:
-                return (op(got, t), op(got, s))
-            return (op(t, got), s)
-
-        return update
-
-    return [(i, lambda st: st[0], make_update(i)) for i in range(q)]
-
-
 def emulated_cube_prefix(
     topo: DimensionedTopology,
     values,
@@ -183,11 +168,26 @@ def emulated_cube_prefix(
 
 def _emulated_cube_prefix_engine(topo, values, op: AssocOp, *,
                                  inclusive: bool, trace):
-    init = [(v, v if inclusive else op.identity) for v in values]
-    rounds = _prefix_rounds_scalar(len(values).bit_length() - 1, op)
-    finals, result = run_exchange_algorithm_engine(topo, init, rounds,
-                                                   trace=trace)
-    return ([f[0] for f in finals], [f[1] for f in finals]), result
+    q = len(values).bit_length() - 1
+
+    def program(ctx):
+        # Cube_prefix's round, with the exchange emulated on ``topo``.
+        u = ctx.rank
+        t = values[u]
+        s = t if inclusive else op.identity
+        for i in range(q):
+            temp = yield from exchange_value_program(ctx, topo, i, t)
+            ctx.compute(2)  # one round: t-fold plus (conditional) s-fold
+            if (u >> i) & 1:
+                s = op(temp, s)
+                t = op(temp, t)
+            else:
+                t = op(t, temp)
+        return t, s
+
+    result = run_spmd(topo, program, trace=trace)
+    return ([r[0] for r in result.returns],
+            [r[1] for r in result.returns]), result
 
 
 def _emulated_cube_prefix_replay(topo, values, op: AssocOp, *,

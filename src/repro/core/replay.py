@@ -39,9 +39,7 @@ the identity column and the combine for every prefix here.
 
 Plans live in a module-level cache keyed by ``("prefix", topology,
 paper_literal)`` or ``("schedule", topology, kind, descending)``;
-:func:`plan_cache_stats` exposes hit/miss/compile-time counters and
-:func:`registry_from_plan_cache` feeds them into a
-:class:`~repro.obs.metrics.MetricsRegistry` as ``repro_replay_*`` series.
+:func:`plan_cache_stats` exposes hit/miss/compile-time counters.
 
 Cost accounting is the ledger the engine measures, recorded once per plan
 at compile time and charged in one call (the `D_prefix` class-1 fold is
@@ -88,7 +86,6 @@ __all__ = [
     "ascend_totals",
     "clear_plan_cache",
     "plan_cache_stats",
-    "registry_from_plan_cache",
     "get_prefix_plan",
     "get_schedule_plan",
     "dual_prefix_replay",
@@ -129,38 +126,6 @@ def clear_plan_cache() -> None:
     """Drop every cached plan and reset the cache statistics."""
     _PLAN_CACHE.clear()
     _STATS.update(hits=0, misses=0, compile_seconds=0.0)
-
-
-def registry_from_plan_cache(*, registry=None, labels: dict | None = None):
-    """Feed the plan-cache statistics into a metrics registry.
-
-    Returns the registry (a fresh
-    :class:`~repro.obs.metrics.MetricsRegistry` unless one is passed),
-    carrying ``repro_replay_plan_cache_hits`` / ``_misses`` counters and
-    ``repro_replay_plan_cache_size`` /
-    ``repro_replay_plan_compile_seconds`` gauges.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = registry if registry is not None else MetricsRegistry()
-    stats = plan_cache_stats()
-    reg.counter(
-        "repro_replay_plan_cache_hits",
-        "Replay plan cache hits", labels,
-    ).inc(stats["hits"])
-    reg.counter(
-        "repro_replay_plan_cache_misses",
-        "Replay plan cache misses (compilations)", labels,
-    ).inc(stats["misses"])
-    reg.gauge(
-        "repro_replay_plan_cache_size",
-        "Compiled plans currently cached", labels,
-    ).set(stats["size"])
-    reg.gauge(
-        "repro_replay_plan_compile_seconds",
-        "Cumulative wallclock spent compiling plans", labels,
-    ).set(stats["compile_seconds"])
-    return reg
 
 
 def get_prefix_plan(dc, *, paper_literal: bool = False):

@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.bitonic import bitonic_schedule
+
 __all__ = [
     "Comparator",
     "bitonic_sort_network",
@@ -48,24 +50,13 @@ def bitonic_sort_network(width: int) -> list[Stage]:
     """Batcher's bitonic sorting network as comparator stages.
 
     Stage (k, j) compares ``i`` with ``i | 2^j`` for every ``i`` with bit
-    ``j`` clear, direction by bit ``k`` of ``i`` — exactly the schedule
-    :func:`repro.core.bitonic.bitonic_schedule` runs on the hypercube,
-    rendered as explicit comparators.
+    ``j`` clear, direction by bit ``k`` of ``i``: the schedule
+    :func:`repro.core.bitonic.bitonic_schedule` that the backends run,
+    rendered through :func:`schedule_to_network`, so a 0-1 certificate
+    of this network certifies that schedule.
     """
     _check_width(width)
-    q = width.bit_length() - 1
-    stages: list[Stage] = []
-    for k in range(1, q + 1):
-        for j in range(k - 1, -1, -1):
-            stage: Stage = []
-            for i in range(width):
-                if i & (1 << j):
-                    continue
-                partner = i | (1 << j)
-                descending = k < q and (i >> k) & 1
-                stage.append((partner, i) if descending else (i, partner))
-            stages.append(stage)
-    return stages
+    return schedule_to_network(bitonic_schedule(width.bit_length() - 1), width)
 
 
 def odd_even_merge_sort_network(width: int) -> list[Stage]:

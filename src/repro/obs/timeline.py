@@ -1,9 +1,9 @@
 """Per-cycle runtime timelines of one simulator run.
 
-The engine and the array backend execute the paper's algorithms,
-but until now a finished run left behind only *aggregate* cost counters —
-no record of **when** each link carried traffic or when a fault struck.
-The :class:`TimelineRecorder` is that record: an append-only log of
+The engine and the array backend execute the paper's algorithms; their
+cost counters say how much a run cost, and the :class:`TimelineRecorder`
+says **when** each link carried traffic and when a fault struck.  It is
+the engine's one per-delivery record, an append-only log of
 
 * :class:`LinkEvent` — one delivered message (cycle, src, dst, payload
   size, request kind), buffered by the engine and flushed with its cycle
@@ -23,8 +23,9 @@ Because the engine emits one :class:`LinkEvent` per delivered message
 with the engine's own cycle number, a completed engine timeline carries
 the *same* per-cycle event set as the static extractor's
 :class:`~repro.analysis.static.schedule.CommSchedule` — which is what
-:func:`cross_validate_timeline` checks, making the observability layer
-itself verifiable instead of merely emitted.
+:func:`cross_validate_timeline` checks.  That comparison, kinds included,
+is the engine's check against its independent oracle, and it makes the
+observability layer itself verifiable instead of merely emitted.
 """
 
 from __future__ import annotations
@@ -381,9 +382,7 @@ def _events_key(events) -> list[tuple]:
     return sorted((e.step, e.src, e.dst, e.kind, e.size) for e in events)
 
 
-def cross_validate_timeline(
-    recorder: TimelineRecorder, schedule, *, check_kinds: bool = True
-) -> list[str]:
+def cross_validate_timeline(recorder: TimelineRecorder, schedule) -> list[str]:
     """Compare a recorded timeline against a static ``CommSchedule``.
 
     ``schedule`` is the extractor's view of the same program (from
@@ -391,8 +390,7 @@ def cross_validate_timeline(
     human-readable discrepancies — empty means the recorder's per-cycle
     link events match the static schedule event for event (same cycle,
     endpoints, request kind, and payload size) and the cycle counts
-    agree.  ``check_kinds=False`` relaxes the request-kind comparison
-    (for schedules rebuilt from message logs, which lose kinds).
+    agree.
     """
     problems: list[str] = []
     recorded = recorder.to_comm_schedule()
@@ -403,9 +401,6 @@ def cross_validate_timeline(
         )
     ours = _events_key(recorded.events)
     theirs = _events_key(schedule.events)
-    if not check_kinds:
-        ours = [(s, a, b, sz) for s, a, b, _k, sz in ours]
-        theirs = [(s, a, b, sz) for s, a, b, _k, sz in theirs]
     if ours != theirs:
         missing = [e for e in theirs if e not in set(ours)]
         extra = [e for e in ours if e not in set(theirs)]

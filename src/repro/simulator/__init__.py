@@ -11,9 +11,9 @@ Programming model (mpi4py-flavoured SPMD): every node runs the same
 *program*, a Python generator instantiated per rank, which yields
 communication requests — :class:`Send`, :class:`Recv`, :class:`SendRecv`,
 :class:`Idle` — and receives delivered payloads back at the yield point.
-The :class:`Engine` advances all programs in lockstep, one request per
-clock cycle, verifying that every message travels along an existing link
-and that no node exceeds its port budget.
+:func:`run_spmd` advances all programs in lockstep, one request per clock
+cycle, verifying that every message travels along an existing link and
+that no node exceeds its port budget.
 """
 
 from repro.simulator.errors import (
@@ -28,7 +28,6 @@ from repro.simulator.errors import (
 from repro.simulator.requests import Send, Recv, SendRecv, Shift, Idle
 from repro.simulator.counters import CostCounters, Packed
 from repro.simulator.faults import FAULTED, FaultPlan
-from repro.simulator.message import Message
 from repro.simulator.serving import (
     ServingConfig,
     ServingStats,
@@ -39,7 +38,6 @@ from repro.simulator.serving import (
 from repro.simulator.node import NodeCtx
 from repro.simulator.trace import TraceRecorder
 from repro.simulator.engine import (
-    Engine,
     EngineResult,
     run_spmd,
     use_fault_plan,
@@ -77,10 +75,8 @@ __all__ = [
     "Idle",
     "CostCounters",
     "Packed",
-    "Message",
     "NodeCtx",
     "TraceRecorder",
-    "Engine",
     "EngineResult",
     "run_spmd",
     "use_fault_plan",

@@ -66,8 +66,12 @@ def _mix(x: int, v: int) -> int:
 
 
 def _prefix(seed: int, tag: int, a: int, b: int) -> int:
-    """The hash state of ``_u01(seed, tag, a, b, ·)`` before its last round."""
-    return _mix(_mix((seed ^ tag) & _M64, a), b)
+    """The hash state of ``_u01(seed, tag, a, b, ·)`` before its last round.
+
+    The endpoints are mixed in as Python ints: a NumPy integer would make
+    :func:`_mix` overflow its fixed width.
+    """
+    return _mix(_mix((seed ^ tag) & _M64, int(a)), int(b))
 
 
 def _u01(seed: int, tag: int, a: int, b: int, c: int) -> float:

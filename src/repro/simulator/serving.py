@@ -631,7 +631,9 @@ def run_serving(
                     req.tries += 1
                     record_fault(t, "drop", req.src, lq.a, lq.b)
                     if req.tries <= max_retries:
-                        # Retransmit in place.
+                        # Retransmit in place; the failed attempt kept
+                        # the server busy.
+                        lq.busy_time += t - lq.busy_since
                         lq.busy_since = t
                         done = delayed(lq.a, t) if delays else t + service
                         heappush(heap, (done, _DEPART, seq, lq))

@@ -1,42 +1,6 @@
-"""Tests for experiment-record persistence."""
+"""Tests for the benchmark-artifact collector."""
 
-import json
-
-from repro.analysis.io import (
-    ExperimentRecord,
-    collect_artifacts,
-    load_record,
-    save_record,
-)
-from repro.simulator import CostCounters
-
-
-class TestRecords:
-    def test_from_counters_snapshot(self):
-        c = CostCounters(8)
-        c.record_comm_step(messages=8)
-        rec = ExperimentRecord.from_counters(
-            "E4", {"n": 2}, c, notes="prefix run"
-        )
-        assert rec.experiment == "E4"
-        assert rec.parameters == {"n": 2}
-        assert rec.counters["comm_steps"] == 1
-        assert rec.notes == "prefix run"
-        assert "python" in rec.environment
-
-    def test_save_load_roundtrip(self, tmp_path):
-        rec = ExperimentRecord("X", {"a": 1}, {"comm_steps": 3}, notes="hi")
-        p = save_record(rec, tmp_path / "sub" / "x.json")
-        assert p.exists()
-        back = load_record(p)
-        assert back == rec
-
-    def test_json_is_stable_and_readable(self, tmp_path):
-        rec = ExperimentRecord("Y", {"n": 3}, {"messages": 10})
-        p = save_record(rec, tmp_path / "y.json")
-        data = json.loads(p.read_text())
-        assert data["experiment"] == "Y"
-        assert data["counters"]["messages"] == 10
+from repro.analysis.io import collect_artifacts
 
 
 class TestCollectArtifacts:

@@ -1,16 +1,13 @@
-"""Schedule extraction: RecordingCtx, the lockstep interpreter, and the
-engine-log cross-validation path."""
+"""Schedule extraction: RecordingCtx, the lockstep interpreter, and its
+cross-check against an engine run's recorded timeline."""
 
 import pytest
 
-from repro.analysis.static import (
-    RecordingCtx,
-    extract_schedule,
-    schedule_from_messages,
-)
+from repro.analysis.static import RecordingCtx, extract_schedule
 from repro.core.dual_prefix import dual_prefix_program
 from repro.core.dual_sort import dual_sort_schedule, schedule_program
 from repro.core.ops import ADD
+from repro.obs import TimelineRecorder, cross_validate_timeline
 from repro.simulator import Idle, Recv, Send, SendRecv, Shift, run_spmd
 from repro.simulator.errors import ProgramError
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
@@ -179,43 +176,24 @@ class TestStallDiagnostics:
 class TestCrossValidation:
     """The extractor must agree with the real engine, event for event."""
 
+    @staticmethod
+    def _engine_vs_extractor(topo, program):
+        sched = extract_schedule(topo, program)
+        tl = TimelineRecorder(topo.num_nodes)
+        result = run_spmd(topo, program, timeline=tl)
+        assert cross_validate_timeline(tl, sched) == []
+        assert sched.comm_steps == result.comm_steps
+        assert sched.comp_steps == result.comp_steps
+
     @pytest.mark.parametrize("n", [2, 3])
-    def test_prefix_matches_engine_log(self, n):
+    def test_prefix_matches_engine_timeline(self, n):
         dc = DualCube(n)
         vals = list(range(dc.num_nodes))
-        program = dual_prefix_program(dc, vals, ADD)
-        sched = extract_schedule(dc, program)
-        result = run_spmd(
-            dc, dual_prefix_program(dc, vals, ADD), log_messages=True
-        )
-        oracle = schedule_from_messages(result, dc)
-        assert sched.comm_steps == oracle.comm_steps
-        assert sched.comp_steps == oracle.comp_steps
-        assert sorted((e.step, e.src, e.dst, e.size) for e in sched.events) == \
-            sorted((e.step, e.src, e.dst, e.size) for e in oracle.events)
+        self._engine_vs_extractor(dc, dual_prefix_program(dc, vals, ADD))
 
-    def test_sort_matches_engine_log(self):
+    def test_sort_matches_engine_timeline(self):
         rdc = RecursiveDualCube(2)
         keys = list(range(rdc.num_nodes))[::-1]
-        sched = extract_schedule(
+        self._engine_vs_extractor(
             rdc, schedule_program(rdc, keys, dual_sort_schedule(2))
         )
-        result = run_spmd(
-            rdc,
-            schedule_program(rdc, keys, dual_sort_schedule(2)),
-            log_messages=True,
-        )
-        oracle = schedule_from_messages(result, rdc)
-        assert sched.comm_steps == oracle.comm_steps
-        assert sorted((e.step, e.src, e.dst, e.size) for e in sched.events) == \
-            sorted((e.step, e.src, e.dst, e.size) for e in oracle.events)
-
-    def test_schedule_from_messages_requires_log(self):
-        cube = Hypercube(1)
-
-        def program(ctx):
-            yield SendRecv(ctx.rank ^ 1, None)
-
-        result = run_spmd(cube, program)
-        with pytest.raises(ValueError, match="log_messages"):
-            schedule_from_messages(result, cube)

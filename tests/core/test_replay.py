@@ -31,7 +31,6 @@ from repro.core import (
     hypercube_bitonic_sort,
     large_prefix,
     plan_cache_stats,
-    registry_from_plan_cache,
     sequential_prefix,
 )
 from repro.core.dual_prefix import dual_prefix_program
@@ -599,24 +598,3 @@ class TestPlanCache:
         dc = DualCube(2)
         assert get_prefix_plan(dc) is get_prefix_plan(dc)
 
-    def test_metrics_export(self, rng):
-        dc = DualCube(2)
-        vals = rng.integers(0, 100, dc.num_nodes)
-        dual_prefix_replay(dc, vals, ADD)
-        dual_prefix_replay(dc, vals, ADD)
-        reg = registry_from_plan_cache()
-        text = reg.to_prometheus()
-        assert "repro_replay_plan_cache_hits_total 1" in text
-        assert "repro_replay_plan_cache_misses_total 1" in text
-        assert "repro_replay_plan_cache_size 1" in text
-        assert "repro_replay_plan_compile_seconds" in text
-
-    def test_metrics_accept_existing_registry_and_labels(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-        out = registry_from_plan_cache(
-            registry=reg, labels={"suite": "unit"}
-        )
-        assert out is reg
-        assert 'suite="unit"' in reg.to_prometheus()

@@ -20,16 +20,13 @@ from repro.routing import allreduce
 from repro.simulator import CostCounters
 
 
-def _counters_agree(counters, engine_result, skip=()):
-    """Every ``summary()`` field but ``skip``, and the per-rank
-    computation calls (and ops, unless skipped) agree."""
+def _counters_agree(counters, engine_result):
+    """Every ``summary()`` field and the per-rank computation calls and
+    ops agree."""
     e = engine_result.counters
-    got = {k: v for k, v in counters.summary().items() if k not in skip}
-    want = {k: v for k, v in e.summary().items() if k not in skip}
-    assert got == want
+    assert counters.summary() == e.summary()
     assert counters.comp_calls.tolist() == e.comp_calls.tolist()
-    if "total_ops" not in skip:
-        assert counters.comp_ops.tolist() == e.comp_ops.tolist()
+    assert counters.comp_ops.tolist() == e.comp_ops.tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -143,32 +140,19 @@ class TestRingSortParity:
         _counters_agree(c, res)
 
 
-_EMULATED_OPS = ("max_node_ops", "total_ops")
-
-
 @pytest.mark.parametrize("topo", [RecursiveDualCube(1), RecursiveDualCube(2),
                                   RecursiveDualCube(3), Hypercube(3)],
                          ids=lambda t: t.name)
 class TestEmulatedPrefixParity:
-    @staticmethod
-    def _run(topo, rng):
+    def test_results_and_counters(self, topo, rng):
+        # Both sides charge Cube_prefix's 2 ops per round.
         vals = rng.integers(0, 999, topo.num_nodes)
         (t_e, s_e), res = emulated_cube_prefix(
             topo, vals, ADD, backend="engine")
         c = CostCounters(topo.num_nodes)
         t, s = emulated_cube_prefix(topo, vals, ADD, counters=c)
         assert (t_e, s_e) == (t.tolist(), s.tolist())
-        return c, res
-
-    def test_results_and_counters_but_ops(self, topo, rng):
-        _counters_agree(*self._run(topo, rng), skip=_EMULATED_OPS)
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "the array side charges Cube_prefix's 2 ops per round (pinned by "
-        "golden_ledgers.json); the engine's generic exchange executor "
-        "charges 1"))
-    def test_op_counters(self, topo, rng):
-        _counters_agree(*self._run(topo, rng))
+        _counters_agree(c, res)
 
 
 class TestEndToEndPipelines:

@@ -157,12 +157,9 @@ class TestCrossValidate:
         problems = cross_validate_timeline(other, t.to_comm_schedule())
         assert any("absent from the static schedule" in p for p in problems)
 
-    def test_check_kinds_false_relaxes_kind_only_diffs(self):
+    def test_kind_only_diff_reported(self):
         a = self._recorder()
         b = TimelineRecorder(num_nodes=2)
         b.record_message(1, 0, 1, size=1, kind="shift")
         b.set_cycles(1)
         assert cross_validate_timeline(a, b.to_comm_schedule()) != []
-        assert cross_validate_timeline(
-            a, b.to_comm_schedule(), check_kinds=False
-        ) == []

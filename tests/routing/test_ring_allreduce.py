@@ -47,8 +47,6 @@ class TestRingAllreduce:
         """Dilation-1 embedding: each ring step is one real link."""
         rdc = RecursiveDualCube(2)
         vecs = rng.integers(0, 10, (8, 8))
-        from repro.simulator import Engine
-
         # run via run_spmd already validates links at request time; a
         # LinkError-free completion is the witness.
         results, res = ring_allreduce_engine(rdc, vecs.tolist(), ADD)

@@ -245,15 +245,6 @@ class TestAccounting:
         assert res.counters.payload_items == 4
         assert res.counters.max_message_payload == 2
 
-    def test_message_log(self):
-        def program(ctx):
-            yield SendRecv(ctx.rank ^ 1, ctx.rank)
-
-        res = run_spmd(Hypercube(1), program, log_messages=True)
-        assert len(res.message_log) == 2
-        assert {(m.src, m.dst) for m in res.message_log} == {(0, 1), (1, 0)}
-        assert all(m.cycle == 1 for m in res.message_log)
-
     def test_trace_recording_via_ctx(self):
         trace = TraceRecorder()
 

@@ -315,14 +315,3 @@ class TestStaggeredStress:
         result = assert_matches_extractor(cube, program)
         assert [result.returns[gray[k]] for k in range(8)] == list(range(8))
         assert result.comm_steps == 7
-
-
-class TestFastModeEquivalence:
-    def test_fast_mode_skips_message_log_only_when_unrequested(self):
-        def program(ctx):
-            yield SendRecv(ctx.rank ^ 1, ctx.rank)
-
-        assert run_spmd(Hypercube(1), program).message_log is None
-        # The log is kept when it is requested.
-        res = run_spmd(Hypercube(1), program, log_messages=True)
-        assert len(res.message_log) == 2

@@ -8,7 +8,6 @@ import pytest
 
 from repro.simulator import (
     DeadlockError,
-    Engine,
     Idle,
     Recv,
     Send,
@@ -100,14 +99,13 @@ class TestMixedRequests:
 
 
 class TestEngineReuse:
-    def test_engine_object_can_run_twice(self):
+    def test_program_can_run_twice(self):
         def program(ctx):
             got = yield SendRecv(ctx.rank ^ 1, ctx.rank)
             return got
 
-        eng = Engine(Hypercube(1), program)
-        a = eng.run()
-        b = eng.run()
+        a = run_spmd(Hypercube(1), program)
+        b = run_spmd(Hypercube(1), program)
         assert a.returns == b.returns
         # Counters are fresh per run.
         assert a.counters.messages == b.counters.messages == 2
@@ -118,4 +116,4 @@ class TestEngineReuse:
                 yield Idle()
 
         with pytest.raises(DeadlockError):
-            Engine(Hypercube(1), program, max_cycles=5).run()
+            run_spmd(Hypercube(1), program, max_cycles=5)

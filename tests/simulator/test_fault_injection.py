@@ -223,14 +223,15 @@ class TestDropsAndRetries:
             faulty_run(dc, pairswap, fault_plan=plan)
         assert exc.value.retries == 5
 
-    def test_drop_blocks_both_sides_of_exchange(self, faulty_run):
+    def test_drop_blocks_both_sides_of_exchange(self):
         # Only 0->1 is scheduled to drop, but the whole SendRecv exchange
         # stays pending, so neither direction delivers that cycle.
         dc = DualCube(1)
         plan = FaultPlan(drops={(0, 1, 1)})
-        r = faulty_run(dc, pairswap, fault_plan=plan, log_messages=True)
-        cycle1 = [m for m in r.message_log if m.cycle == 1]
-        assert all(0 not in (m.src, m.dst) for m in cycle1)
+        tl = TimelineRecorder(dc.num_nodes)
+        run_spmd(dc, pairswap, fault_plan=plan, timeline=tl)
+        assert sorted((e.cycle, e.src, e.dst) for e in tl.events) == [
+            (2, 0, 1), (2, 1, 0)]
 
 
 class TestDelays:

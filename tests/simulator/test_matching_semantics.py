@@ -154,17 +154,14 @@ class TestAsymmetricDeadlocks:
 
 class TestLivelock:
     def test_max_cycles_guard_on_idle_spin(self):
-        # The default valve is one constant shared by Engine and run_spmd;
+        # The default valve is one constant, run_spmd's default;
         # test_max_cycles_configurable shows an idle spin firing it at
         # max_cycles + 1, so no run spins a million cycles here.
-        from repro.simulator.engine import DEFAULT_MAX_CYCLES, Engine
+        from repro.simulator.engine import DEFAULT_MAX_CYCLES
 
-        for fn in (Engine, run_spmd):
-            default = inspect.signature(fn).parameters["max_cycles"].default
-            assert default is DEFAULT_MAX_CYCLES
+        default = inspect.signature(run_spmd).parameters["max_cycles"].default
+        assert default is DEFAULT_MAX_CYCLES
         assert DEFAULT_MAX_CYCLES == 1_000_000
-        assert Engine(Hypercube(1), lambda ctx: iter(())).max_cycles == (
-            DEFAULT_MAX_CYCLES)
 
     def test_max_cycles_configurable(self, run):
         def program(ctx):

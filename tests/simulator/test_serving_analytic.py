@@ -16,6 +16,7 @@ implementation detail.
 import numpy as np
 import pytest
 
+from repro.simulator import FaultPlan
 from repro.simulator.serving import (
     ServingConfig,
     deterministic_arrivals,
@@ -111,6 +112,19 @@ class TestDD1:
         # Request i arrives at i/2 and departs at i+1: sojourn i/2 + 1.
         assert stats.max_sojourn == pytest.approx(num / 2.0, rel=0.01)
         assert stats.occupancy[(0, 1)].utilization == pytest.approx(1.0, rel=0.01)
+
+
+class TestFailedAttempts:
+    def test_retransmissions_count_as_busy_time(self):
+        """A dropped crossing occupies the server like a delivered one:
+        four attempts of one request keep the link busy all 4 time units."""
+        stats = run_serving(
+            _LINK, hypercube_dimension_order_path, [0.0], [(0, 1)],
+            fault_plan=FaultPlan(drop_rate=1.0, max_retries=3),
+        )
+        assert stats.retransmissions == 4 and stats.drops == 1
+        assert stats.occupancy[(0, 1)].utilization == 1.0
+        assert stats.utilization == 1.0
 
 
 class TestPoissonProcess:

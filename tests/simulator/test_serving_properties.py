@@ -29,6 +29,7 @@ from repro.simulator.serving import (
     poisson_arrivals,
     run_serving,
 )
+from repro.simulator.traffic import run_traffic
 from repro.topology import DualCube
 
 _DC = DualCube(2)
@@ -274,3 +275,29 @@ class TestHorizonWindowAccounting:
         assert stats.goodput == pytest.approx(
             stats.completions / stats.elapsed
         )
+
+
+def _array_router(u, v):
+    return np.asarray(route(_DC, u, v))
+
+
+class TestArrayPathRouter:
+    """A router may return its path as a NumPy array: the fault plan's
+    drop and delay verdicts are those of the same path as a list."""
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(drop_rate=0.2, seed=3),
+        FaultPlan(delay_rate=0.2, seed=3),
+    ], ids=["drop", "delay"])
+    def test_serving_equals_list_router(self, plan):
+        arrivals, pairs = _workload(200, seed=5)
+        want = run_serving(_DC, _router, arrivals, pairs, fault_plan=plan)
+        got = run_serving(_DC, _array_router, arrivals, pairs,
+                          fault_plan=plan)
+        assert got == want
+
+    def test_traffic_equals_list_router(self):
+        plan = FaultPlan(drop_rate=0.2, seed=3)
+        pairs = open_loop_pairs(_DC, 200, seed=6)
+        assert run_traffic(_DC, _array_router, pairs, fault_plan=plan) == (
+            run_traffic(_DC, _router, pairs, fault_plan=plan))

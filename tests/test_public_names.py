@@ -22,7 +22,9 @@ ENGINE_ONLY = {
     },
 }
 
-# Twins retired in favour of one entry point; none survives as an alias.
+# Twins retired in favour of one entry point, and the engine's second
+# entry point, message log and the run exporters nothing read; none
+# survives as an alias.
 RETIRED = {
     "repro.core.cube_prefix": ["cube_prefix_vec"],
     "repro.core.emulation": ["emulated_cube_prefix_vec",
@@ -33,6 +35,11 @@ RETIRED = {
     "repro.core.dual_prefix": ["dual_prefix_engine"],
     "repro.core.dual_sort": ["dual_sort_engine", "check_sort_input"],
     "repro.core.bitonic": ["hypercube_bitonic_sort_engine"],
+    "repro.simulator": ["Engine", "Message"],
+    "repro.simulator.engine": ["Engine"],
+    "repro.analysis.static": ["schedule_from_messages"],
+    "repro.core.replay": ["registry_from_plan_cache"],
+    "repro.analysis.io": ["ExperimentRecord", "save_record", "load_record"],
 }
 
 
