@@ -43,7 +43,6 @@ closure, asserted in the differential tests).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -55,7 +54,9 @@ from repro.analysis.static.schedule import (
     CommSchedule,
     Violation,
 )
-from repro.routing.fault_tolerant import adaptive_route, ft_route
+from repro.routing.fault_tolerant import (
+    _min_node_separator, _unit_max_flow, adaptive_route,
+)
 from repro.simulator.faults import FaultPlan, StaticFaultView
 from repro.topology.base import Topology
 from repro.topology.dualcube import DualCube
@@ -356,8 +357,9 @@ def recovery_impact(
 
     ``degraded`` membership is BFS reachability from ``min(healthy)``
     over the healthy subgraph; ``reroute`` membership is route existence
-    (:func:`~repro.routing.fault_tolerant.adaptive_route` on dual-cubes,
-    :func:`~repro.routing.fault_tolerant.ft_route` otherwise) — the same
+    (:func:`~repro.routing.fault_tolerant.adaptive_route` to each reachable
+    rank on dual-cubes, the BFS set that
+    :func:`~repro.routing.fault_tolerant.ft_route` walks otherwise) — the same
     reachability laws the dynamic collectives are built from, checked
     here against the *executed* outcome by the differential suite.
     """
@@ -367,29 +369,11 @@ def recovery_impact(
         )
     faults = faults if faults is not None else FaultSet()
     ftopo = FaultyTopology(topo, faults)
-    healthy = ftopo.healthy_nodes()
-    root = min(healthy)
-    members: set[int] = {root}
-    if mode == "degraded":
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in ftopo.neighbors(u):
-                if v not in members:
-                    members.add(v)
-                    queue.append(v)
-    else:
-        is_dc = isinstance(topo, DualCube)
-        for w in healthy:
-            if w == root:
-                continue
-            walk = (
-                adaptive_route(ftopo, topo, root, w)
-                if is_dc
-                else ft_route(ftopo, root, w)
-            )
-            if walk is not None:
-                members.add(w)
+    root = min(ftopo.healthy_nodes())
+    members = set(ftopo.bfs_parents(root))
+    if mode == "reroute" and isinstance(topo, DualCube):
+        members = {w for w in members
+                   if adaptive_route(ftopo, topo, root, w) is not None}
     n = topo.num_nodes
     member_t = tuple(sorted(members))
     excluded = tuple(sorted(set(range(n)) - members))
@@ -612,98 +596,17 @@ class _BudgetExhausted(Exception):
 # -- exact structural cuts via Menger max-flow ---------------------------------
 
 
-def _unit_max_flow(num_nodes: int, arcs: dict[tuple[int, int], int],
-                   source: int, sink: int, limit: int) -> tuple[int, set]:
-    """Edmonds-Karp on unit-ish capacities; stops early at ``limit``.
-
-    Returns ``(flow, reachable)`` where ``reachable`` is the residual
-    source side (empty when the early-stop triggered — the caller only
-    needs the cut when the flow is a new minimum, i.e. below ``limit``).
-    """
-    caps = dict(arcs)
-    out: dict[int, list[int]] = {u: [] for u in range(num_nodes)}
-    for (u, v) in list(caps):
-        out[u].append(v)
-        if (v, u) not in caps:
-            caps[(v, u)] = 0
-            out[v].append(u)
-    flow = 0
-    while flow < limit:
-        parent: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in out[u]:
-                if v not in parent and caps[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            reach = set(parent)
-            return flow, reach
-        v = sink
-        while v != source:
-            u = parent[v]
-            caps[(u, v)] -= 1
-            caps[(v, u)] += 1
-            v = u
-        flow += 1
-    return flow, set()
-
-
-def _node_split_arcs(topo: Topology, source: int, sink: int):
-    """Arc capacities for vertex connectivity: ``v_in=2v``, ``v_out=2v+1``;
-    internal arcs cost 1 except at the terminals."""
-    n = topo.num_nodes
-    big = n * n
-    arcs: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        arcs[(2 * v, 2 * v + 1)] = big if v in (source, sink) else 1
-    for u, v in topo.edges():
-        arcs[(2 * u + 1, 2 * v)] = big
-        arcs[(2 * v + 1, 2 * u)] = big
-    return 2 * n, arcs
-
-
 def structural_node_cut(topo: Topology, *, mode: str = "degraded"
                         ) -> CutResult:
     """Exact smallest crash set excluding a healthy rank (Menger).
 
     A crash set excludes a healthy rank iff it disconnects the healthy
-    subgraph, so the answer is the vertex connectivity kappa(G).  By
-    Menger, sweeping max-flow over sources ``{0} + N(0)`` and all
-    non-adjacent sinks witnesses every minimum separator (a separator
-    avoiding 0 is seen from source 0; one containing 0 leaves a neighbor
-    of 0 on each side).  The witness is re-verified against the recovery
-    predicate before returning.
+    subgraph, so the answer is the vertex connectivity kappa(G), found
+    by the same Menger sweep as
+    :func:`~repro.routing.fault_tolerant.node_connectivity`.  The witness
+    is re-verified against the recovery predicate before returning.
     """
-    n = topo.num_nodes
-    best = len(topo.neighbors(0))
-    witness: tuple[int, ...] = tuple(sorted(topo.neighbors(0)))
-    flows = 0
-    seen_pairs: set[tuple[int, int]] = set()
-    for source in (0, *topo.neighbors(0)):
-        banned = {source, *topo.neighbors(source)}
-        for sink in range(n):
-            if sink in banned:
-                continue
-            pair = (min(source, sink), max(source, sink))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            num, arcs = _node_split_arcs(topo, source, sink)
-            flow, reach = _unit_max_flow(
-                num, arcs, 2 * source, 2 * sink + 1, best
-            )
-            flows += 1
-            if flow < best:
-                best = flow
-                witness = tuple(
-                    sorted(
-                        v
-                        for v in range(n)
-                        if 2 * v in reach and 2 * v + 1 not in reach
-                    )
-                )
+    witness, flows = _min_node_separator(topo)
     elements = tuple(("node", r) for r in witness)
     if not all_included_violated(topo, mode=mode)(elements):
         raise ValueError(
@@ -731,7 +634,7 @@ def structural_link_cut(topo: Topology, *, mode: str = "degraded"
         base_arcs[(u, v)] = 1
         base_arcs[(v, u)] = 1
     for sink in range(1, n):
-        flow, reach = _unit_max_flow(n, base_arcs, 0, sink, best)
+        flow, reach, _ = _unit_max_flow(n, base_arcs, 0, sink, best)
         flows += 1
         if flow < best:
             best = flow

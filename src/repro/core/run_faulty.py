@@ -36,7 +36,6 @@ fault-tolerance experiments need, in three modes (see ``docs/model.md``,
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,23 +91,12 @@ def _unpack(p: Packed) -> dict:
 
 def _bfs_tree(ftopo: FaultyTopology, root: int):
     """Parent/children maps and subtree node-sets of the healthy BFS tree."""
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {root: []}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in ftopo.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                children[v] = []
-                children[u].append(v)
-                order.append(v)
-                queue.append(v)
+    parent = ftopo.bfs_parents(root)
+    children: dict[int, list[int]] = {u: [] for u in parent}
     subtree: dict[int, set[int]] = {u: {u} for u in parent}
-    for u in reversed(order):
-        p = parent[u]
+    for u, p in reversed(parent.items()):
         if p is not None:
+            children[p].append(u)
             subtree[p] |= subtree[u]
     return parent, children, subtree
 

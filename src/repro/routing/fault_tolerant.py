@@ -9,20 +9,17 @@ Two routers over a :class:`~repro.topology.faults.FaultyTopology`:
   message moves to the healthy neighbor closest to the target (by the
   fault-free closed-form distance), with backtracking when boxed in.
 
-Plus :func:`node_disjoint_paths` — D_n is n-connected, so Menger gives n
-internally node-disjoint paths between any two nodes; computed by max-flow
-and verified in the tests/benchmarks (experiment F1).
+Plus :func:`node_connectivity` and :func:`node_disjoint_paths` (experiment
+F1): D_n is n-connected, so Menger gives n internally node-disjoint paths
+between any two nodes, found by the module's own unit-capacity max-flow.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-import networkx as nx
-
 from repro.topology.dualcube import DualCube
-from repro.topology.faults import FaultSet, FaultyTopology
-from repro.topology.nx_adapter import to_networkx
+from repro.topology.faults import FaultyTopology
 from repro.topology.base import Topology
 
 __all__ = [
@@ -43,22 +40,13 @@ def ft_route(ftopo: FaultyTopology, u: int, v: int) -> list[int] | None:
     ftopo.check_node(v)
     if not (ftopo.faults.node_ok(u) and ftopo.faults.node_ok(v)):
         raise ValueError("both endpoints must be healthy")
-    if u == v:
-        return [u]
-    prev = {u: u}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for x in ftopo.neighbors(w):
-            if x not in prev:
-                prev[x] = w
-                if x == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(x)
-    return None
+    prev = ftopo.bfs_parents(u)
+    if v not in prev:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def adaptive_route(
@@ -109,19 +97,127 @@ def adaptive_route(
     return None
 
 
+def _unit_max_flow(num_nodes: int, arcs: dict[tuple[int, int], int],
+                   source: int, sink: int, limit: int) -> tuple[int, set, dict]:
+    """Edmonds-Karp on unit-ish capacities; stops early at ``limit``.
+
+    Returns ``(flow, reachable, residual)``: ``reachable`` is the residual
+    source side (empty when the early-stop triggered — the caller only
+    needs the cut when the flow is a new minimum, i.e. below ``limit``)
+    and ``residual`` maps every arc to its remaining capacity.
+    """
+    caps = dict(arcs)
+    out: dict[int, list[int]] = {u: [] for u in range(num_nodes)}
+    for (u, v) in list(caps):
+        out[u].append(v)
+        if (v, u) not in caps:
+            caps[(v, u)] = 0
+            out[v].append(u)
+    flow = 0
+    while flow < limit:
+        parent: dict[int, int] = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in out[u]:
+                if v not in parent and caps[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow, set(parent), caps
+        v = sink
+        while v != source:
+            u = parent[v]
+            caps[(u, v)] -= 1
+            caps[(v, u)] += 1
+            v = u
+        flow += 1
+    return flow, set(), caps
+
+
+def _node_split_arcs(topo: Topology, source: int, sink: int):
+    """Arc capacities for vertex connectivity: ``v_in=2v``, ``v_out=2v+1``;
+    internal arcs cost 1 except at the terminals."""
+    n = topo.num_nodes
+    big = n * n
+    arcs: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        arcs[(2 * v, 2 * v + 1)] = big if v in (source, sink) else 1
+    for u, v in topo.edges():
+        arcs[(2 * u + 1, 2 * v)] = big
+        arcs[(2 * v + 1, 2 * u)] = big
+    return 2 * n, arcs
+
+
+def _min_node_separator(topo: Topology) -> tuple[tuple[int, ...], int]:
+    """A minimum vertex separator (``N(0)`` when none is smaller) and the
+    number of max-flows run to find it.
+
+    By Menger, sweeping max-flow over sources ``{0} + N(0)`` and all
+    non-adjacent sinks witnesses every minimum separator (a separator
+    avoiding 0 is seen from source 0; one containing 0 leaves a neighbor
+    of 0 on each side), so the separator's size is kappa(G).
+    """
+    n = topo.num_nodes
+    best = len(topo.neighbors(0))
+    witness: tuple[int, ...] = tuple(sorted(topo.neighbors(0)))
+    flows = 0
+    seen_pairs: set[tuple[int, int]] = set()
+    for source in (0, *topo.neighbors(0)):
+        banned = {source, *topo.neighbors(source)}
+        for sink in range(n):
+            if sink in banned:
+                continue
+            pair = (min(source, sink), max(source, sink))
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            num, arcs = _node_split_arcs(topo, source, sink)
+            flow, reach, _ = _unit_max_flow(
+                num, arcs, 2 * source, 2 * sink + 1, best
+            )
+            flows += 1
+            if flow < best:
+                best = flow
+                witness = tuple(
+                    v for v in range(n)
+                    if 2 * v in reach and 2 * v + 1 not in reach
+                )
+    return witness, flows
+
+
+def node_connectivity(topo: Topology) -> int:
+    """Exact node connectivity of the topology (Menger max-flow sweep)."""
+    return len(_min_node_separator(topo)[0])
+
+
 def node_disjoint_paths(topo: Topology, u: int, v: int) -> list[list[int]]:
-    """A maximum set of internally node-disjoint ``u -> v`` paths (max-flow)."""
+    """A maximum set of internally node-disjoint ``u -> v`` paths (max-flow).
+
+    An edge ``u-v`` counts as one path, as in networkx.
+    """
     topo.check_node(u)
     topo.check_node(v)
     if u == v:
         raise ValueError("endpoints must differ")
-    g = to_networkx(topo)
-    return [list(p) for p in nx.node_disjoint_paths(g, u, v)]
-
-
-def node_connectivity(topo: Topology) -> int:
-    """Exact node connectivity of the topology (networkx max-flow)."""
-    return nx.node_connectivity(to_networkx(topo))
+    num, arcs = _node_split_arcs(topo, u, v)
+    if (2 * u + 1, 2 * v) in arcs:
+        arcs[(2 * u + 1, 2 * v)] = 1
+    _, _, residual = _unit_max_flow(
+        num, arcs, 2 * u, 2 * v + 1, topo.degree(u)
+    )
+    # Every interior node carries at most one unit, so each flow-carrying
+    # arc out of u starts a path that the unique next arc extends to v.
+    used = [a for a, cap in arcs.items() if a[0] % 2 and residual[a] < cap]
+    nxt = dict(used)
+    paths = []
+    for w_in in [b for a, b in used if a == 2 * u + 1]:
+        path = [u]
+        while w_in != 2 * v:
+            path.append(w_in // 2)
+            w_in = nxt[w_in + 1]
+        paths.append(path + [v])
+    return paths
 
 
 def broadcast_depth(ftopo: FaultyTopology, source: int) -> int | None:
@@ -135,15 +231,10 @@ def broadcast_depth(ftopo: FaultyTopology, source: int) -> int | None:
     ftopo.check_node(source)
     if not ftopo.faults.node_ok(source):
         raise ValueError("source must be healthy")
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        for v in ftopo.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
-    healthy = set(ftopo.healthy_nodes())
-    if set(dist) != healthy:
+    parents = ftopo.bfs_parents(source)
+    if len(parents) != len(ftopo.healthy_nodes()):
         return None
-    return max(dist.values())
+    depth: dict[int, int] = {}
+    for w, p in parents.items():
+        depth[w] = 0 if p is None else depth[p] + 1
+    return max(depth.values())

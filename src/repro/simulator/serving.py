@@ -45,6 +45,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,26 +180,14 @@ def bfs_router(topo: Topology) -> Router:
     one BFS per distinct source — the fallback for comparison topologies
     (e.g. the metacube) that ship no closed-form router.
     """
-    trees: dict[int, list[int]] = {}
+    trees: dict[int, dict[int, int | None]] = {}
 
     def _route(u: int, v: int) -> list[int]:
-        topo.check_node(u)
         topo.check_node(v)
-        if u == v:
-            return [u]
         prev = trees.get(u)
         if prev is None:
-            prev = [-1] * topo.num_nodes
-            prev[u] = u
-            queue = deque([u])
-            while queue:
-                w = queue.popleft()
-                for x in topo.neighbors(w):
-                    if prev[x] < 0:
-                        prev[x] = w
-                        queue.append(x)
-            trees[u] = prev
-        if prev[v] < 0:
+            prev = trees[u] = topo.bfs_parents(u)
+        if v not in prev:
             raise ValueError(f"{topo.name}: no path {u} -> {v}")
         path = [v]
         while path[-1] != u:
@@ -728,7 +717,7 @@ def run_serving(
                 src,
                 [
                     links.get(a * num_nodes + b) or new_link(a, b)
-                    for a, b in zip(path, path[1:])
+                    for a, b in pairwise(path)
                 ],
                 t + budget,
             )

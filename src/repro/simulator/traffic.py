@@ -9,6 +9,7 @@ hypercube quantify the price of halving the links (experiment E11).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -141,14 +142,15 @@ def random_pairs(
 
 
 def _validated_path(topo: Topology, router: Router, u: int, v: int) -> tuple:
-    """``router(u, v)`` as a tuple, checked to run from ``u`` to ``v``
-    over edges of ``topo`` only; raises :class:`ValueError` otherwise.
+    """``router(u, v)`` as a tuple of Python ints, checked to run from
+    ``u`` to ``v`` over edges of ``topo`` only; raises :class:`ValueError`
+    otherwise (:class:`TypeError` for a non-integer node).
 
     The one router-output check of :func:`run_traffic` and
     :func:`~repro.simulator.serving.run_serving`.
     """
     raw = router(u, v)
-    path = tuple(raw) if raw is not None else ()
+    path = tuple(map(operator.index, raw)) if raw is not None else ()
     if not path:
         router_name = getattr(router, "__name__", repr(router))
         raise ValueError(

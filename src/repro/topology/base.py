@@ -11,6 +11,7 @@ are dimensioned; the comparison topologies (CCC, butterfly, …) are plain.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from typing import Iterable, Iterator
 
 __all__ = ["Topology", "DimensionedTopology"]
@@ -53,6 +54,21 @@ class Topology(ABC):
             for v in self.neighbors(u):
                 if u < v:
                     yield (u, v)
+
+    def bfs_parents(self, root: int) -> dict[int, int | None]:
+        """Breadth-first tree from ``root`` as ``{node: parent}`` in visit
+        order (``root`` maps to ``None``); each node's neighbors are tried
+        in :meth:`neighbors` order, so the tree is deterministic."""
+        self.check_node(root)
+        parents: dict[int, int | None] = {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in self.neighbors(u):
+                if v not in parents:
+                    parents[v] = u
+                    queue.append(v)
+        return parents
 
     def check_node(self, u: int) -> None:
         """Raise ``ValueError`` if ``u`` is not a valid node index."""

@@ -6,24 +6,23 @@ processors with up to eight connections" — are regenerated here as exact
 measurements: degree statistics, |E|, BFS diameter, average distance, and
 the classical (degree x diameter) cost metric.
 
-BFS is run through ``scipy.sparse.csgraph`` on a CSR adjacency matrix,
-chunked over source nodes so memory stays O(chunk * V) (per the HPC guide:
-vectorize the hot loop, stream over the rest).
+Distances come from a level-synchronous NumPy BFS over a ``(V, max
+degree)`` neighbor table: each level advances the frontiers of a whole
+chunk of sources at once, and chunking keeps memory at
+O(chunk * V * degree).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from repro.topology.base import Topology
 
 __all__ = [
     "TopologyMetrics",
-    "adjacency_csr",
     "bfs_distances",
     "diameter",
     "average_distance",
@@ -34,31 +33,42 @@ __all__ = [
 ]
 
 
-def adjacency_csr(topo: Topology) -> csr_array:
-    """Build the CSR adjacency matrix of ``topo`` (unit weights)."""
-    indptr = [0]
-    indices: list[int] = []
-    for u in topo.nodes():
-        nbrs = topo.neighbors(u)
-        indices.extend(nbrs)
-        indptr.append(len(indices))
-    data = np.ones(len(indices), dtype=np.int8)
-    n = topo.num_nodes
-    return csr_array(
-        (data, np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(n, n),
-    )
+def _neighbor_table(topo: Topology) -> np.ndarray:
+    """``(V, max degree)`` neighbor indices; a short row is padded with
+    its own node, which a BFS step never newly reaches."""
+    rows = [tuple(topo.neighbors(u)) for u in topo.nodes()]
+    width = max(map(len, rows), default=0)
+    return np.array([r + (u,) * (width - len(r)) for u, r in enumerate(rows)],
+                    dtype=np.intp)
+
+
+def _levels(table: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Distances from each source as a float ``(V, len(sources))`` array,
+    ``inf`` where unreachable; one BFS level per step for all sources."""
+    dist = np.full((len(table), len(sources)), np.inf)
+    frontier = np.zeros(dist.shape, dtype=bool)
+    frontier[sources, np.arange(len(sources))] = True
+    reached = frontier.copy()
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        level += 1
+        frontier = frontier[table].any(axis=1) & ~reached
+        reached |= frontier
+    return dist
 
 
 def bfs_distances(topo: Topology, sources) -> np.ndarray:
     """Unweighted shortest-path distances from ``sources`` to every node.
 
     Returns a float array of shape ``(len(sources), num_nodes)`` with
-    ``inf`` for unreachable nodes.
+    ``inf`` for unreachable nodes.  A non-integer source raises
+    ``TypeError`` and an out-of-range one ``ValueError``.
     """
-    adj = adjacency_csr(topo)
-    src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    return dijkstra(adj, directed=False, unweighted=True, indices=src)
+    src = [operator.index(s) for s in np.atleast_1d(sources)]
+    for s in src:
+        topo.check_node(s)
+    return _levels(_neighbor_table(topo), np.asarray(src, dtype=np.intp)).T
 
 
 def _sweep(topo: Topology, chunk: int = 512) -> tuple[int, float]:
@@ -71,15 +81,14 @@ def _sweep(topo: Topology, chunk: int = 512) -> tuple[int, float]:
     the average distance is 0.0 by convention (the ``n * (n - 1)``
     denominator would otherwise divide by zero).
     """
-    adj = adjacency_csr(topo)
     n = topo.num_nodes
     if n <= 1:
         return 0, 0.0
+    table = _neighbor_table(topo)
     ecc_max = 0
     total = 0.0
     for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n), dtype=np.int64)
-        dist = dijkstra(adj, directed=False, unweighted=True, indices=idx)
+        dist = _levels(table, np.arange(lo, min(lo + chunk, n)))
         if np.isinf(dist).any():
             raise ValueError(f"{topo.name} is disconnected")
         ecc_max = max(ecc_max, int(dist.max()))

@@ -4,19 +4,18 @@ Exports any :class:`~repro.topology.base.Topology` as a
 ``networkx.Graph`` so downstream users can apply the whole networkx
 toolbox (drawing, isomorphism checks, spectral analysis).  The library's
 own algorithms never go through networkx — adjacency stays in the compact
-integer form — but tests use this adapter to cross-validate structure.
+integer form, and networkx is imported only when a graph is built — but
+tests use this adapter to cross-validate structure.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.topology.base import Topology
 
 __all__ = ["to_networkx"]
 
 
-def to_networkx(topo: Topology, annotate: bool = False) -> nx.Graph:
+def to_networkx(topo: Topology, annotate: bool = False):
     """Convert ``topo`` to an undirected ``networkx.Graph``.
 
     Parameters
@@ -28,6 +27,8 @@ def to_networkx(topo: Topology, annotate: bool = False) -> nx.Graph:
         address (width = bit length of ``num_nodes - 1``), handy for
         drawing the paper's Figs. 1-2.
     """
+    import networkx as nx
+
     g = nx.Graph(name=topo.name)
     g.add_nodes_from(topo.nodes())
     g.add_edges_from(topo.edges())

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.topology import DualCube, Hypercube, RecursiveDualCube
+from repro.topology import (
+    CubeConnectedCycles,
+    DeBruijn,
+    DualCube,
+    Hypercube,
+    Metacube,
+    RecursiveDualCube,
+    ShuffleExchange,
+    WrappedButterfly,
+)
 
 # NumPy's ufunc buffer size and floating-point error modes at session
 # start.  The array kernels set the buffer size for a pass and must
@@ -51,3 +60,21 @@ def rdc(small_n):
 @pytest.fixture(params=[0, 1, 2, 3, 4])
 def cube(request):
     return Hypercube(request.param)
+
+
+_FAMILIES = [
+    *(DualCube(n) for n in (1, 2, 3)),
+    *(Hypercube(q) for q in range(5)),
+    CubeConnectedCycles(3),
+    WrappedButterfly(3),
+    DeBruijn(4),
+    ShuffleExchange(4),
+    Metacube(2, 1),
+    RecursiveDualCube(3),
+]
+
+
+@pytest.fixture(params=_FAMILIES, ids=lambda t: t.name)
+def family(request):
+    """One small member of every topology family, for networkx oracles."""
+    return request.param

@@ -1,5 +1,6 @@
 """Tests for fault-tolerant routing and connectivity (experiment F1)."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -9,7 +10,7 @@ from repro.routing.fault_tolerant import (
     node_connectivity,
     node_disjoint_paths,
 )
-from repro.topology import DualCube, FaultSet, FaultyTopology
+from repro.topology import DualCube, FaultSet, FaultyTopology, to_networkx
 
 
 def _walk_is_valid(ft, walk):
@@ -21,6 +22,21 @@ class TestConnectivity:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_node_connectivity_is_n(self, n):
         assert node_connectivity(DualCube(n)) == n
+
+    def test_node_connectivity_matches_networkx(self, family):
+        assert node_connectivity(family) == nx.node_connectivity(
+            to_networkx(family))
+
+    def test_disjoint_path_count_matches_networkx(self, family):
+        """Pairs from the first and the last node, adjacent ones included
+        (the direct edge counts as one path in both)."""
+        g = to_networkx(family)
+        last = family.num_nodes - 1
+        for u in {0, last}:
+            for v in family.nodes():
+                if v != u:
+                    want = len(list(nx.node_disjoint_paths(g, u, v)))
+                    assert len(node_disjoint_paths(family, u, v)) == want
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_n_disjoint_paths_between_arbitrary_pairs(self, n, rng):

@@ -7,13 +7,11 @@ import pytest
 from repro.topology import (
     DualCube,
     Hypercube,
-    ShuffleExchange,
     measure,
     to_networkx,
 )
 from repro.topology.base import Topology
 from repro.topology.metrics import (
-    adjacency_csr,
     average_distance,
     bfs_distances,
     cost_metric,
@@ -23,31 +21,41 @@ from repro.topology.metrics import (
 )
 
 
-class TestAdjacency:
-    def test_csr_matches_neighbor_lists(self):
-        dc = DualCube(3)
-        adj = adjacency_csr(dc)
-        for u in dc.nodes():
-            row = adj[[u], :].toarray().ravel()
-            assert set(np.flatnonzero(row)) == set(dc.neighbors(u))
+class _TwoIslands(Topology):
+    @property
+    def num_nodes(self):
+        return 4
 
-    def test_csr_is_symmetric(self):
-        adj = adjacency_csr(DualCube(2))
-        assert (adj - adj.T).nnz == 0
+    def neighbors(self, u):
+        self.check_node(u)
+        return (u ^ 1,)
 
 
 class TestDistances:
-    def test_bfs_matches_networkx(self):
-        dc = DualCube(3)
-        g = to_networkx(dc)
-        dist = bfs_distances(dc, [0, 5, 17])
-        for row, src in zip(dist, (0, 5, 17)):
-            nxd = nx.single_source_shortest_path_length(g, src)
-            assert [int(x) for x in row] == [nxd[v] for v in dc.nodes()]
+    def test_bfs_matches_networkx(self, family):
+        dist = bfs_distances(family, list(family.nodes()))
+        want = dict(nx.all_pairs_shortest_path_length(to_networkx(family)))
+        for src, row in zip(family.nodes(), dist):
+            assert row.tolist() == [want[src][v] for v in family.nodes()]
 
-    @pytest.mark.parametrize("topo", [Hypercube(4), DualCube(2), ShuffleExchange(4)])
-    def test_diameter_matches_networkx(self, topo):
-        assert diameter(topo) == nx.diameter(to_networkx(topo))
+    def test_diameter_matches_networkx(self, family):
+        assert diameter(family) == nx.diameter(to_networkx(family))
+
+    @pytest.mark.parametrize("sources, exc", [
+        ([-1], ValueError),
+        ([8], ValueError),
+        ([0.5], TypeError),
+        ([0, 2.0], TypeError),
+    ])
+    def test_bad_sources_rejected(self, sources, exc):
+        """Every source is an in-range integer: neither a negative index
+        nor a float may stand for some node."""
+        with pytest.raises(exc):
+            bfs_distances(DualCube(2), sources)
+
+    def test_unreachable_is_inf(self):
+        dist = bfs_distances(_TwoIslands(), [0])
+        assert dist.tolist() == [[0.0, 1.0, np.inf, np.inf]]
 
     def test_average_distance_matches_networkx(self):
         topo = DualCube(2)
@@ -55,17 +63,8 @@ class TestDistances:
         assert got == pytest.approx(nx.average_shortest_path_length(to_networkx(topo)))
 
     def test_disconnected_graph_raises(self):
-        class TwoIslands(Topology):
-            @property
-            def num_nodes(self):
-                return 4
-
-            def neighbors(self, u):
-                self.check_node(u)
-                return (u ^ 1,)
-
         with pytest.raises(ValueError, match="disconnected"):
-            diameter(TwoIslands())
+            diameter(_TwoIslands())
 
 
 class TestSummaries:
