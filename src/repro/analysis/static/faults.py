@@ -55,7 +55,7 @@ from repro.analysis.static.schedule import (
     Violation,
 )
 from repro.routing.fault_tolerant import (
-    _min_node_separator, _unit_max_flow, adaptive_route,
+    _min_node_separator, _residual, _unit_max_flow, adaptive_route,
 )
 from repro.simulator.faults import FaultPlan, StaticFaultView
 from repro.topology.base import Topology
@@ -629,12 +629,13 @@ def structural_link_cut(topo: Topology, *, mode: str = "degraded"
         sorted((min(0, v), max(0, v)) for v in topo.neighbors(0))
     )
     flows = 0
-    base_arcs: dict[tuple[int, int], int] = {}
+    arcs: dict[tuple[int, int], int] = {}
     for u, v in topo.edges():
-        base_arcs[(u, v)] = 1
-        base_arcs[(v, u)] = 1
+        arcs[(u, v)] = 1
+        arcs[(v, u)] = 1
+    out, base = _residual(n, arcs)
     for sink in range(1, n):
-        flow, reach, _ = _unit_max_flow(n, base_arcs, 0, sink, best)
+        flow, reach = _unit_max_flow(out, base.copy(), 0, sink, best)
         flows += 1
         if flow < best:
             best = flow

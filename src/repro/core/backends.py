@@ -10,7 +10,8 @@ Each algorithm has one entry point with a ``backend=`` keyword:
   a feature the backend does not honor, raises a uniformly-worded
   ``ValueError``;
 * checks the input once, before either backend runs (:class:`_Contract`):
-  the topology type, the length, the counters' size and NaN sort keys;
+  the topology type, the length, the counters' size and complex or NaN
+  sort keys;
   the engine receives the data as Python objects, so its ⊕ never runs
   on numpy scalars (numpy's bool ``+`` is a logical or, and narrow
   integers wrap);
@@ -114,8 +115,9 @@ class _Contract:
     the entry point takes no topology and its data's length must be a
     power of two.  ``blocked`` accepts any positive multiple of the node
     count instead of exactly one item per node.  ``keys`` marks sort keys,
-    where NaN is rejected: it has no place in a total order, so a
-    compare-exchange network would return an arbitrary arrangement.
+    where NaN and complex numbers are rejected: neither has a place in a
+    total order (with NaN a compare-exchange network returns an arbitrary
+    arrangement, and the backends would order complex numbers apart).
     """
 
     topology: tuple = ()
@@ -168,7 +170,9 @@ def _check(entry_point: str, args: tuple, counters, engine: bool) -> tuple:
         name = args[0].name if at else f"Q_{size.bit_length() - 1}"
         raise ValueError(f"counters are sized for {counters.num_nodes} "
                          f"nodes, but {name} has {nodes}")
-    if contract.keys and arr.dtype.kind in "fc" and np.isnan(arr).any():
+    if contract.keys and arr.dtype.kind == "c":
+        raise TypeError(f"{entry_point}: complex keys have no total order")
+    if contract.keys and arr.dtype.kind == "f" and np.isnan(arr).any():
         raise ValueError(f"{entry_point}: float keys contain NaN, which has "
                          f"no place in a total order")
     if engine and arr.dtype != object:

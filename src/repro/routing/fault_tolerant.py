@@ -97,22 +97,31 @@ def adaptive_route(
     return None
 
 
-def _unit_max_flow(num_nodes: int, arcs: dict[tuple[int, int], int],
-                   source: int, sink: int, limit: int) -> tuple[int, set, dict]:
-    """Edmonds-Karp on unit-ish capacities; stops early at ``limit``.
-
-    Returns ``(flow, reachable, residual)``: ``reachable`` is the residual
-    source side (empty when the early-stop triggered — the caller only
-    needs the cut when the flow is a new minimum, i.e. below ``limit``)
-    and ``residual`` maps every arc to its remaining capacity.
-    """
+def _residual(num_nodes: int, arcs: dict[tuple[int, int], int]) -> tuple:
+    """The residual graph a max-flow over ``arcs`` starts from:
+    out-lists in arc order and the capacities, with a zero-capacity
+    reverse arc wherever ``arcs`` has none.  A sweep builds it once and
+    gives each flow a copy of the capacities."""
     caps = dict(arcs)
-    out: dict[int, list[int]] = {u: [] for u in range(num_nodes)}
-    for (u, v) in list(caps):
+    out: list[list[int]] = [[] for _ in range(num_nodes)]
+    for (u, v) in arcs:
         out[u].append(v)
         if (v, u) not in caps:
             caps[(v, u)] = 0
             out[v].append(u)
+    return out, caps
+
+
+def _unit_max_flow(out: list[list[int]], caps: dict[tuple[int, int], int],
+                   source: int, sink: int, limit: int) -> tuple[int, set]:
+    """Edmonds-Karp on unit-ish capacities; stops early at ``limit``.
+
+    Augments the residual capacities ``caps`` in place (see
+    :func:`_residual`) and returns ``(flow, reachable)``: ``reachable`` is
+    the residual source side (empty when the early-stop triggered — the
+    caller only needs the cut when the flow is a new minimum, i.e. below
+    ``limit``).
+    """
     flow = 0
     while flow < limit:
         parent: dict[int, int] = {source: source}
@@ -124,7 +133,7 @@ def _unit_max_flow(num_nodes: int, arcs: dict[tuple[int, int], int],
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
-            return flow, set(parent), caps
+            return flow, set(parent)
         v = sink
         while v != source:
             u = parent[v]
@@ -132,21 +141,22 @@ def _unit_max_flow(num_nodes: int, arcs: dict[tuple[int, int], int],
             caps[(v, u)] += 1
             v = u
         flow += 1
-    return flow, set(), caps
+    return flow, set()
 
 
-def _node_split_arcs(topo: Topology, source: int, sink: int):
-    """Arc capacities for vertex connectivity: ``v_in=2v``, ``v_out=2v+1``;
-    internal arcs cost 1 except at the terminals."""
+def _split_graph(topo: Topology) -> tuple:
+    """The node-split residual graph for vertex connectivity: ``v_in=2v``,
+    ``v_out=2v+1``, every internal arc of capacity 1 and every edge arc
+    uncuttable (``n * n``).  A flow from ``s`` to ``t`` first raises the
+    internal arcs of both terminals to ``n * n``."""
     n = topo.num_nodes
-    big = n * n
     arcs: dict[tuple[int, int], int] = {}
     for v in range(n):
-        arcs[(2 * v, 2 * v + 1)] = big if v in (source, sink) else 1
+        arcs[(2 * v, 2 * v + 1)] = 1
     for u, v in topo.edges():
-        arcs[(2 * u + 1, 2 * v)] = big
-        arcs[(2 * v + 1, 2 * u)] = big
-    return 2 * n, arcs
+        arcs[(2 * u + 1, 2 * v)] = n * n
+        arcs[(2 * v + 1, 2 * u)] = n * n
+    return _residual(2 * n, arcs)
 
 
 def _min_node_separator(topo: Topology) -> tuple[tuple[int, ...], int]:
@@ -156,13 +166,16 @@ def _min_node_separator(topo: Topology) -> tuple[tuple[int, ...], int]:
     By Menger, sweeping max-flow over sources ``{0} + N(0)`` and all
     non-adjacent sinks witnesses every minimum separator (a separator
     avoiding 0 is seen from source 0; one containing 0 leaves a neighbor
-    of 0 on each side), so the separator's size is kappa(G).
+    of 0 on each side), so the separator's size is kappa(G).  The split
+    graph is built once per sweep; each flow runs on a copy of its
+    capacities with the two terminal arcs raised.
     """
     n = topo.num_nodes
     best = len(topo.neighbors(0))
     witness: tuple[int, ...] = tuple(sorted(topo.neighbors(0)))
     flows = 0
     seen_pairs: set[tuple[int, int]] = set()
+    out, base = _split_graph(topo)
     for source in (0, *topo.neighbors(0)):
         banned = {source, *topo.neighbors(source)}
         for sink in range(n):
@@ -172,9 +185,11 @@ def _min_node_separator(topo: Topology) -> tuple[tuple[int, ...], int]:
             if pair in seen_pairs:
                 continue
             seen_pairs.add(pair)
-            num, arcs = _node_split_arcs(topo, source, sink)
-            flow, reach, _ = _unit_max_flow(
-                num, arcs, 2 * source, 2 * sink + 1, best
+            caps = base.copy()
+            caps[(2 * source, 2 * source + 1)] = n * n
+            caps[(2 * sink, 2 * sink + 1)] = n * n
+            flow, reach = _unit_max_flow(
+                out, caps, 2 * source, 2 * sink + 1, best
             )
             flows += 1
             if flow < best:
@@ -200,12 +215,12 @@ def node_disjoint_paths(topo: Topology, u: int, v: int) -> list[list[int]]:
     topo.check_node(v)
     if u == v:
         raise ValueError("endpoints must differ")
-    num, arcs = _node_split_arcs(topo, u, v)
+    out, arcs = _split_graph(topo)
+    arcs[(2 * u, 2 * u + 1)] = arcs[(2 * v, 2 * v + 1)] = topo.num_nodes ** 2
     if (2 * u + 1, 2 * v) in arcs:
         arcs[(2 * u + 1, 2 * v)] = 1
-    _, _, residual = _unit_max_flow(
-        num, arcs, 2 * u, 2 * v + 1, topo.degree(u)
-    )
+    residual = dict(arcs)
+    _unit_max_flow(out, residual, 2 * u, 2 * v + 1, topo.degree(u))
     # Every interior node carries at most one unit, so each flow-carrying
     # arc out of u starts a path that the unique next arc extends to v.
     used = [a for a, cap in arcs.items() if a[0] % 2 and residual[a] < cap]

@@ -45,6 +45,7 @@ results and cost ledgers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -83,6 +84,15 @@ def _rate_dropped(state: int, cycle: int, rate: float) -> bool:
     """The rate verdict of :meth:`FaultPlan.dropped` at ``cycle`` for the
     link whose drop hash is ``state`` (:meth:`FaultPlan._drop_state`)."""
     return _mix(state, cycle) / 2**64 < rate
+
+
+def _down_at(spans: tuple, cycle: int) -> bool:
+    """Whether ``cycle`` falls in one of the sorted, disjoint ``(start,
+    end)`` spans of :meth:`FaultPlan.link_down_spans`."""
+    for start, end in spans:
+        if cycle < end:
+            return start <= cycle
+    return False
 
 
 class _Faulted:
@@ -280,12 +290,31 @@ class FaultPlan:
                 break
         return False
 
+    def link_down_spans(self, u: int, v: int) -> tuple:
+        """The sorted, disjoint cycle spans ``(start, end)`` in which the
+        undirected link ``{u, v}`` is down (``start <= cycle < end``):
+        from its cut and from either endpoint's crash on (``end`` is
+        ``inf``), and during either endpoint's downtimes.  Empty for a
+        link the plan never takes down."""
+        spans = [*self.downtimes.get(u, ()), *self.downtimes.get(v, ())]
+        for start in (
+            self.link_cuts.get((min(u, v), max(u, v))),
+            self.node_crashes.get(u),
+            self.node_crashes.get(v),
+        ):
+            if start is not None:
+                spans.append((start, math.inf))
+        merged: list[tuple] = []
+        for start, end in sorted(spans):
+            if merged and start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        return tuple(merged)
+
     def link_up(self, u: int, v: int, cycle: int) -> bool:
         """Whether the undirected link ``{u, v}`` is alive at ``cycle``."""
-        cut = self.link_cuts.get((min(u, v), max(u, v)))
-        if cut is not None and cut <= cycle:
-            return False
-        return not (self.down(u, cycle) or self.down(v, cycle))
+        return not _down_at(self.link_down_spans(u, v), cycle)
 
     def dropped(self, src: int, dst: int, cycle: int) -> bool:
         """Whether the message ``src -> dst`` completing at ``cycle`` is lost."""

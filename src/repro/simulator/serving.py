@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.simulator.faults import FaultPlan, _rate_dropped
+from repro.simulator.faults import FaultPlan, _down_at, _rate_dropped
 from repro.simulator.traffic import _validated_path, random_pairs
 from repro.topology.base import Topology
 
@@ -408,13 +408,14 @@ class _Request:
 class _LinkQ:
     """Directed link ``a -> b``: one deterministic server plus FIFO buffer.
 
-    It also carries the link's drop hash (the plan's seed and both
-    endpoints mixed in), fixed for the run.
+    It also carries what the plan fixes for the run: the link's drop hash
+    (the plan's seed and both endpoints mixed in) and the cycle spans in
+    which the link is down (:meth:`FaultPlan.link_down_spans`).
     """
 
     __slots__ = (
         "a", "b", "queue", "current", "served", "busy_since", "busy_time",
-        "q_area", "q_last_t", "max_queue", "drop_state",
+        "q_area", "q_last_t", "max_queue", "drop_state", "down",
     )
 
     def __init__(self, a: int, b: int):
@@ -429,6 +430,7 @@ class _LinkQ:
         self.q_last_t = 0.0
         self.max_queue = 0
         self.drop_state = 0
+        self.down: tuple = ()
 
 
 def run_serving(
@@ -513,15 +515,18 @@ def run_serving(
         explicit = fault_plan.drops
         max_retries = fault_plan.max_retries
 
-    num_nodes = topo.num_nodes
-    # Every link on an admitted request's path, keyed by a * num_nodes + b;
+    # The (a, b) hops that _validated_path has found to be edges.
+    edges: set[tuple[int, int]] = set()
+    # Every link on an admitted request's path, keyed by its (a, b) hop;
     # only those a service ever started on are reported.
-    links: dict[int, _LinkQ] = {}
+    links: dict[tuple[int, int], _LinkQ] = {}
 
     def new_link(a: int, b: int) -> _LinkQ:
-        lq = links[a * num_nodes + b] = _LinkQ(a, b)
+        lq = links[a, b] = _LinkQ(a, b)
         if drop_rate:
             lq.drop_state = fault_plan._drop_state(a, b)
+        if structural:
+            lq.down = fault_plan.link_down_spans(a, b)
         return lq
 
     def delayed(a: int, t: float) -> float:
@@ -611,10 +616,7 @@ def run_serving(
                     # attempt counter advanced, so drop-schedule verdicts
                     # for plans without structural faults are unchanged
                     # bit-for-bit.
-                    or (
-                        structural
-                        and not fault_plan.link_up(lq.a, lq.b, int(t) + 1)
-                    )
+                    or (lq.down and _down_at(lq.down, int(t) + 1))
                 ):
                     retransmissions += 1
                     req.tries += 1
@@ -694,7 +696,7 @@ def run_serving(
 
         if kind == _ARRIVE:
             src, dst = pairs[i]
-            path = _validated_path(topo, router, src, dst)
+            path = _validated_path(topo, router, src, dst, edges)
             i += 1
             upcoming = (
                 (arrival_times[i], _ARRIVE) if i < num_live else _NO_ARRIVAL
@@ -715,10 +717,7 @@ def run_serving(
             req = _Request(
                 t,
                 src,
-                [
-                    links.get(a * num_nodes + b) or new_link(a, b)
-                    for a, b in pairwise(path)
-                ],
+                [links.get(hop) or new_link(*hop) for hop in pairwise(path)],
                 t + budget,
             )
         else:  # _RETRY_INJECT

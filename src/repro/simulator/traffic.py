@@ -141,13 +141,17 @@ def random_pairs(
     return out
 
 
-def _validated_path(topo: Topology, router: Router, u: int, v: int) -> tuple:
+def _validated_path(
+    topo: Topology, router: Router, u: int, v: int, edges: set
+) -> tuple:
     """``router(u, v)`` as a tuple of Python ints, checked to run from
     ``u`` to ``v`` over edges of ``topo`` only; raises :class:`ValueError`
     otherwise (:class:`TypeError` for a non-integer node).
 
-    The one router-output check of :func:`run_traffic` and
-    :func:`~repro.simulator.serving.run_serving`.
+    ``edges`` holds the ``(a, b)`` hops already found to be edges: the
+    caller keeps one set per run, so each directed edge goes to
+    ``topo.has_edge`` once.  The one router-output check of
+    :func:`run_traffic` and :func:`~repro.simulator.serving.run_serving`.
     """
     raw = router(u, v)
     path = tuple(map(operator.index, raw)) if raw is not None else ()
@@ -160,10 +164,11 @@ def _validated_path(topo: Topology, router: Router, u: int, v: int) -> tuple:
         )
     if path[0] != u or path[-1] != v:
         raise ValueError(f"router returned bad endpoints for ({u}, {v})")
-    has_edge = topo.has_edge
-    for a, b in zip(path, path[1:]):
-        if not has_edge(a, b):
-            raise ValueError(f"router used non-edge ({a}, {b}) on {topo.name}")
+    for hop in zip(path, path[1:]):
+        if hop not in edges:
+            if not topo.has_edge(*hop):
+                raise ValueError(f"router used non-edge {hop} on {topo.name}")
+            edges.add(hop)
     return path
 
 
@@ -189,13 +194,14 @@ def run_traffic(
     """
     if fault_plan is not None:
         fault_plan.validate_for(topo)
+    edges: set[tuple[int, int]] = set()
     load: Counter = Counter()
     total_hops = 0
     path_hops = 0
     retransmissions = 0
     attempt = 0  # global attempt index: the "cycle" key for drop verdicts
     for u, v in pairs:
-        path = _validated_path(topo, router, u, v)
+        path = _validated_path(topo, router, u, v, edges)
         for a, b in zip(path, path[1:]):
             link = (min(a, b), max(a, b))
             path_hops += 1

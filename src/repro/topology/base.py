@@ -10,6 +10,7 @@ are dimensioned; the comparison topologies (CCC, butterfly, …) are plain.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Iterable, Iterator
@@ -71,8 +72,9 @@ class Topology(ABC):
         return parents
 
     def check_node(self, u: int) -> None:
-        """Raise ``ValueError`` if ``u`` is not a valid node index."""
-        if not 0 <= u < self.num_nodes:
+        """Raise ``TypeError`` if ``u`` is not an integer (NumPy integers
+        are) and ``ValueError`` if it is not a valid node index."""
+        if not 0 <= operator.index(u) < self.num_nodes:
             raise ValueError(
                 f"node {u} out of range for {self.name} with "
                 f"{self.num_nodes} nodes"

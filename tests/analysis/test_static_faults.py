@@ -350,6 +350,16 @@ class TestStructuralCuts:
         assert structural_node_cut(q).size == 5
         assert structural_link_cut(q).size == 5
 
+    @pytest.mark.parametrize(
+        "n, node_flows, link_flows", [(2, 14, 7), (3, 109, 31), (4, 609, 127)]
+    )
+    def test_sweeps_run_a_fixed_number_of_flows(self, n, node_flows,
+                                                link_flows):
+        # Each cut's evaluations count its max-flows: one per source/sink
+        # pair the sweep visits, whatever graph the flows share.
+        assert structural_node_cut(DualCube(n)).evaluations == node_flows
+        assert structural_link_cut(DualCube(n)).evaluations == link_flows
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_quorum_cut_matches_degree(self, n):
         qc = quorum_node_cut(DualCube(n))

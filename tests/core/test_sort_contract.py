@@ -1,12 +1,13 @@
 """The entry points' input contract, enforced once before dispatch: NaN
-sort keys and a topology of the wrong type are rejected with the same
-error on every backend."""
+or complex sort keys and a topology of the wrong type are rejected with
+the same error on every backend."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     ADD,
+    backends,
     dual_prefix,
     dual_sort,
     emulated_cube_prefix,
@@ -15,6 +16,7 @@ from repro.core import (
     large_sort,
     ring_sort,
 )
+from repro.core.backends import backend_names, entry_points
 from repro.routing import allreduce
 from repro.topology import DualCube, Hypercube, Metacube, RecursiveDualCube
 
@@ -105,3 +107,35 @@ def test_wrong_topology_rejected(entry, topo, backend):
                                         rf"{type(topo).__name__}$"):
         call(topo, backend)
 
+
+# Every entry point whose contract marks its data as sort keys, called on
+# complex keys (an array, and a list numpy reads as complex).
+COMPLEX_KEYS = [3, 1j, 1, 2, 0.5, 7, -2j, 4]
+COMPLEX_CALLS = {
+    "dual_sort": lambda keys, b: dual_sort(
+        RecursiveDualCube(2), keys, backend=b),
+    "large_sort": lambda keys, b: large_sort(
+        RecursiveDualCube(2), keys, backend=b),
+    "bitonic": lambda keys, b: hypercube_bitonic_sort(keys, backend=b),
+    "ring_sort": lambda keys, b: ring_sort(
+        RecursiveDualCube(2), keys, backend=b),
+}
+
+
+def test_complex_calls_cover_every_key_contract():
+    assert set(COMPLEX_CALLS) == {
+        e for e in entry_points() if backends._CONTRACTS[e].keys
+    }
+
+
+@pytest.mark.parametrize("entry,backend", [
+    (e, b) for e in sorted(COMPLEX_CALLS) for b in backend_names(e)
+])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_complex_keys_rejected_at_the_boundary(entry, backend, as_array):
+    # The array backend used to sort complex keys lexicographically and
+    # the engine raised '<' not supported from inside a rank program.
+    keys = np.array(COMPLEX_KEYS) if as_array else COMPLEX_KEYS
+    with pytest.raises(TypeError,
+                       match=rf"^{entry}: complex keys have no total order$"):
+        COMPLEX_CALLS[entry](keys, backend)

@@ -9,6 +9,9 @@ the ``faulty_run`` fixture run bare and again under a timeline recorder,
 whose fault events must account for the run's fault counters.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.core.dual_prefix import dual_prefix
@@ -27,6 +30,8 @@ from repro.simulator import (
     run_spmd,
     use_fault_plan,
 )
+from repro.simulator.campaign import _coalesce_downtimes
+from repro.simulator.faults import _down_at
 from repro.topology import DualCube, Hypercube, RecursiveDualCube
 
 
@@ -479,6 +484,71 @@ class TestDowntimeValidation:
         view = FaultPlan(downtimes=[(1, 2, 4), (0, 1, 2)]).static_view()
         assert view.downs == ((0, 1, 2), (1, 2, 4))
         assert not view.is_empty
+
+
+def _mixed_plan(topo, rng: random.Random) -> FaultPlan:
+    """Crashes, cuts and coalesced downtimes at random cycles: overlapping
+    and touching windows on one rank, and on both ends of one link."""
+    edges = list(topo.edges())
+    downs = [
+        (rng.randrange(topo.num_nodes), start, start + rng.randint(1, 6))
+        for start in (rng.randint(1, 20) for _ in range(rng.randint(0, 12)))
+    ]
+    return FaultPlan(
+        node_crashes={
+            r: rng.randint(1, 25)
+            for r in rng.sample(range(topo.num_nodes), rng.randint(0, 2))
+        },
+        link_cuts={
+            e: rng.randint(1, 25)
+            for e in rng.sample(edges, rng.randint(0, 3))
+        },
+        downtimes=_coalesce_downtimes(downs),
+    )
+
+
+class TestLinkDownSpans:
+    """``link_down_spans`` is the one definition of link liveness: the
+    serving loop tests a link queue's spans and ``link_up`` answers from
+    them, so they must agree with the plan's own cut and node verdicts."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_spans_match_cut_and_endpoint_verdicts(self, n, seed):
+        dc = DualCube(n)
+        plan = _mixed_plan(dc, random.Random(seed * 31 + n))
+        for u, v in dc.edges():
+            for a, b in ((u, v), (v, u)):
+                spans = plan.link_down_spans(a, b)
+                assert spans == plan.link_down_spans(b, a)
+                # Sorted and disjoint, touching windows merged.
+                for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
+                    assert s0 < e0 < s1 < e1
+                ends = [e for _, e in spans if e != math.inf]
+                last = max([s for s, _ in spans] + ends, default=0)
+                cut = plan.link_cuts.get((u, v), math.inf)
+                for c in range(last + 3):
+                    down = cut <= c or plan.down(a, c) or plan.down(b, c)
+                    assert _down_at(spans, c) == down, (a, b, c, spans)
+                    assert plan.link_up(a, b, c) == (not down)
+
+    def test_the_plans_exercise_every_span_shape(self):
+        shapes = set()
+        dc = DualCube(3)
+        for seed in range(12):
+            plan = _mixed_plan(dc, random.Random(seed * 31 + 3))
+            for u, v in dc.edges():
+                spans = plan.link_down_spans(u, v)
+                shapes.add(len(spans))
+                shapes.update(
+                    "open" if e == math.inf else "closed" for _, e in spans
+                )
+        assert {0, 1, 2, "open", "closed"} <= shapes
+
+    def test_a_link_without_faults_has_no_spans(self):
+        plan = FaultPlan(node_crashes={5: 3}, downtimes=[(6, 2, 4)])
+        assert plan.link_down_spans(0, 1) == ()
+        assert plan.link_down_spans(4, 5) == ((3, math.inf),)
 
 
 class TestDowntimeEngine:

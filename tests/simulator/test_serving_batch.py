@@ -9,6 +9,9 @@ its derived aggregates: sum, max, mean, support) and identical
 licenses reading E18's serving numbers alongside E11's batch numbers.
 """
 
+from collections import Counter
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,10 @@ from repro.topology import DualCube, Hypercube, Metacube
 def _closed_batch(topo, router, pairs, *, plan=None):
     arrivals = np.zeros(len(pairs))
     return run_serving(topo, router, arrivals, pairs, fault_plan=plan)
+
+
+def _traffic_batch(topo, router, pairs, *, plan=None):
+    return run_traffic(topo, router, pairs, fault_plan=plan)
 
 
 class TestClosedBatchEquivalence:
@@ -132,9 +139,45 @@ class TestRouterOutputChecks:
         with pytest.raises(ValueError, match=r"non-edge \(0, 3\) on Q_2"):
             _closed_batch(Hypercube(2), lambda u, v: [u, v], [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            # The hop (1, -7) has the key 1 * 8 - 7 of the link (0, 1).
+            ((1, -7), r"^node -7 out of range for D_2 with 8 nodes$"),
+            ((0, 3), r"^router used non-edge \(0, 3\) on D_2$"),
+        ],
+        ids=["aliasing-key", "non-edge"],
+    )
+    def test_a_checked_edge_excuses_only_itself(self, bad, match):
+        """Each directed edge goes to ``has_edge`` once per run, but only
+        that exact hop skips it later: once valid traffic has made the
+        link queue (0, 1), a bad hop still gets its error."""
+        dc = DualCube(2)
+        paths = {(0, 1): [0, 1], (1, -7): [1, -7], (0, 3): [0, 3]}
+        with pytest.raises(ValueError, match=match):
+            run_serving(
+                dc, lambda u, v: paths[u, v], [0.0, 0.0, 2.0],
+                [(0, 1), (0, 1), bad],
+            )
 
-def _traffic_batch(topo, router, pairs, *, plan=None):
-    return run_traffic(topo, router, pairs, fault_plan=plan)
+    @pytest.mark.parametrize(
+        "simulate", [_closed_batch, _traffic_batch], ids=["serving", "traffic"]
+    )
+    def test_each_directed_edge_is_checked_once_per_run(self, simulate):
+        class Counting(DualCube):
+            def has_edge(self, u, v):
+                calls[u, v] += 1
+                return super().has_edge(u, v)
+
+        calls: Counter = Counter()
+        dc = Counting(2)
+        pairs = open_loop_pairs(dc, 200, seed=3)
+        # Routed on a plain D_2: route() checks its own hops with has_edge.
+        paths = {pair: route(DualCube(2), *pair) for pair in pairs}
+        hops = {hop for path in paths.values() for hop in pairwise(path)}
+        for run in (1, 2):  # no state is kept across runs
+            simulate(dc, lambda u, v: paths[u, v], pairs)
+            assert calls == {hop: run for hop in hops}
 
 
 @pytest.mark.parametrize(

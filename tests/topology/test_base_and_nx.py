@@ -1,9 +1,11 @@
 """Tests for the Topology base classes and the networkx adapter."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from repro.topology import DualCube, Hypercube, to_networkx
+from repro.simulator.serving import bfs_router
+from repro.topology import DualCube, Hypercube, Metacube, to_networkx
 from repro.topology.base import Topology
 
 
@@ -51,6 +53,25 @@ class TestNodeChecks:
             cube.check_node(4)
         with pytest.raises(ValueError):
             cube.check_node(-1)
+
+    @pytest.mark.parametrize("u", [0.5, 1.0, "1", None])
+    def test_check_node_rejects_non_integers(self, u):
+        with pytest.raises(TypeError, match="integer"):
+            DualCube(2).check_node(u)
+
+    @pytest.mark.parametrize("u", [np.int64(3), np.uint8(7), np.intp(0)])
+    def test_check_node_accepts_numpy_integers(self, u):
+        DualCube(2).check_node(u)
+        with pytest.raises(ValueError, match="out of range"):
+            DualCube(2).check_node(u + 8)
+
+    def test_a_float_node_fails_in_check_node(self):
+        # It used to surface as an unrelated TypeError from `>>` inside
+        # the metacube's adjacency.
+        route = bfs_router(Metacube(1, 1))
+        with pytest.raises(TypeError, match="integer") as info:
+            route(1.5, 3)
+        assert info.traceback[-1].name == "check_node"
 
     def test_edges_yield_each_once_ordered(self):
         cube = Hypercube(3)
